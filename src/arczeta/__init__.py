@@ -3,144 +3,15 @@ and of naive/signed zeta functions of quadratic germs, with recovery of the
 square counts (hence corank and index) from the T^2 zeta data.
 """
 
-from .algebra import LaurentPolynomial, TruncatedSeries, geometric_sum
-from .arcspace import (
-    MINUS,
-    NAIVE,
-    PLUS,
-    SELECTORS,
-    ArcStratumReport,
-    QuadraticGerm,
-    coefficient_closed_form,
-    naive_t2_coefficient,
-    signed_t2_coefficient,
-    stratify,
-    zeta_closed_form,
-    zeta_series,
-)
-from .errors import (
-    ArcZetaError,
-    DimensionMismatch,
-    EmptyProjectiveQuadric,
-    GermSyntaxError,
-    InvalidGerm,
-    MalformedExpression,
-    NotAGerm,
-    NotReducible,
-    NotSignatureForm,
-    NotSingularAtOrigin,
-    OrderMismatch,
-    PoleAtZero,
-    ZeroPolynomial,
-)
-from .germ import (
-    DiscriminationResult,
-    Inertia,
-    NaiveRecovery,
-    PolynomialGerm,
-    SplitResult,
-    charpoly_inertia,
-    congruence_diagonalize,
-    determinant,
-    discriminate,
-    hessian_inertia,
-    linear_part,
-    parse_germ,
-    recover_minmax,
-    recover_signature,
-    split_jet,
-    verify_split,
-)
-from .scissor import (
-    EMPTY,
-    AffineSpace,
-    Difference,
-    DisjointUnion,
-    Point,
-    Product,
-    ProjectiveSpace,
-    PuncturedLine,
-    QuadricAffine,
-    QuadricProjective,
-    Sphere,
-    beta_cone,
-    beta_eval,
-    beta_level,
-    beta_projective_quadric,
-    cone_relation_check,
-    euler_characteristic,
-    expression_from_json,
-    expression_to_json,
-    quadric_base_case,
-    quadric_reduce,
-)
+# The package republishes each module's public interface; the __all__ of
+# the module is the one list of what that interface is.
+from . import algebra, arcspace, errors, germ, scissor
+from .algebra import *  # noqa: F403
+from .arcspace import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .germ import *  # noqa: F403
+from .scissor import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPolynomial",
-    "TruncatedSeries",
-    "geometric_sum",
-    "AffineSpace",
-    "PuncturedLine",
-    "Point",
-    "Sphere",
-    "ProjectiveSpace",
-    "QuadricAffine",
-    "QuadricProjective",
-    "Product",
-    "DisjointUnion",
-    "Difference",
-    "EMPTY",
-    "beta_cone",
-    "beta_projective_quadric",
-    "beta_level",
-    "beta_eval",
-    "quadric_reduce",
-    "quadric_base_case",
-    "cone_relation_check",
-    "euler_characteristic",
-    "expression_to_json",
-    "expression_from_json",
-    "NAIVE",
-    "PLUS",
-    "MINUS",
-    "SELECTORS",
-    "QuadraticGerm",
-    "ArcStratumReport",
-    "stratify",
-    "zeta_series",
-    "zeta_closed_form",
-    "coefficient_closed_form",
-    "signed_t2_coefficient",
-    "naive_t2_coefficient",
-    "PolynomialGerm",
-    "parse_germ",
-    "Inertia",
-    "hessian_inertia",
-    "congruence_diagonalize",
-    "charpoly_inertia",
-    "determinant",
-    "linear_part",
-    "SplitResult",
-    "split_jet",
-    "verify_split",
-    "recover_signature",
-    "NaiveRecovery",
-    "recover_minmax",
-    "DiscriminationResult",
-    "discriminate",
-    "ArcZetaError",
-    "ZeroPolynomial",
-    "PoleAtZero",
-    "OrderMismatch",
-    "EmptyProjectiveQuadric",
-    "NotReducible",
-    "MalformedExpression",
-    "InvalidGerm",
-    "GermSyntaxError",
-    "NotAGerm",
-    "NotSingularAtOrigin",
-    "NotSignatureForm",
-    "DimensionMismatch",
-]
+__all__ = [*algebra.__all__, *scissor.__all__, *arcspace.__all__, *germ.__all__, *errors.__all__]

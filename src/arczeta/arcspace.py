@@ -91,6 +91,7 @@ __all__ = [
     "ArcStratumReport",
     "stratify",
     "zeta_series",
+    "series_from_reports",
     "zeta_closed_form",
     "coefficient_closed_form",
     "signed_t2_coefficient",
@@ -142,6 +143,7 @@ class ArcStratumReport:
     n: int
     selector: str
     strata: tuple  # of (description, SetExpression)
+    betas: tuple  # beta of each stratum, in the order of strata
     total_beta: LaurentPolynomial
 
 
@@ -198,10 +200,10 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
             factors.append(AffineSpace(free_z))
         strata.append((description, Product(tuple(factors))))
 
-    total = ZERO
-    for _, expression in strata:
-        total = total + beta_eval(expression)
-    return ArcStratumReport(n=n, selector=selector, strata=tuple(strata), total_beta=total)
+    betas = tuple(beta_eval(expression) for _, expression in strata)
+    return ArcStratumReport(
+        n=n, selector=selector, strata=tuple(strata), betas=betas, total_beta=sum(betas, ZERO)
+    )
 
 
 def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
@@ -209,12 +211,17 @@ def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeri
     _check_selector(selector)
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"truncation order must be a positive integer, got {order!r}")
-    coefficients = {}
-    for n in range(1, order + 1):
-        beta = stratify(germ, n, selector).total_beta
-        if not beta.is_zero():
-            coefficients[n] = beta * LaurentPolynomial.monomial(-n * germ.dim)
-    return TruncatedSeries(order, coefficients)
+    return series_from_reports(germ, [stratify(germ, n, selector) for n in range(1, order + 1)])
+
+
+def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:
+    """The zeta series to order len(reports), from the reports of n = 1, 2, ... in turn."""
+    coefficients = {
+        report.n: report.total_beta * LaurentPolynomial.monomial(-report.n * germ.dim)
+        for report in reports
+        if not report.total_beta.is_zero()
+    }
+    return TruncatedSeries(len(reports), coefficients)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Command line surface and the selfcheck batch harness.
+"""Command line surface.
 
 Every command accepts --json for machine output (byte-stable: canonical
 ordering everywhere) and prints human-readable text otherwise.  Exit
@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 
 from . import arcspace, germ as germs, scissor
 from .algebra import LaurentPolynomial
 from .errors import ArcZetaError, MalformedExpression
-from .scissor import QuadricAffine
+from .selfcheck import run_selfcheck
 
 __all__ = ["run", "main", "run_selfcheck"]
 
@@ -40,12 +38,15 @@ def _read_source(value: str) -> str:
         return value
 
 
-def _load_polynomial(value: str) -> LaurentPolynomial:
-    text = _read_source(value)
+def _load_json(value: str, what: str):
     try:
-        data = json.loads(text)
+        return json.loads(_read_source(value))
     except json.JSONDecodeError as exc:
-        raise MalformedExpression(f"invalid polynomial JSON: {exc.msg}")
+        raise MalformedExpression(f"invalid {what} JSON: {exc.msg}")
+
+
+def _load_polynomial(value: str) -> LaurentPolynomial:
+    data = _load_json(value, "polynomial")
     try:
         return LaurentPolynomial.from_json(data)
     except (ValueError, TypeError) as exc:
@@ -65,33 +66,23 @@ def _emit(args, payload, text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_beta_x0(args) -> int:
-    value = scissor.beta_cone(args.m, args.M)
-    return _emit(args, value.to_json(), value.to_text())
+# beta kind -> (help, argument names, closed form)
+_CLOSED_FORMS = {
+    "x0": ("affine cone {q = 0}", ("m", "M"), lambda m, M: scissor.beta_cone(m, M)),
+    "x1": ("level set {q = +1}", ("s", "t"), lambda s, t: scissor.beta_level(s, t, 1)),
+    "xneg1": ("level set {q = -1}", ("s", "t"), lambda s, t: scissor.beta_level(s, t, -1)),
+    "z": ("projective quadric", ("m", "M"), lambda m, M: scissor.beta_projective_quadric(m, M)),
+}
 
 
-def _cmd_beta_x1(args) -> int:
-    value = scissor.beta_level(args.s, args.t, 1)
-    return _emit(args, value.to_json(), value.to_text())
-
-
-def _cmd_beta_xneg1(args) -> int:
-    value = scissor.beta_level(args.s, args.t, -1)
-    return _emit(args, value.to_json(), value.to_text())
-
-
-def _cmd_beta_z(args) -> int:
-    value = scissor.beta_projective_quadric(args.m, args.M)
+def _cmd_beta_closed(args) -> int:
+    _, names, closed_form = _CLOSED_FORMS[args.kind]
+    value = closed_form(*(getattr(args, name) for name in names))
     return _emit(args, value.to_json(), value.to_text())
 
 
 def _cmd_beta_expr(args) -> int:
-    text = _read_source(args.source)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedExpression(f"invalid expression JSON: {exc.msg}")
-    expression = scissor.expression_from_json(data)
+    expression = scissor.expression_from_json(_load_json(args.source, "expression"))
     value = scissor.beta_eval(expression)
     return _emit(args, value.to_json(), value.to_text())
 
@@ -104,9 +95,9 @@ def _stratum_payload(report) -> dict:
             {
                 "description": description,
                 "expression": scissor.expression_to_json(expression),
-                "beta": scissor.beta_eval(expression).to_json(),
+                "beta": beta.to_json(),
             }
-            for description, expression in report.strata
+            for (description, expression), beta in zip(report.strata, report.betas)
         ],
         "total_beta": report.total_beta.to_json(),
     }
@@ -114,27 +105,25 @@ def _stratum_payload(report) -> dict:
 
 def _cmd_zeta(args) -> int:
     germ = arcspace.QuadraticGerm(dim=args.dim, plus=args.plus, minus=args.minus)
-    series = arcspace.zeta_series(germ, args.selector, args.order)
-    if args.strata:
-        reports = [
-            arcspace.stratify(germ, n, args.selector)
-            for n in range(1, args.order + 1)
-        ]
-        payload = {
-            "series": series.to_json(),
-            "strata": [_stratum_payload(report) for report in reports],
-        }
-        lines = [series.to_text()]
-        for report in reports:
-            lines.append(f"T^{report.n} strata ({report.selector}):")
-            if not report.strata:
-                lines.append("  (empty: no admissible block order)")
-            for description, expression in report.strata:
-                beta = scissor.beta_eval(expression)
-                lines.append(f"  {description}: beta = {beta.to_text()}")
-            lines.append(f"  total: {report.total_beta.to_text()}")
-        return _emit(args, payload, "\n".join(lines))
-    return _emit(args, series.to_json(), series.to_text())
+    if not args.strata:
+        series = arcspace.zeta_series(germ, args.selector, args.order)
+        return _emit(args, series.to_json(), series.to_text())
+    # one pass: the series and the dump both come from these reports
+    reports = [arcspace.stratify(germ, n, args.selector) for n in range(1, args.order + 1)]
+    series = arcspace.series_from_reports(germ, reports)
+    payload = {
+        "series": series.to_json(),
+        "strata": [_stratum_payload(report) for report in reports],
+    }
+    lines = [series.to_text()]
+    for report in reports:
+        lines.append(f"T^{report.n} strata ({report.selector}):")
+        if not report.strata:
+            lines.append("  (empty: no admissible block order)")
+        for (description, _), beta in zip(report.strata, report.betas):
+            lines.append(f"  {description}: beta = {beta.to_text()}")
+        lines.append(f"  total: {report.total_beta.to_text()}")
+    return _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_recover(args) -> int:
@@ -195,274 +184,7 @@ def _cmd_discriminate(args) -> int:
     return _emit(args, result.to_json(), text)
 
 
-# ---------------------------------------------------------------------------
-# selfcheck: the identity grids
-# ---------------------------------------------------------------------------
-
-
-def _closed_form(c: int, s: int, t: int) -> LaurentPolynomial:
-    if c == 0:
-        return scissor.beta_cone(s, t)
-    return scissor.beta_level(s, t, c)
-
-
-def _check_closed_vs_engine(bound):
-    failures = []
-    count = 0
-    for c in (-1, 0, 1):
-        for s in range(bound + 1):
-            for t in range(bound + 1):
-                count += 1
-                if scissor.beta_eval(QuadricAffine(c, s, t)) != _closed_form(c, s, t):
-                    failures.append(f"(c={c}, s={s}, t={t})")
-    return "closed-form/oracle grid", count, failures
-
-
-def _check_level_symmetry(bound):
-    failures = []
-    count = 0
-    for s in range(bound + 1):
-        for t in range(bound + 1):
-            count += 1
-            if scissor.beta_level(s, t, -1) != scissor.beta_level(t, s, 1):
-                failures.append(f"(s={s}, t={t})")
-    return "level-set sign symmetry grid", count, failures
-
-
-def _check_cone_relation(bound):
-    failures = []
-    count = 0
-    for m in range(1, bound + 1):
-        for M in range(1, bound + 1):
-            count += 1
-            if not scissor.cone_relation_check(m, M):
-                failures.append(f"(m={m}, M={M})")
-    return "cone fibration relation grid", count, failures
-
-
-def _check_projective_difference(bound):
-    failures = []
-    count = 0
-    for s in range(1, bound + 1):
-        for t in range(1, bound + 1):
-            count += 1
-            if s <= t:
-                expected = scissor.beta_projective_quadric(
-                    s, t + 1
-                ) - scissor.beta_projective_quadric(s, t)
-            else:
-                expected = scissor.beta_projective_quadric(
-                    t + 1, s
-                ) - scissor.beta_projective_quadric(t, s)
-            if scissor.beta_level(s, t, 1) != expected:
-                failures.append(f"(s={s}, t={t})")
-    return "projective difference grid", count, failures
-
-
-def _check_degree_bound(bound):
-    failures = []
-    count = 0
-    for c in (-1, 0, 1):
-        for s in range(bound + 1):
-            for t in range(bound + 1):
-                if c == 0:
-                    relevant = min(s, t) >= 1
-                elif c == 1:
-                    relevant = s >= 1 and s + t >= 2
-                else:
-                    relevant = t >= 1 and s + t >= 2
-                if not relevant:
-                    continue
-                count += 1
-                if scissor.beta_eval(QuadricAffine(c, s, t)).degree() != s + t - 1:
-                    failures.append(f"(c={c}, s={s}, t={t})")
-    return "dimension/degree grid", count, failures
-
-
-def _signature_pairs(max_rank):
-    for rank in range(1, max_rank + 1):
-        for plus in range(rank + 1):
-            yield plus, rank - plus
-
-
-def _check_round_trip(bound):
-    failures = []
-    count = 0
-    top = min(8, max(bound, 2))
-    for dim in range(1, top + 1):
-        for plus, minus in _signature_pairs(dim):
-            count += 1
-            quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-            c_plus = arcspace.zeta_series(quad, arcspace.PLUS, 2).coefficient(2)
-            c_minus = arcspace.zeta_series(quad, arcspace.MINUS, 2).coefficient(2)
-            if germs.recover_signature(c_plus, c_minus) != (plus, minus):
-                failures.append(f"(d={dim}, s={plus}, t={minus})")
-    return "signed T^2 round-trip grid", count, failures
-
-
-def _check_zeta_two_paths(bound):
-    failures = []
-    count = 0
-    top = min(6, max(bound, 2))
-    for dim in range(1, top + 1):
-        for plus, minus in _signature_pairs(dim):
-            quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-            for selector in arcspace.SELECTORS:
-                for n in range(1, 7):
-                    count += 1
-                    stratified = arcspace.stratify(quad, n, selector).total_beta
-                    lhs = stratified * LaurentPolynomial.monomial(-n * dim)
-                    if lhs != arcspace.coefficient_closed_form(quad, n, selector):
-                        failures.append(f"(d={dim}, s={plus}, t={minus}, n={n}, {selector})")
-    return "zeta stratification/closed-form grid", count, failures
-
-
-def _check_zeta_laws(bound):
-    failures = []
-    count = 0
-    top = min(6, max(bound, 2))
-    order = 6
-    for dim in range(1, top + 1):
-        for plus, minus in _signature_pairs(dim):
-            quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-            grown = arcspace.QuadraticGerm(dim=dim + 1, plus=plus, minus=minus)
-            swapped = arcspace.QuadraticGerm(dim=dim, plus=minus, minus=plus)
-            plus_series = arcspace.zeta_series(quad, arcspace.PLUS, order)
-            minus_series = arcspace.zeta_series(quad, arcspace.MINUS, order)
-            for selector in arcspace.SELECTORS:
-                series = arcspace.zeta_series(quad, selector, order)
-                count += 1
-                if series != arcspace.zeta_series(grown, selector, order):
-                    failures.append(f"stabilization (d={dim}, s={plus}, t={minus}, {selector})")
-                count += 1
-                if not series.coefficient(1).is_zero():
-                    failures.append(f"T^1 (d={dim}, s={plus}, t={minus}, {selector})")
-                count += 1
-                if any(
-                    not series.coefficient(n).is_zero()
-                    and series.coefficient(n).degree() > 0
-                    for n in range(1, order + 1)
-                ):
-                    failures.append(f"degree bound (d={dim}, s={plus}, t={minus}, {selector})")
-            count += 1
-            if any(
-                plus_series.coefficient(n) != minus_series.coefficient(n)
-                for n in range(1, order + 1, 2)
-            ):
-                failures.append(f"odd symmetry (d={dim}, s={plus}, t={minus})")
-            count += 1
-            if plus_series != arcspace.zeta_series(swapped, arcspace.MINUS, order):
-                failures.append(f"sign swap (d={dim}, s={plus}, t={minus})")
-    return "zeta series law grid", count, failures
-
-
-def _check_minmax_recovery(bound):
-    failures = []
-    count = 0
-    top = max(min(12, bound), 8)
-    for m in range(1, 7):
-        for M in range(m, top + 1):
-            count += 1
-            outcome = germs.recover_minmax(arcspace.naive_t2_coefficient(m, M))
-            if M == m + 1:
-                good = outcome.status == "ambiguous"
-            else:
-                good = outcome.status == "determined" and (outcome.m, outcome.M) == (m, M)
-            if not good:
-                failures.append(f"(m={m}, M={M})")
-    return "naive T^2 min/max recovery grid", count, failures
-
-
-def _random_symmetric(rng, size):
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1):
-            value = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix
-
-
-def _check_inertia_two_paths(bound, samples=300):
-    failures = []
-    count = 0
-    rng = random.Random(20260809)
-    top = min(8, max(bound, 2))
-    for _ in range(samples):
-        size = rng.randint(1, top)
-        matrix = _random_symmetric(rng, size)
-        count += 1
-        _, diag = germs.congruence_diagonalize(matrix)
-        congruence = (
-            sum(1 for d in diag if d > 0),
-            sum(1 for d in diag if d < 0),
-        )
-        if congruence != germs.charpoly_inertia(matrix):
-            failures.append(f"matrix #{count} (size {size})")
-    return "inertia congruence/charpoly grid", count, failures
-
-
-def _random_germ(rng, nvars, max_degree=4):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        degree = rng.randint(2, max_degree)
-        exps = [0] * nvars
-        for _ in range(degree):
-            exps[rng.randrange(nvars)] += 1
-        coefficient = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        if coefficient:
-            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coefficient
-    return germs.PolynomialGerm(nvars, terms)
-
-
-def _split_holds(germ, jet_order) -> bool:
-    return germs.verify_split(germ, germs.split_jet(germ, jet_order))
-
-
-def _check_split_residuals(bound, samples=30):
-    failures = []
-    count = 0
-    named = ("x1^2 + 2*x1*x2^2", "x1^2 + x1*x3^3", "x1*x2 + x2^3")
-    for text in named:
-        for jet_order in range(3, 7):
-            count += 1
-            if not _split_holds(germs.parse_germ(text), jet_order):
-                failures.append(f"({text!r}, jet {jet_order})")
-    rng = random.Random(14091961)
-    for index in range(samples):
-        germ = _random_germ(rng, rng.randint(1, 4))
-        jet_order = 3 + index % 4
-        count += 1
-        if not _split_holds(germ, jet_order):
-            failures.append(f"(random germ #{index}, jet {jet_order})")
-    return "splitting residual grid", count, failures
-
-
-def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
-    """Run every identity grid up to the bound; returns (reports, all_ok)."""
-    if bound < 2:
-        raise ValueError("selfcheck bound must be at least 2")
-    checks = [
-        _check_closed_vs_engine(bound),
-        _check_level_symmetry(bound),
-        _check_cone_relation(bound),
-        _check_projective_difference(bound),
-        _check_degree_bound(bound),
-        _check_round_trip(bound),
-        _check_zeta_two_paths(bound),
-        _check_zeta_laws(bound),
-        _check_minmax_recovery(bound),
-        _check_inertia_two_paths(bound),
-        _check_split_residuals(bound),
-    ]
-    ok = all(not failures for _, _, failures in checks)
-    return checks, ok
-
-
 def _cmd_selfcheck(args) -> int:
-    if args.max < 2:
-        print("selfcheck: --max must be at least 2", file=sys.stderr)
-        return 2
     checks, ok = run_selfcheck(args.max)
     if args.json:
         payload = {
@@ -490,6 +212,19 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -506,25 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     beta = commands.add_parser("beta", help="virtual Poincare polynomials")
     beta_kinds = beta.add_subparsers(dest="kind", required=True)
 
-    x0 = beta_kinds.add_parser("x0", parents=[common], help="affine cone {q = 0}")
-    x0.add_argument("--m", type=int, required=True)
-    x0.add_argument("--M", type=int, required=True)
-    x0.set_defaults(func=_cmd_beta_x0)
-
-    x1 = beta_kinds.add_parser("x1", parents=[common], help="level set {q = +1}")
-    x1.add_argument("--s", type=int, required=True)
-    x1.add_argument("--t", type=int, required=True)
-    x1.set_defaults(func=_cmd_beta_x1)
-
-    xneg1 = beta_kinds.add_parser("xneg1", parents=[common], help="level set {q = -1}")
-    xneg1.add_argument("--s", type=int, required=True)
-    xneg1.add_argument("--t", type=int, required=True)
-    xneg1.set_defaults(func=_cmd_beta_xneg1)
-
-    z = beta_kinds.add_parser("z", parents=[common], help="projective quadric")
-    z.add_argument("--m", type=int, required=True)
-    z.add_argument("--M", type=int, required=True)
-    z.set_defaults(func=_cmd_beta_z)
+    for kind, (help_text, names, _) in _CLOSED_FORMS.items():
+        closed = beta_kinds.add_parser(kind, parents=[common], help=help_text)
+        for name in names:
+            closed.add_argument(f"--{name}", type=_int_at_least(0), required=True)
+        closed.set_defaults(func=_cmd_beta_closed)
 
     expr = beta_kinds.add_parser(
         "expr", parents=[common], help="evaluate beta of a set-expression JSON file"
@@ -541,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zeta.add_argument(
         "--selector", choices=list(arcspace.SELECTORS), default=arcspace.NAIVE
     )
-    zeta.add_argument("--order", type=int, default=6)
+    zeta.add_argument("--order", type=_int_at_least(1), default=6)
     zeta.add_argument("--strata", action="store_true", help="dump the stratum reports")
     zeta.set_defaults(func=_cmd_zeta)
 
@@ -558,19 +279,19 @@ def _build_parser() -> argparse.ArgumentParser:
     recover_naive.add_argument("--coeff", required=True)
     recover_naive.set_defaults(func=_cmd_recover_naive)
 
+    poly = argparse.ArgumentParser(add_help=False, parents=[common])
+    poly.add_argument("--poly", required=True, help="germ text, file, or -")
+    poly.add_argument("--dim", type=int, default=None, help="override variable count")
+
     inertia = commands.add_parser(
-        "inertia", parents=[common], help="Hessian inertia of a polynomial germ"
+        "inertia", parents=[poly], help="Hessian inertia of a polynomial germ"
     )
-    inertia.add_argument("--poly", required=True, help="germ text, file, or -")
-    inertia.add_argument("--dim", type=int, default=None, help="override variable count")
     inertia.set_defaults(func=_cmd_inertia)
 
     split = commands.add_parser(
-        "split", parents=[common], help="jet-level splitting of a singular germ"
+        "split", parents=[poly], help="jet-level splitting of a singular germ"
     )
-    split.add_argument("--poly", required=True, help="germ text, file, or -")
-    split.add_argument("--dim", type=int, default=None, help="override variable count")
-    split.add_argument("--jet", type=int, default=3, help="jet order (>= 3)")
+    split.add_argument("--jet", type=_int_at_least(3), default=3, help="jet order (>= 3)")
     split.set_defaults(func=_cmd_split)
 
     discriminate = commands.add_parser(
@@ -578,13 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     discriminate.add_argument("--f", required=True, help="first germ text, file, or -")
     discriminate.add_argument("--g", required=True, help="second germ text, file, or -")
-    discriminate.add_argument("--order", type=int, default=6)
+    discriminate.add_argument("--order", type=_int_at_least(1), default=6)
     discriminate.set_defaults(func=_cmd_discriminate)
 
     selfcheck = commands.add_parser(
         "selfcheck", parents=[common], help="run the identity grids"
     )
-    selfcheck.add_argument("--max", type=int, default=12)
+    selfcheck.add_argument("--max", type=_int_at_least(2), default=12)
     selfcheck.set_defaults(func=_cmd_selfcheck)
 
     return parser

@@ -4,6 +4,22 @@ The class name of each error is what the command line layer reports in its
 JSON failure envelope, so these names are part of the public interface.
 """
 
+__all__ = [
+    "ArcZetaError",
+    "ZeroPolynomial",
+    "PoleAtZero",
+    "OrderMismatch",
+    "EmptyProjectiveQuadric",
+    "NotReducible",
+    "MalformedExpression",
+    "InvalidGerm",
+    "GermSyntaxError",
+    "NotAGerm",
+    "NotSingularAtOrigin",
+    "NotSignatureForm",
+    "DimensionMismatch",
+]
+
 
 class ArcZetaError(Exception):
     """Base class for every domain error raised by this package."""

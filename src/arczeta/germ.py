@@ -31,7 +31,7 @@ from __future__ import annotations
 import json as _json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Mapping, Sequence
 
 from .algebra import LaurentPolynomial, TruncatedSeries
@@ -383,7 +383,13 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
             data = _json.loads(stripped)
         except _json.JSONDecodeError as exc:
             raise GermSyntaxError(f"invalid germ JSON: {exc.msg}", exc.pos)
-        return PolynomialGerm.from_json(data)
+        try:
+            return PolynomialGerm.from_json(data)
+        except ZeroDivisionError:
+            raise InvalidGerm("invalid germ JSON: zero denominator in a coefficient") from None
+        except (ValueError, TypeError) as exc:
+            # a bad nvars, exponent vector, term or coefficient in valid JSON
+            raise InvalidGerm(f"invalid germ JSON: {exc}") from exc
     return _parse_germ_text(text, nvars)
 
 
@@ -630,11 +636,7 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
     rows = [[Fraction(x) for x in row] for row in matrix]
     if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    scale = 1
-    for row in rows:
-        for x in row:
-            d = x.denominator
-            scale = scale * d // _gcd(scale, d)
+    scale = lcm(*(x.denominator for row in rows for x in row))
     A = [[int(x * scale) for x in row] for row in rows]
 
     coeffs = [1]
@@ -667,12 +669,6 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
         zero += 1
     assert positive + negative + zero == n
     return positive, negative
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ recompute identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from functools import lru_cache, reduce
+from operator import add, mul
+from typing import Callable, NamedTuple, Union
 
 from .algebra import ONE, U, ZERO, LaurentPolynomial, geometric_sum
 from .errors import EmptyProjectiveQuadric, MalformedExpression, NotReducible
@@ -82,9 +83,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# Every node validates itself on construction, so an expression that exists
+# is well formed and nothing downstream (beta_eval, the JSON writer) checks
+# it again.  The types of all fields are checked before any range, which is
+# the order in which expression_from_json reports errors.
+
+
+def _require_ints(node, *names):
+    for name in names:
+        value = getattr(node, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise MalformedExpression(f"field {name!r} must be an integer, got {value!r}")
+
+
+def _require_nodes(*children):
+    for child in children:
+        _node_type(child)
+
+
 @dataclass(frozen=True)
 class AffineSpace:
     k: int
+
+    def __post_init__(self):
+        _require_ints(self, "k")
+        if self.k < 0:
+            raise MalformedExpression(f"affine space needs k >= 0, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +125,20 @@ class Point:
 class Sphere:
     dim: int
 
+    def __post_init__(self):
+        _require_ints(self, "dim")
+        if self.dim < 0:
+            raise MalformedExpression(f"sphere needs dim >= 0, got {self.dim!r}")
+
 
 @dataclass(frozen=True)
 class ProjectiveSpace:
     k: int
+
+    def __post_init__(self):
+        _require_ints(self, "k")
+        if self.k < 0:
+            raise MalformedExpression(f"projective space needs k >= 0, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +152,15 @@ class QuadricAffine:
     s: int
     t: int
 
+    def __post_init__(self):
+        _require_ints(self, "c", "s", "t")
+        if self.c not in (-1, 0, 1):
+            raise MalformedExpression(f"quadric level must be -1, 0 or +1, got {self.c!r}")
+        if self.s < 0 or self.t < 0:
+            raise MalformedExpression(
+                f"quadric signature must be nonnegative ints: ({self.s!r}, {self.t!r})"
+            )
+
 
 @dataclass(frozen=True)
 class QuadricProjective:
@@ -126,6 +169,13 @@ class QuadricProjective:
     m: int
     M: int
 
+    def __post_init__(self):
+        _require_ints(self, "m", "M")
+        if self.m < 1 or self.M < 1:
+            raise MalformedExpression(
+                f"projective quadric needs m, M >= 1, got ({self.m!r}, {self.M!r})"
+            )
+
 
 @dataclass(frozen=True)
 class Product:
@@ -133,6 +183,7 @@ class Product:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+        _require_nodes(*self.children)
 
 
 @dataclass(frozen=True)
@@ -141,6 +192,7 @@ class DisjointUnion:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+        _require_nodes(*self.children)
 
 
 @dataclass(frozen=True)
@@ -149,6 +201,9 @@ class Difference:
 
     ambient: "SetExpression"
     closed_subset: "SetExpression"
+
+    def __post_init__(self):
+        _require_nodes(self.ambient, self.closed_subset)
 
 
 SetExpression = Union[
@@ -241,7 +296,6 @@ def _check_counts(plus, minus):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def quadric_reduce(c: int, plus: int, minus: int) -> SetExpression:
     """Rewrite {q = c} by splitting off one hyperbolic pair.
 
@@ -249,7 +303,7 @@ def quadric_reduce(c: int, plus: int, minus: int) -> SetExpression:
     DisjointUnion(R^* x R^(plus+minus-2), {q' = c} x R) with q' of
     signature (plus-1, minus-1), and strictly decreases plus + minus.
     """
-    _check_quadric(c, plus, minus)
+    QuadricAffine(c, plus, minus)  # building the atom validates the arguments
     if plus < 1 or minus < 1:
         raise NotReducible(
             f"quadric (c={c}, s={plus}, t={minus}) is a base case"
@@ -264,7 +318,7 @@ def quadric_reduce(c: int, plus: int, minus: int) -> SetExpression:
 
 def quadric_base_case(c: int, plus: int, minus: int) -> SetExpression:
     """The base-case set for a quadric atom with plus = 0 or minus = 0."""
-    _check_quadric(c, plus, minus)
+    QuadricAffine(c, plus, minus)  # building the atom validates the arguments
     if plus >= 1 and minus >= 1:
         raise ValueError("not a base case; use quadric_reduce")
     if c == 0:
@@ -279,74 +333,62 @@ def quadric_base_case(c: int, plus: int, minus: int) -> SetExpression:
     return Sphere(minus - 1)
 
 
-def _check_quadric(c, plus, minus):
-    if c not in (-1, 0, 1):
-        raise MalformedExpression(f"quadric level must be -1, 0 or +1, got {c!r}")
-    if (
-        not isinstance(plus, int)
-        or not isinstance(minus, int)
-        or plus < 0
-        or minus < 0
-    ):
-        raise MalformedExpression(
-            f"quadric signature must be nonnegative ints: ({plus!r}, {minus!r})"
-        )
-
-
 @lru_cache(maxsize=None)
 def _beta_quadric(c: int, plus: int, minus: int) -> LaurentPolynomial:
-    if plus >= 1 and minus >= 1:
-        return beta_eval(quadric_reduce(c, plus, minus))
-    return beta_eval(quadric_base_case(c, plus, minus))
+    if plus < 1 or minus < 1:
+        return beta_eval(quadric_base_case(c, plus, minus))
+    # Walk the hyperbolic-pair chain bottom-up first, so that the reduction
+    # below finds its smaller quadric cached and recurses one level only,
+    # however cold the cache and however large the signature.
+    for drop in range(min(plus, minus) - 1, 0, -1):
+        _beta_quadric(c, plus - drop, minus - drop)
+    return beta_eval(quadric_reduce(c, plus, minus))
+
+
+class _Node(NamedTuple):
+    kind: str  # the JSON key carrying the tag: "atom" or "op"
+    tag: str
+    fields: tuple  # atoms: the integer fields; ops: the child slots, () if variadic
+    beta: Callable[..., LaurentPolynomial]
+
+
+# The one table behind beta_eval, expression_to_json and expression_from_json.
+_NODES = {
+    AffineSpace: _Node("atom", "affine_space", ("k",), lambda x: LaurentPolynomial.monomial(x.k)),
+    PuncturedLine: _Node("atom", "punctured_line", (), lambda x: U - ONE),
+    Point: _Node("atom", "point", (), lambda x: ONE),
+    Sphere: _Node("atom", "sphere", ("dim",), lambda x: ONE + LaurentPolynomial.monomial(x.dim)),
+    ProjectiveSpace: _Node("atom", "projective_space", ("k",), lambda x: geometric_sum(x.k + 1)),
+    QuadricAffine: _Node(
+        "atom", "quadric_affine", ("c", "s", "t"), lambda x: _beta_quadric(x.c, x.s, x.t)
+    ),
+    QuadricProjective: _Node(
+        "atom", "quadric_projective", ("m", "M"), lambda x: beta_projective_quadric(x.m, x.M)
+    ),
+    Product: _Node("op", "product", (), lambda x: reduce(mul, map(beta_eval, x.children), ONE)),
+    DisjointUnion: _Node(
+        "op", "disjoint_union", (), lambda x: reduce(add, map(beta_eval, x.children), ZERO)
+    ),
+    Difference: _Node(
+        "op",
+        "difference",
+        ("ambient", "closed_subset"),
+        lambda x: beta_eval(x.ambient) - beta_eval(x.closed_subset),
+    ),
+}
+_BY_TAG = {(node.kind, node.tag): cls for cls, node in _NODES.items()}
+
+
+def _node_type(expression) -> _Node:
+    try:
+        return _NODES[type(expression)]
+    except KeyError:
+        raise MalformedExpression(f"not a set expression: {expression!r}") from None
 
 
 def beta_eval(expression: SetExpression) -> LaurentPolynomial:
     """Evaluate beta on a set expression by additivity and multiplicativity."""
-    if isinstance(expression, AffineSpace):
-        if not isinstance(expression.k, int) or expression.k < 0:
-            raise MalformedExpression(f"affine space needs k >= 0, got {expression.k!r}")
-        return LaurentPolynomial.monomial(expression.k)
-    if isinstance(expression, PuncturedLine):
-        return U - ONE
-    if isinstance(expression, Point):
-        return ONE
-    if isinstance(expression, Sphere):
-        if not isinstance(expression.dim, int) or expression.dim < 0:
-            raise MalformedExpression(f"sphere needs dim >= 0, got {expression.dim!r}")
-        return ONE + LaurentPolynomial.monomial(expression.dim)
-    if isinstance(expression, ProjectiveSpace):
-        if not isinstance(expression.k, int) or expression.k < 0:
-            raise MalformedExpression(
-                f"projective space needs k >= 0, got {expression.k!r}"
-            )
-        return geometric_sum(expression.k + 1)
-    if isinstance(expression, QuadricAffine):
-        _check_quadric(expression.c, expression.s, expression.t)
-        return _beta_quadric(expression.c, expression.s, expression.t)
-    if isinstance(expression, QuadricProjective):
-        if (
-            not isinstance(expression.m, int)
-            or not isinstance(expression.M, int)
-            or expression.m < 1
-            or expression.M < 1
-        ):
-            raise MalformedExpression(
-                f"projective quadric needs m, M >= 1, got ({expression.m!r}, {expression.M!r})"
-            )
-        return beta_projective_quadric(expression.m, expression.M)
-    if isinstance(expression, Product):
-        value = ONE
-        for child in expression.children:
-            value = value * beta_eval(child)
-        return value
-    if isinstance(expression, DisjointUnion):
-        value = ZERO
-        for child in expression.children:
-            value = value + beta_eval(child)
-        return value
-    if isinstance(expression, Difference):
-        return beta_eval(expression.ambient) - beta_eval(expression.closed_subset)
-    raise MalformedExpression(f"not a set expression: {expression!r}")
+    return _node_type(expression).beta(expression)
 
 
 def cone_relation_check(m: int, M: int) -> bool:
@@ -371,97 +413,40 @@ def euler_characteristic(expression: SetExpression) -> int:
 
 
 def expression_to_json(expression: SetExpression) -> dict:
-    if isinstance(expression, AffineSpace):
-        return {"atom": "affine_space", "k": expression.k}
-    if isinstance(expression, PuncturedLine):
-        return {"atom": "punctured_line"}
-    if isinstance(expression, Point):
-        return {"atom": "point"}
-    if isinstance(expression, Sphere):
-        return {"atom": "sphere", "dim": expression.dim}
-    if isinstance(expression, ProjectiveSpace):
-        return {"atom": "projective_space", "k": expression.k}
-    if isinstance(expression, QuadricAffine):
-        return {
-            "atom": "quadric_affine",
-            "c": expression.c,
-            "s": expression.s,
-            "t": expression.t,
-        }
-    if isinstance(expression, QuadricProjective):
-        return {"atom": "quadric_projective", "m": expression.m, "M": expression.M}
-    if isinstance(expression, Product):
-        return {
-            "op": "product",
-            "children": [expression_to_json(child) for child in expression.children],
-        }
-    if isinstance(expression, DisjointUnion):
-        return {
-            "op": "disjoint_union",
-            "children": [expression_to_json(child) for child in expression.children],
-        }
-    if isinstance(expression, Difference):
-        return {
-            "op": "difference",
-            "children": [
-                expression_to_json(expression.ambient),
-                expression_to_json(expression.closed_subset),
-            ],
-        }
-    raise MalformedExpression(f"not a set expression: {expression!r}")
+    node = _node_type(expression)
+    if node.kind == "atom":
+        return {"atom": node.tag, **{name: getattr(expression, name) for name in node.fields}}
+    if node.fields:
+        children = [getattr(expression, slot) for slot in node.fields]
+    else:
+        children = expression.children
+    return {"op": node.tag, "children": [expression_to_json(child) for child in children]}
 
 
-def _require_int(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedExpression(f"field {key!r} must be an integer, got {value!r}")
-    return value
+def _tagged(kind: str, tag) -> type:
+    cls = _BY_TAG.get((kind, tag)) if isinstance(tag, str) else None
+    if cls is None:
+        unknown = "atom" if kind == "atom" else "operator"
+        raise MalformedExpression(f"unknown {unknown} {tag!r}")
+    return cls
 
 
 def expression_from_json(data) -> SetExpression:
     if not isinstance(data, dict):
         raise MalformedExpression(f"expected a JSON object, got {data!r}")
     if "atom" in data:
-        atom = data["atom"]
-        if atom == "affine_space":
-            return AffineSpace(_require_int(data, "k"))
-        if atom == "punctured_line":
-            return PuncturedLine()
-        if atom == "point":
-            return Point()
-        if atom == "sphere":
-            return Sphere(_require_int(data, "dim"))
-        if atom == "projective_space":
-            return ProjectiveSpace(_require_int(data, "k"))
-        if atom == "quadric_affine":
-            node = QuadricAffine(
-                _require_int(data, "c"), _require_int(data, "s"), _require_int(data, "t")
-            )
-            _check_quadric(node.c, node.s, node.t)
-            return node
-        if atom == "quadric_projective":
-            m, big = _require_int(data, "m"), _require_int(data, "M")
-            if m < 1 or big < 1:
-                raise MalformedExpression(
-                    f"projective quadric needs m, M >= 1, got ({m}, {big})"
-                )
-            return QuadricProjective(m, big)
-        raise MalformedExpression(f"unknown atom {atom!r}")
+        cls = _tagged("atom", data["atom"])
+        return cls(*(data.get(name) for name in _NODES[cls].fields))
     if "op" in data:
-        op = data["op"]
         children = data.get("children")
         if not isinstance(children, list):
             raise MalformedExpression("operator node needs a 'children' list")
         parsed = [expression_from_json(child) for child in children]
-        if op == "product":
-            return Product(tuple(parsed))
-        if op == "disjoint_union":
-            return DisjointUnion(tuple(parsed))
-        if op == "difference":
-            if len(parsed) != 2:
-                raise MalformedExpression(
-                    "difference takes exactly [ambient, closed_subset]"
-                )
-            return Difference(parsed[0], parsed[1])
-        raise MalformedExpression(f"unknown operator {op!r}")
+        cls = _tagged("op", data["op"])
+        slots = _NODES[cls].fields
+        if not slots:
+            return cls(tuple(parsed))
+        if len(parsed) != len(slots):
+            raise MalformedExpression(f"{data['op']} takes exactly [{', '.join(slots)}]")
+        return cls(*parsed)
     raise MalformedExpression("expression node needs an 'atom' or 'op' tag")

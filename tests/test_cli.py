@@ -2,8 +2,12 @@ import io
 import json
 import subprocess
 import sys
+import types
 
-from arczeta import LaurentPolynomial, TruncatedSeries, scissor
+import pytest
+
+import arczeta.cli as cli
+from arczeta import LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor
 from arczeta.cli import run
 
 
@@ -220,6 +224,91 @@ def test_usage_error_exit_code(capsys):
     assert run(["beta", "x0", "--m", "2"]) == 2
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beta", "x0", "--m", "-1", "--M", "2"],
+        ["beta", "x1", "--s", "2", "--t", "-3"],
+        ["beta", "xneg1", "--s", "-1", "--t", "0"],
+        ["beta", "z", "--m", "2", "--M", "-1"],
+        ["zeta", "--dim", "2", "--plus", "1", "--minus", "1", "--order", "0"],
+        ["discriminate", "--f", "x1^2", "--g", "x1^2", "--order", "0"],
+        ["split", "--poly", "x1^2", "--jet", "2"],
+        ["selfcheck", "--max", "1"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_empty_projective_quadric_keeps_its_envelope(capsys):
+    code, out = invoke(capsys, ["beta", "z", "--m", "0", "--M", "2"])
+    assert code == 1
+    assert json.loads(out)["error"] == "EmptyProjectiveQuadric"
+
+
+BAD_GERM_JSON = [
+    '{"nvars": 1, "terms": [[[2], "1/0"]]}',
+    '{"nvars": 2, "terms": [[[2], "1"]]}',
+    '{"nvars": "2", "terms": [[[2, 0], "1"]]}',
+]
+
+
+@pytest.mark.parametrize("text", BAD_GERM_JSON)
+def test_bad_germ_json_is_invalid_germ_for_inertia(capsys, text):
+    code, out = invoke(capsys, ["inertia", "--poly", text, "--json"])
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidGerm"
+
+
+@pytest.mark.parametrize("text", BAD_GERM_JSON)
+def test_bad_germ_json_is_invalid_germ_for_discriminate(capsys, text):
+    code, out = invoke(capsys, ["discriminate", "--f", "x1^2", "--g", text])
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidGerm"
+
+
+ZETA_STRATA = ["zeta", "--dim", "4", "--plus", "2", "--minus", "1", "--order", "7", "--strata"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_zeta_strata_stratifies_each_order_once(capsys, monkeypatch, extra):
+    calls = []
+    real_stratify = arcspace.stratify
+
+    def counting_stratify(germ, n, selector):
+        calls.append(n)
+        return real_stratify(germ, n, selector)
+
+    monkeypatch.setattr(arcspace, "stratify", counting_stratify)
+    code, _ = invoke(capsys, ZETA_STRATA + extra)
+    assert code == 0
+    assert calls == list(range(1, 8))
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_zeta_strata_takes_the_betas_from_the_reports(capsys, monkeypatch, extra):
+    def no_beta_eval(expression):
+        raise AssertionError("the command line evaluated a stratum itself")
+
+    monkeypatch.setattr(cli, "scissor", types.SimpleNamespace(**vars(scissor)))
+    monkeypatch.setattr(cli.scissor, "beta_eval", no_beta_eval)
+    code, _ = invoke(capsys, ZETA_STRATA + extra)
+    assert code == 0
+
+
+def test_beta_expr_on_a_deep_quadric_with_a_cold_cache(capsys):
+    scissor._beta_quadric.cache_clear()
+    atom = {"atom": "quadric_affine", "c": 1, "s": 200, "t": 200}
+    code, out = invoke(capsys, ["beta", "expr", json.dumps(atom), "--json"])
+    assert code == 0
+    assert LaurentPolynomial.from_json(json.loads(out)) == beta_level(200, 200, 1)
 
 
 def test_json_output_is_byte_stable(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from arczeta import (
     EMPTY,
+    scissor,
     AffineSpace,
     Difference,
     DisjointUnion,
@@ -231,6 +232,52 @@ def test_malformed_expressions():
         expression_from_json({"atom": "mystery"})
     with pytest.raises(MalformedExpression):
         expression_from_json({"op": "difference", "children": []})
+
+
+def test_nodes_validate_on_construction():
+    constructions = [
+        lambda: AffineSpace(-1),
+        lambda: AffineSpace(True),
+        lambda: Sphere(-1),
+        lambda: ProjectiveSpace("2"),
+        lambda: QuadricAffine(2, 1, 1),
+        lambda: QuadricAffine(0, -1, 2),
+        lambda: QuadricAffine(0, 1.0, 2),
+        lambda: QuadricProjective(1, 0),
+        lambda: Product((AffineSpace(1), "not an expression")),
+        lambda: DisjointUnion([3]),
+        lambda: Difference(Point(), None),
+        lambda: quadric_reduce(2, 1, 1),
+        lambda: quadric_base_case(0, -1, 0),
+    ]
+    for build in constructions:
+        with pytest.raises(MalformedExpression):
+            build()
+
+
+def test_json_reader_reports_the_first_error_in_document_order():
+    # building a node validates it, so a bad atom is reported before any
+    # later structural error of its parent
+    bad_atom = {"atom": "affine_space", "k": -1}
+    for data in (
+        {"op": "difference", "children": [bad_atom]},
+        {"op": "product", "children": [bad_atom, {"atom": "mystery"}]},
+    ):
+        with pytest.raises(MalformedExpression, match="affine space needs k >= 0"):
+            expression_from_json(data)
+
+
+@pytest.mark.parametrize("c", [-1, 0, 1])
+def test_cold_cache_deep_quadric(c):
+    # the hyperbolic-pair chain is walked bottom-up, so no answer depends on
+    # cache warmth or on the recursion limit
+    scissor._beta_quadric.cache_clear()
+    closed = beta_cone(200, 200) if c == 0 else beta_level(200, 200, c)
+    assert beta_eval(QuadricAffine(c, 200, 200)) == closed
+    scissor._beta_quadric.cache_clear()
+    assert beta_eval(QuadricAffine(c, 150, 260)) == (
+        beta_cone(150, 260) if c == 0 else beta_level(150, 260, c)
+    )
 
 
 # ---------------------------------------------------------------------------

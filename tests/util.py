@@ -6,22 +6,17 @@ import random
 from fractions import Fraction
 
 from arczeta import LaurentPolynomial, PolynomialGerm
+from arczeta.selfcheck import (  # noqa: F401  (the grids' generators, shared with the tests)
+    random_singular_germ,
+    random_symmetric,
+    signature_pairs,
+)
 
 
 def random_laurent(rng: random.Random, max_terms: int = 6) -> LaurentPolynomial:
     return LaurentPolynomial(
         [(rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(0, max_terms))]
     )
-
-
-def random_symmetric(rng: random.Random, size: int) -> list[list[Fraction]]:
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1):
-            value = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix
 
 
 def random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
@@ -42,23 +37,6 @@ def random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
     return matrix
 
 
-def random_singular_germ(
-    rng: random.Random, nvars: int, max_degree: int = 4
-) -> PolynomialGerm:
-    """A germ with zero constant and linear parts, degree <= max_degree."""
-    terms: dict[tuple, Fraction] = {}
-    for _ in range(rng.randint(1, 6)):
-        degree = rng.randint(2, max_degree)
-        exps = [0] * nvars
-        for _ in range(degree):
-            exps[rng.randrange(nvars)] += 1
-        coefficient = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        if coefficient:
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coefficient
-    return PolynomialGerm(nvars, terms)
-
-
 def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
     """The substitution x_i -> sum_j matrix[i][j] x_j as germ components."""
     components = []
@@ -70,9 +48,3 @@ def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
                 terms[exps] = Fraction(matrix[i][j])
         components.append(PolynomialGerm(nvars, terms))
     return components
-
-
-def signature_pairs(max_rank: int):
-    for rank in range(1, max_rank + 1):
-        for plus in range(rank + 1):
-            yield plus, rank - plus

@@ -43,6 +43,8 @@ def _load_json(value: str, what: str):
         return json.loads(_read_source(value))
     except json.JSONDecodeError as exc:
         raise MalformedExpression(f"invalid {what} JSON: {exc.msg}")
+    except RecursionError:
+        raise MalformedExpression(f"invalid {what} JSON: nested too deeply") from None
 
 
 def _load_polynomial(value: str) -> LaurentPolynomial:

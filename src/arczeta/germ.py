@@ -34,15 +34,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Mapping, Sequence
 
-from .algebra import LaurentPolynomial, TruncatedSeries
-from .arcspace import (
-    MINUS,
-    NAIVE,
-    PLUS,
-    QuadraticGerm,
-    naive_t2_coefficient,
-    zeta_series,
-)
+from .algebra import ZERO, LaurentPolynomial
+from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
 from .errors import (
     DimensionMismatch,
     GermSyntaxError,
@@ -383,6 +376,8 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
             data = _json.loads(stripped)
         except _json.JSONDecodeError as exc:
             raise GermSyntaxError(f"invalid germ JSON: {exc.msg}", exc.pos)
+        except RecursionError:
+            raise InvalidGerm("invalid germ JSON: nested too deeply") from None
         try:
             return PolynomialGerm.from_json(data)
         except ZeroDivisionError:
@@ -838,6 +833,20 @@ def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _t2_coefficients(inertia: Inertia) -> dict[str, LaurentPolynomial]:
+    """The naive, plus and minus T^2 zeta coefficients of a quadratic part.
+
+    The ambient dimension cancels, and at rank 0 the whole series is zero.
+    """
+    if inertia.rank == 0:
+        return {NAIVE: ZERO, PLUS: ZERO, MINUS: ZERO}
+    return {
+        NAIVE: naive_t2_coefficient(inertia.plus, inertia.minus),
+        PLUS: signed_t2_coefficient(inertia.plus, inertia.minus, PLUS),
+        MINUS: signed_t2_coefficient(inertia.plus, inertia.minus, MINUS),
+    }
+
+
 def _count_from_signed(coefficient: LaurentPolynomial, label: str) -> int:
     if coefficient.is_zero():
         return 0
@@ -857,19 +866,24 @@ def _count_from_signed(coefficient: LaurentPolynomial, label: str) -> int:
     )
 
 
-def recover_signature(
-    c_plus: LaurentPolynomial, c_minus: LaurentPolynomial
-) -> tuple[int, int]:
+def recover_signature(c_plus: LaurentPolynomial, c_minus: LaurentPolynomial) -> tuple[int, int]:
     """Invert the signed T^2 coefficients back to the square counts.
 
     Factoring the maximal power of u out of the plus coefficient leaves
     u^k - 1 (count k) or u^k + 1, including the constant 2 at k = 0
     (count k + 1); zero means the count is 0.  Same for the minus side.
+    The reading ignores the factored power of u, so the answer is mapped
+    forward again; data no signature quadric produces raise NotSignatureForm.
     """
-    return (
-        _count_from_signed(c_plus, "plus"),
-        _count_from_signed(c_minus, "minus"),
-    )
+    plus = _count_from_signed(c_plus, "plus")
+    minus = _count_from_signed(c_minus, "minus")
+    forward = _t2_coefficients(Inertia(plus=plus, minus=minus, corank=0))
+    if (c_plus, c_minus) != (forward[PLUS], forward[MINUS]):
+        raise NotSignatureForm(
+            f"no signature quadric has these T^2 coefficients: s = {plus}, t = {minus} "
+            f"would give plus {forward[PLUS].to_text()} and minus {forward[MINUS].to_text()}"
+        )
+    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -968,19 +982,7 @@ class DiscriminationResult:
         return payload
 
 
-def _quadratic_zeta(nvars: int, inertia: Inertia, selector: str, order: int) -> TruncatedSeries:
-    if inertia.rank == 0:
-        return TruncatedSeries.zero(order)
-    return zeta_series(
-        QuadraticGerm(dim=nvars, plus=inertia.plus, minus=inertia.minus),
-        selector,
-        order,
-    )
-
-
-def discriminate(
-    f: PolynomialGerm, g: PolynomialGerm, order: int = 6
-) -> DiscriminationResult:
+def discriminate(f: PolynomialGerm, g: PolynomialGerm, order: int = 6) -> DiscriminationResult:
     """Compare the naive and signed zeta series of two germs up to T^order.
 
     Both germs are reduced to their diagonal quadratic parts via Hessian
@@ -989,42 +991,24 @@ def discriminate(
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if f.nvars != g.nvars:
-        raise DimensionMismatch(
-            f"germs live in {f.nvars} and {g.nvars} variables"
-        )
-    _require_singular(f)
-    _require_singular(g)
+        raise DimensionMismatch(f"germs live in {f.nvars} and {g.nvars} variables")
     inertia_f = hessian_inertia(f)
     inertia_g = hessian_inertia(g)
-    conditional = any(
-        sum(exps) >= 3 for germ in (f, g) for exps in germ.terms()
-    )
+    conditional = any(sum(exps) >= 3 for germ in (f, g) for exps in germ.terms())
 
-    pairs = {
-        selector: (
-            _quadratic_zeta(f.nvars, inertia_f, selector, order),
-            _quadratic_zeta(g.nvars, inertia_g, selector, order),
-        )
-        for selector in (NAIVE, PLUS, MINUS)
-    }
-    # earliest differing order wins; selectors tie-break naive, plus, minus
-    for n in range(1, order + 1):
-        for selector in (NAIVE, PLUS, MINUS):
-            series_f, series_g = pairs[selector]
-            if series_f.coefficient(n) != series_g.coefficient(n):
-                return DiscriminationResult(
-                    distinguished=True,
-                    selector=selector,
-                    n=n,
-                    order=order,
-                    conditional=conditional,
-                    inertia_f=inertia_f,
-                    inertia_g=inertia_g,
-                )
+    # The first differing coefficient, if any, is at T^2, so no series is
+    # built: T^1 vanishes for every germ; equal inertias give equal series
+    # at every order (the ambient dimension cancels); and different
+    # inertias differ at T^2, because the signed T^2 pair determines the
+    # inertia (recover_signature).  Selectors tie-break naive, plus, minus.
+    witness = None
+    if order >= 2:
+        t2_f, t2_g = _t2_coefficients(inertia_f), _t2_coefficients(inertia_g)
+        witness = next((sel for sel in (NAIVE, PLUS, MINUS) if t2_f[sel] != t2_g[sel]), None)
     return DiscriminationResult(
-        distinguished=False,
-        selector=None,
-        n=None,
+        distinguished=witness is not None,
+        selector=witness,
+        n=None if witness is None else 2,
         order=order,
         conditional=conditional,
         inertia_f=inertia_f,

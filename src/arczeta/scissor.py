@@ -431,7 +431,17 @@ def _tagged(kind: str, tag) -> type:
     return cls
 
 
+# Deeper expression JSON is refused: reading, evaluating and writing all recurse.
+MAX_EXPRESSION_DEPTH = 100
+
+
 def expression_from_json(data) -> SetExpression:
+    return _from_json(data, 1)
+
+
+def _from_json(data, depth: int) -> SetExpression:
+    if depth > MAX_EXPRESSION_DEPTH:
+        raise MalformedExpression(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} nodes")
     if not isinstance(data, dict):
         raise MalformedExpression(f"expected a JSON object, got {data!r}")
     if "atom" in data:
@@ -441,7 +451,7 @@ def expression_from_json(data) -> SetExpression:
         children = data.get("children")
         if not isinstance(children, list):
             raise MalformedExpression("operator node needs a 'children' list")
-        parsed = [expression_from_json(child) for child in children]
+        parsed = [_from_json(child, depth + 1) for child in children]
         cls = _tagged("op", data["op"])
         slots = _NODES[cls].fields
         if not slots:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import arcspace, germ as germs, scissor
 from .algebra import LaurentPolynomial
+from .errors import NotSignatureForm
 from .scissor import QuadricAffine
 
 __all__ = ["run_selfcheck", "signature_pairs", "random_symmetric", "random_singular_germ"]
@@ -119,7 +120,10 @@ def _round_trip(bound):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
             c_plus = arcspace.zeta_series(quad, arcspace.PLUS, 2).coefficient(2)
             c_minus = arcspace.zeta_series(quad, arcspace.MINUS, 2).coefficient(2)
-            recovered = germs.recover_signature(c_plus, c_minus)
+            try:
+                recovered = germs.recover_signature(c_plus, c_minus)
+            except NotSignatureForm:
+                recovered = None  # a rejected coefficient fails this identity only
             yield f"(d={dim}, s={plus}, t={minus})", recovered == (plus, minus)
 
 
@@ -143,10 +147,9 @@ def _zeta_laws(bound):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
             grown = arcspace.QuadraticGerm(dim=dim + 1, plus=plus, minus=minus)
             swapped = arcspace.QuadraticGerm(dim=dim, plus=minus, minus=plus)
-            plus_series = arcspace.zeta_series(quad, arcspace.PLUS, order)
-            minus_series = arcspace.zeta_series(quad, arcspace.MINUS, order)
-            for selector in arcspace.SELECTORS:
-                series = arcspace.zeta_series(quad, selector, order)
+            # built once per selector and shared by every law below
+            series_of = {sel: arcspace.zeta_series(quad, sel, order) for sel in arcspace.SELECTORS}
+            for selector, series in series_of.items():
                 stable = series == arcspace.zeta_series(grown, selector, order)
                 yield f"stabilization ({where}, {selector})", stable
                 yield f"T^1 ({where}, {selector})", series.coefficient(1).is_zero()
@@ -155,6 +158,8 @@ def _zeta_laws(bound):
                     and series.coefficient(n).degree() > 0
                     for n in range(1, order + 1)
                 )
+            plus_series = series_of[arcspace.PLUS]
+            minus_series = series_of[arcspace.MINUS]
             yield f"odd symmetry ({where})", all(
                 plus_series.coefficient(n) == minus_series.coefficient(n)
                 for n in range(1, order + 1, 2)

@@ -7,8 +7,10 @@ import types
 import pytest
 
 import arczeta.cli as cli
-from arczeta import LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor
+from arczeta import LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck
+from arczeta import germ as germs
 from arczeta.cli import run
+from arczeta.errors import NotSignatureForm
 
 
 def invoke(capsys, argv):
@@ -366,6 +368,106 @@ def test_selfcheck_reports_corruption(capsys, monkeypatch):
     assert code == 1
     assert "(c=0, s=2, t=2)" in out
     assert "SELFCHECK FAILED" in out
+
+
+def test_selfcheck_counts_a_rejected_recovery_as_a_failure(capsys, monkeypatch):
+    def rejecting(c_plus, c_minus):
+        raise NotSignatureForm("rejected")
+
+    monkeypatch.setattr(germs, "recover_signature", rejecting)
+    code, out = invoke(capsys, ["selfcheck", "--max", "3", "--json"])
+    assert code == 1
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    round_trip = checks["signed T^2 round-trip grid"]
+    assert round_trip["count"] == 16
+    assert len(round_trip["failures"]) == 16
+    assert checks["zeta series law grid"]["failures"] == []
+
+
+def test_zeta_laws_build_each_series_once(monkeypatch):
+    calls = []
+    real_zeta_series = arcspace.zeta_series
+
+    def counting_zeta_series(germ, selector, order):
+        calls.append((germ, selector))
+        return real_zeta_series(germ, selector, order)
+
+    monkeypatch.setattr(arcspace, "zeta_series", counting_zeta_series)
+    results = list(selfcheck._zeta_laws(3))
+    signatures = sum(1 for dim in (1, 2, 3) for _ in selfcheck.signature_pairs(dim))
+    assert all(ok for _, ok in results)
+    assert len(results) == 11 * signatures
+    # three series of the germ, three of the grown germ, one of the swapped one
+    assert len(calls) == 7 * signatures
+
+
+def _nested_products(depth: int) -> str:
+    """Expression JSON of `depth` nested nodes, written as text (json.dumps would recurse)."""
+    return '{"op": "product", "children": [' * (depth - 1) + '{"atom": "point"}' + "]}" * (
+        depth - 1
+    )
+
+
+def _deep_germ_json(depth: int) -> str:
+    return '{"nvars": 1, "terms": ' + "[" * depth + "]" * depth + "}"
+
+
+DEEP_JSON = {
+    # beta_eval ran out of stack at 450 nodes, json.loads at 600 and above
+    "expr-450": (["beta", "expr", _nested_products(450)], "MalformedExpression"),
+    "expr-600": (["beta", "expr", _nested_products(600)], "MalformedExpression"),
+    "expr-5000": (["beta", "expr", _nested_products(5000)], "MalformedExpression"),
+    "recover-5000": (
+        ["recover", "--plus-coeff", "[" * 5000 + "]" * 5000, "--minus-coeff", "[]"],
+        "MalformedExpression",
+    ),
+    "inertia-5000": (["inertia", "--poly", _deep_germ_json(5000)], "InvalidGerm"),
+    "discriminate-5000": (
+        ["discriminate", "--f", "x1^2", "--g", _deep_germ_json(5000)],
+        "InvalidGerm",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, error", DEEP_JSON.values(), ids=DEEP_JSON.keys())
+def test_deep_json_ends_in_the_envelope(capsys, argv, error):
+    code = run(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error", "detail"}
+    assert payload["error"] == error
+    assert "Traceback" not in captured.err
+
+
+def test_expression_depth_cap_is_exact(capsys):
+    cap = scissor.MAX_EXPRESSION_DEPTH
+    code, out = invoke(capsys, ["beta", "expr", _nested_products(cap), "--json"])
+    assert (code, json.loads(out)) == (0, [[0, "1"]])
+    code, out = invoke(capsys, ["beta", "expr", _nested_products(cap + 1), "--json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "MalformedExpression",
+        "detail": f"expression nests deeper than {cap} nodes",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["beta", "expr", _nested_products(5000)], ["inertia", "--poly", _deep_germ_json(5000)]],
+    ids=["expr", "germ"],
+)
+def test_deep_json_has_no_traceback_in_a_fresh_interpreter(tmp_path, argv):
+    source = tmp_path / "deep.json"
+    source.write_text(argv[-1], encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, "-m", "arczeta", *argv[:-1], str(source), "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    assert set(json.loads(completed.stdout)) == {"error", "detail"}
+    assert "Traceback" not in completed.stderr
 
 
 def test_module_entry_point_subprocess():

@@ -1,11 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
+import arczeta.germ as germ_module
 from arczeta import (
     MINUS,
     NAIVE,
     PLUS,
     LaurentPolynomial,
+    PolynomialGerm,
     QuadraticGerm,
+    TruncatedSeries,
+    arcspace,
     discriminate,
     naive_t2_coefficient,
     parse_germ,
@@ -40,6 +46,32 @@ def test_recover_signature_examples():
         )
     with pytest.raises(NotSignatureForm):
         recover_signature(LaurentPolynomial.zero(), LaurentPolynomial({0: 3}))
+    assert recover_signature(LaurentPolynomial.zero(), LaurentPolynomial.zero()) == (0, 0)
+    assert recover_signature(LaurentPolynomial.zero(), mono(-4) + mono(-1)) == (0, 4)
+
+
+def test_recover_signature_rejects_what_no_signature_produces():
+    # each coefficient reads as a count once its power of u is factored
+    # out, but no signature quadric has this pair of T^2 coefficients
+    with pytest.raises(NotSignatureForm):
+        recover_signature(mono(-98) - mono(-100), mono(7, 2))
+    with pytest.raises(NotSignatureForm):
+        recover_signature(mono(0, 2), mono(0, 2))
+    with pytest.raises(NotSignatureForm):
+        recover_signature(LaurentPolynomial.zero(), mono(-3) + mono(0))
+
+
+def test_recover_signature_rejects_every_shifted_coefficient():
+    for plus, minus in signature_pairs(6):
+        c_plus = signed_t2_coefficient(plus, minus, PLUS)
+        c_minus = signed_t2_coefficient(plus, minus, MINUS)
+        for shift in (-1, 1, 5):
+            if not c_plus.is_zero():
+                with pytest.raises(NotSignatureForm):
+                    recover_signature(c_plus * mono(shift), c_minus)
+            if not c_minus.is_zero():
+                with pytest.raises(NotSignatureForm):
+                    recover_signature(c_plus, c_minus * mono(shift))
 
 
 def test_recover_signature_round_trip_closed_forms():
@@ -173,3 +205,72 @@ def test_signed_t2_separates_exactly_the_signatures():
                     *b, MINUS
                 )
                 assert same_data == (a == b)
+
+
+# ---------------------------------------------------------------------------
+# discriminate against the full-series scan it replaced
+# ---------------------------------------------------------------------------
+
+REFERENCE_ORDER = 8
+
+
+def _diagonal_germ(nvars: int, plus: int, minus: int) -> PolynomialGerm:
+    terms = {}
+    for i in range(plus + minus):
+        exps = tuple(2 if j == i else 0 for j in range(nvars))
+        terms[exps] = Fraction(1 if i < plus else -1)
+    return PolynomialGerm(nvars, terms)
+
+
+def _reference_series(nvars: int, plus: int, minus: int) -> dict:
+    """The naive, plus and minus series of the quadratic part, by stratification."""
+    if plus + minus == 0:
+        return {sel: TruncatedSeries.zero(REFERENCE_ORDER) for sel in (NAIVE, PLUS, MINUS)}
+    quad = QuadraticGerm(dim=nvars, plus=plus, minus=minus)
+    return {sel: zeta_series(quad, sel, REFERENCE_ORDER) for sel in (NAIVE, PLUS, MINUS)}
+
+
+def _reference_scan(series_f: dict, series_g: dict, order: int):
+    """The six-series scan: earliest n wins, selectors tie-break naive, plus, minus."""
+    for n in range(1, order + 1):
+        for selector in (NAIVE, PLUS, MINUS):
+            if series_f[selector].coefficient(n) != series_g[selector].coefficient(n):
+                return True, selector, n
+    return False, None, None
+
+
+def test_discriminate_matches_the_full_series_scan():
+    cases = 0
+    for nvars in range(1, 6):
+        signatures = [(p, m) for p in range(nvars + 1) for m in range(nvars + 1 - p)]
+        germs = {sig: _diagonal_germ(nvars, *sig) for sig in signatures}
+        series = {sig: _reference_series(nvars, *sig) for sig in signatures}
+        for a in signatures:
+            for b in signatures:
+                for order in range(1, REFERENCE_ORDER + 1):
+                    result = discriminate(germs[a], germs[b], order)
+                    expected = _reference_scan(series[a], series[b], order)
+                    got = (result.distinguished, result.selector, result.n)
+                    assert got == expected, (nvars, a, b, order)
+                    cases += 1
+    assert cases == 6488
+
+
+def test_discriminate_builds_no_series(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("discriminate built a zeta series")
+
+    monkeypatch.setattr(arcspace, "stratify", forbidden)
+    monkeypatch.setattr(arcspace, "zeta_series", forbidden)
+    f = parse_germ("x1^2 + x2^2 - x3^2 + x1^3")
+    g = parse_germ("x1^2 - x2^2 - x3^2")
+    result = discriminate(f, g, 80)
+    assert (result.distinguished, result.selector, result.n) == (True, PLUS, 2)
+    assert result.conditional
+    assert not discriminate(f, f, 10**6).distinguished
+
+
+def test_germ_module_depends_on_arcspace_only_for_the_t2_forms():
+    assert not hasattr(germ_module, "zeta_series")
+    assert not hasattr(germ_module, "QuadraticGerm")
+    assert not hasattr(germ_module, "TruncatedSeries")

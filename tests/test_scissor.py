@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -232,6 +233,28 @@ def test_malformed_expressions():
         expression_from_json({"atom": "mystery"})
     with pytest.raises(MalformedExpression):
         expression_from_json({"op": "difference", "children": []})
+
+
+def _nested_products(depth: int) -> dict:
+    node = {"atom": "sphere", "dim": 1}
+    for _ in range(depth - 1):
+        node = {"op": "product", "children": [node]}
+    return node
+
+
+def test_expression_depth_cap_does_not_follow_the_recursion_limit():
+    cap = scissor.MAX_EXPRESSION_DEPTH
+    assert beta_eval(expression_from_json(_nested_products(cap))) == ONE + U
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20 * limit)
+    try:
+        # 450 nested nodes exhausted the default stack in beta_eval; with
+        # room to spare they are still refused, at the same depth
+        for depth in (cap + 1, 450):
+            with pytest.raises(MalformedExpression, match=f"deeper than {cap} nodes"):
+                expression_from_json(_nested_products(depth))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_nodes_validate_on_construction():

@@ -13,10 +13,10 @@ function, so they can be shared freely between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .errors import OrderMismatch, PoleAtZero, ZeroPolynomial
+from .errors import OrderMismatch, PoleAtZero, ZeroPolynomial, brief_repr
 
 __all__ = [
     "LaurentPolynomial",
@@ -59,15 +59,20 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
+        return cls.monomial(0)
 
     @classmethod
     def constant(cls, value: int) -> "LaurentPolynomial":
-        return cls({0: value})
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
+        # the hot constructor: one term needs no merging, only the zero check
+        if not isinstance(exponent, int) or not isinstance(coefficient, int):
+            raise TypeError("exponents and coefficients must be int")
+        result = cls.__new__(cls)
+        result._terms = {exponent: coefficient} if coefficient else {}
+        return result
 
     # -- inspection --------------------------------------------------------
 
@@ -100,7 +105,7 @@ class LaurentPolynomial:
         if isinstance(value, LaurentPolynomial):
             return value
         if isinstance(value, int):
-            return LaurentPolynomial({0: value})
+            return LaurentPolynomial.monomial(0, value)
         return None
 
     def __add__(self, other):
@@ -141,15 +146,24 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        product: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = e1 + e2
-                total = product.get(exp, 0) + c1 * c2
-                if total:
-                    product[exp] = total
-                elif exp in product:
-                    del product[exp]
+        left, right = self._terms, other._terms
+        if len(left) != 1:
+            left, right = right, left
+        if len(left) == 1:
+            # a monomial factor shifts and scales; nonzero times nonzero
+            # leaves nothing to prune
+            ((shift, scale),) = left.items()
+            product = {exp + shift: coeff * scale for exp, coeff in right.items()}
+        else:
+            product = {}
+            for e1, c1 in left.items():
+                for e2, c2 in right.items():
+                    exp = e1 + e2
+                    total = product.get(exp, 0) + c1 * c2
+                    if total:
+                        product[exp] = total
+                    elif exp in product:
+                        del product[exp]
         result = LaurentPolynomial.__new__(LaurentPolynomial)
         result._terms = product
         return result
@@ -159,14 +173,18 @@ class LaurentPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPolynomial.one()
+        if len(self._terms) == 1:
+            ((exp, coeff),) = self._terms.items()
+            return LaurentPolynomial.monomial(exp * n, coeff**n)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return LaurentPolynomial.one() if result is None else result
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -315,10 +333,10 @@ class LaurentPolynomial:
         terms: dict[int, int] = {}
         for entry in data:
             if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError(f"bad polynomial term {entry!r}")
+                raise ValueError(f"bad polynomial term {brief_repr(entry)}")
             exp, coeff = entry
             if not isinstance(exp, int):
-                raise ValueError(f"exponent must be an integer, got {exp!r}")
+                raise ValueError(f"exponent must be an integer, got {brief_repr(exp)}")
             terms[exp] = terms.get(exp, 0) + int(coeff)
         return cls(terms)
 

@@ -76,7 +76,6 @@ from .scissor import (
     Point,
     Product,
     QuadricAffine,
-    SetExpression,
     beta_cone,
     beta_eval,
     beta_level,
@@ -162,19 +161,20 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
 
     rank = germ.rank
     free_z = n * (germ.dim - rank)
+    # the factors the strata share, built once: a repeated child object is
+    # evaluated once per run by beta_eval
+    cone = QuadricAffine(0, germ.plus, germ.minus)
+    punctured_cone = Difference(cone, Point())
+    hyperplane = AffineSpace(rank - 1)
+    last = Difference(AffineSpace(rank), hyperplane) if selector == NAIVE else hyperplane
+    z_block = (AffineSpace(free_z),) if free_z else ()
     strata = []
 
     for e in range(1, n // 2 + 1):
-        factors: list[SetExpression] = []
         if 2 * e < n:
             # leading w vector on the cone minus the origin
-            factors.append(Difference(QuadricAffine(0, germ.plus, germ.minus), Point()))
             forced = n - 2 * e - 1
-            factors.extend(AffineSpace(rank - 1) for _ in range(forced))
-            if selector == NAIVE:
-                factors.append(Difference(AffineSpace(rank), AffineSpace(rank - 1)))
-            else:
-                factors.append(AffineSpace(rank - 1))
+            factors = [punctured_cone, *(hyperplane,) * forced, last]
             description = (
                 f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
                 f"{'nonvanishing' if selector == NAIVE else 'pinned'} last condition, "
@@ -183,22 +183,15 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
         else:
             # n even, e = n/2: the leading vector carries the level condition
             if selector == NAIVE:
-                factors.append(
-                    Difference(AffineSpace(rank), QuadricAffine(0, germ.plus, germ.minus))
-                )
-            elif selector == PLUS:
-                factors.append(QuadricAffine(1, germ.plus, germ.minus))
+                factors = [Difference(AffineSpace(rank), cone)]
             else:
-                factors.append(QuadricAffine(-1, germ.plus, germ.minus))
+                factors = [QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus)]
             description = (
                 f"w-order e={e}: leading vector on the "
                 f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
                 f"{e} free w vector(s)"
             )
-        factors.append(AffineSpace(rank * e))
-        if free_z:
-            factors.append(AffineSpace(free_z))
-        strata.append((description, Product(tuple(factors))))
+        strata.append((description, Product((*factors, AffineSpace(rank * e), *z_block))))
 
     betas = tuple(beta_eval(expression) for _, expression in strata)
     return ArcStratumReport(

@@ -113,10 +113,14 @@ def _cmd_zeta(args) -> int:
     # one pass: the series and the dump both come from these reports
     reports = [arcspace.stratify(germ, n, args.selector) for n in range(1, args.order + 1)]
     series = arcspace.series_from_reports(germ, reports)
-    payload = {
-        "series": series.to_json(),
-        "strata": [_stratum_payload(report) for report in reports],
-    }
+    if args.json:
+        payload = {
+            "series": series.to_json(),
+            "strata": [_stratum_payload(report) for report in reports],
+        }
+        print(json.dumps(payload, sort_keys=True))
+        return 0
+    # the text is built only when it is printed
     lines = [series.to_text()]
     for report in reports:
         lines.append(f"T^{report.n} strata ({report.selector}):")
@@ -125,7 +129,8 @@ def _cmd_zeta(args) -> int:
         for (description, _), beta in zip(report.strata, report.betas):
             lines.append(f"  {description}: beta = {beta.to_text()}")
         lines.append(f"  total: {report.total_beta.to_text()}")
-    return _emit(args, payload, "\n".join(lines))
+    print("\n".join(lines))
+    return 0
 
 
 def _cmd_recover(args) -> int:

@@ -21,6 +21,20 @@ __all__ = [
 ]
 
 
+# The most characters of an offending input that an error detail echoes.
+ECHO_LIMIT = 80
+
+
+def brief_repr(value) -> str:
+    """repr(value) for an error detail, cut to ECHO_LIMIT characters ending in '...'.
+
+    Details echo the offending input, which may be arbitrarily large or
+    deeply nested; the cut keeps the envelope short.
+    """
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
+
+
 class ArcZetaError(Exception):
     """Base class for every domain error raised by this package."""
 

@@ -43,6 +43,7 @@ from .errors import (
     NotAGerm,
     NotSignatureForm,
     NotSingularAtOrigin,
+    brief_repr,
 )
 
 __all__ = [
@@ -81,13 +82,13 @@ class PolynomialGerm:
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
         if not isinstance(nvars, int) or nvars < 1:
-            raise ValueError(f"nvars must be a positive integer, got {nvars!r}")
+            raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple, Fraction] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
+                raise ValueError(f"bad exponent vector {brief_repr(exps)} for {nvars} variables")
             coeff = Fraction(coeff)
             total = clean.get(exps, Fraction(0)) + coeff
             if total:
@@ -352,10 +353,14 @@ class PolynomialGerm:
         terms: dict[tuple, Fraction] = {}
         for entry in data.get("terms", []):
             if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError(f"bad germ term {entry!r}")
+                raise ValueError(f"bad germ term {brief_repr(entry)}")
             exps, coeff = entry
             exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(str(coeff))
+            try:
+                value = Fraction(str(coeff))
+            except ValueError:
+                raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
+            terms[exps] = terms.get(exps, Fraction(0)) + value
         return cls(nvars, terms)
 
 
@@ -813,12 +818,19 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
 
 
 def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
-    """Check every SplitResult invariant against a full re-expansion of f."""
+    """Check every SplitResult invariant against a re-expansion of f to the jet order.
+
+    Only the terms of degree <= jet_order of f(change(x)) are compared, and
+    those come from the terms of f of degree <= jet_order alone, with every
+    product truncated there: no component of the change has a constant
+    term, so substitution never lowers a degree.
+    """
     if determinant(linear_part(result.change)) == 0:
         return False
-    composed = germ.substitute(result.change)
+    jet = result.jet_order
+    composed = germ.truncate(jet).substitute(result.change, max_degree=jet)
     residual = composed - result.quadratic_part - result.remainder
-    if any(sum(exps) <= result.jet_order for exps in residual.terms()):
+    if any(sum(exps) <= jet for exps in residual.terms()):
         return False
     if not result.remainder.is_zero():
         if result.remainder.order() < 3:

@@ -44,13 +44,14 @@ recompute identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import add, mul
+from itertools import groupby
+from operator import add
 from typing import Callable, NamedTuple, Union
 
 from .algebra import ONE, U, ZERO, LaurentPolynomial, geometric_sum
-from .errors import EmptyProjectiveQuadric, MalformedExpression, NotReducible
+from .errors import EmptyProjectiveQuadric, MalformedExpression, NotReducible, brief_repr
 
 __all__ = [
     "AffineSpace",
@@ -88,17 +89,29 @@ __all__ = [
 # it again.  The types of all fields are checked before any range, which is
 # the order in which expression_from_json reports errors.
 
+# Deeper expressions are refused, however they are built: reading,
+# evaluating and writing all recurse.  An atom is one node deep.
+MAX_EXPRESSION_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_EXPRESSION_DEPTH} nodes"
+
 
 def _require_ints(node, *names):
     for name in names:
         value = getattr(node, name)
         if not isinstance(value, int) or isinstance(value, bool):
-            raise MalformedExpression(f"field {name!r} must be an integer, got {value!r}")
+            raise MalformedExpression(
+                f"field {name!r} must be an integer, got {brief_repr(value)}"
+            )
 
 
-def _require_nodes(*children):
+def _compose(node, *children):
+    """Check the children of a composite node and record its depth."""
     for child in children:
         _node_type(child)
+    depth = 1 + max((getattr(child, "depth", 1) for child in children), default=0)
+    if depth > MAX_EXPRESSION_DEPTH:
+        raise MalformedExpression(_TOO_DEEP)
+    object.__setattr__(node, "depth", depth)
 
 
 @dataclass(frozen=True)
@@ -180,19 +193,21 @@ class QuadricProjective:
 @dataclass(frozen=True)
 class Product:
     children: tuple
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        _require_nodes(*self.children)
+        _compose(self, *self.children)
 
 
 @dataclass(frozen=True)
 class DisjointUnion:
     children: tuple
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        _require_nodes(*self.children)
+        _compose(self, *self.children)
 
 
 @dataclass(frozen=True)
@@ -201,9 +216,10 @@ class Difference:
 
     ambient: "SetExpression"
     closed_subset: "SetExpression"
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_nodes(self.ambient, self.closed_subset)
+        _compose(self, self.ambient, self.closed_subset)
 
 
 SetExpression = Union[
@@ -345,6 +361,15 @@ def _beta_quadric(c: int, plus: int, minus: int) -> LaurentPolynomial:
     return beta_eval(quadric_reduce(c, plus, minus))
 
 
+def _beta_product(product: Product) -> LaurentPolynomial:
+    # a run of one repeated child object is evaluated once and raised to a power
+    total = ONE
+    for _, run in groupby(product.children, key=id):
+        run = list(run)
+        total = total * beta_eval(run[0]) ** len(run)
+    return total
+
+
 class _Node(NamedTuple):
     kind: str  # the JSON key carrying the tag: "atom" or "op"
     tag: str
@@ -365,7 +390,7 @@ _NODES = {
     QuadricProjective: _Node(
         "atom", "quadric_projective", ("m", "M"), lambda x: beta_projective_quadric(x.m, x.M)
     ),
-    Product: _Node("op", "product", (), lambda x: reduce(mul, map(beta_eval, x.children), ONE)),
+    Product: _Node("op", "product", (), _beta_product),
     DisjointUnion: _Node(
         "op", "disjoint_union", (), lambda x: reduce(add, map(beta_eval, x.children), ZERO)
     ),
@@ -383,7 +408,7 @@ def _node_type(expression) -> _Node:
     try:
         return _NODES[type(expression)]
     except KeyError:
-        raise MalformedExpression(f"not a set expression: {expression!r}") from None
+        raise MalformedExpression(f"not a set expression: {brief_repr(expression)}") from None
 
 
 def beta_eval(expression: SetExpression) -> LaurentPolynomial:
@@ -427,12 +452,8 @@ def _tagged(kind: str, tag) -> type:
     cls = _BY_TAG.get((kind, tag)) if isinstance(tag, str) else None
     if cls is None:
         unknown = "atom" if kind == "atom" else "operator"
-        raise MalformedExpression(f"unknown {unknown} {tag!r}")
+        raise MalformedExpression(f"unknown {unknown} {brief_repr(tag)}")
     return cls
-
-
-# Deeper expression JSON is refused: reading, evaluating and writing all recurse.
-MAX_EXPRESSION_DEPTH = 100
 
 
 def expression_from_json(data) -> SetExpression:
@@ -440,10 +461,11 @@ def expression_from_json(data) -> SetExpression:
 
 
 def _from_json(data, depth: int) -> SetExpression:
+    # checked on the way down, before any child is read
     if depth > MAX_EXPRESSION_DEPTH:
-        raise MalformedExpression(f"expression nests deeper than {MAX_EXPRESSION_DEPTH} nodes")
+        raise MalformedExpression(_TOO_DEEP)
     if not isinstance(data, dict):
-        raise MalformedExpression(f"expected a JSON object, got {data!r}")
+        raise MalformedExpression(f"expected a JSON object, got {brief_repr(data)}")
     if "atom" in data:
         cls = _tagged("atom", data["atom"])
         return cls(*(data.get(name) for name in _NODES[cls].fields))

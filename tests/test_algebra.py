@@ -165,3 +165,71 @@ def test_series_text_and_json_round_trip():
         )
         assert TruncatedSeries.from_text(series.to_text()) == series
         assert TruncatedSeries.from_json(series.to_json()) == series
+
+
+# ---------------------------------------------------------------------------
+# single-term fast paths, against the generic double loop
+# ---------------------------------------------------------------------------
+
+
+def _generic_product(a, b):
+    """The term-by-term product through the validating constructor."""
+    product = {}
+    for e1, c1 in a.terms().items():
+        for e2, c2 in b.terms().items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    return LaurentPolynomial(product)
+
+
+def _random_monomial(rng):
+    coefficient = rng.choice([1, -1, rng.randint(-9, 9) or 2, rng.randint(-10**30, 10**30) or 3])
+    return LaurentPolynomial.monomial(rng.randint(-12, 12), coefficient)
+
+
+def test_monomial_with_zero_coefficient_is_zero():
+    for exponent in (-3, 0, 5):
+        zero = LaurentPolynomial.monomial(exponent, 0)
+        assert zero == LaurentPolynomial.zero()
+        assert zero.terms() == {} and zero.is_zero()
+        assert hash(zero) == hash(LaurentPolynomial.zero())
+
+
+@pytest.mark.parametrize("args", [(1.0,), (1, 2.0), ("1",), (None,), (0, Fraction(1))])
+def test_monomial_rejects_non_integers(args):
+    with pytest.raises(TypeError):
+        LaurentPolynomial.monomial(*args)
+
+
+def test_monomial_products_match_the_generic_product():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        mono = _random_monomial(rng)
+        poly = random_laurent(rng, max_terms=8)
+        expected = _generic_product(mono, poly)
+        assert mono * poly == expected
+        assert poly * mono == expected
+        assert (mono * poly).terms() == expected.terms()
+        assert mono * mono == _generic_product(mono, mono)
+
+
+def test_integer_factors_match_the_generic_product():
+    rng = random.Random(77)
+    for _ in range(100):
+        poly = random_laurent(rng)
+        scale = rng.randint(-5, 5)
+        expected = _generic_product(LaurentPolynomial.constant(scale), poly)
+        assert poly * scale == expected
+        assert scale * poly == expected
+
+
+def test_powers_match_repeated_generic_products():
+    rng = random.Random(5150)
+    for _ in range(60):
+        for base in (_random_monomial(rng), random_laurent(rng, max_terms=4)):
+            expected = ONE
+            for n in range(6):
+                assert base**n == expected
+                assert (base**n).terms() == expected.terms()
+                expected = _generic_product(expected, base)
+    assert LaurentPolynomial.zero() ** 0 == ONE
+    assert LaurentPolynomial.zero() ** 3 == LaurentPolynomial.zero()

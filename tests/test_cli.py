@@ -478,3 +478,34 @@ def test_module_entry_point_subprocess():
     )
     assert completed.returncode == 0
     assert completed.stdout.strip() == "u^3 + u^2 - u"
+
+
+def test_zeta_strata_json_renders_no_text(capsys, monkeypatch):
+    def no_text(self):
+        raise AssertionError("to_text called for --json output")
+
+    monkeypatch.setattr(LaurentPolynomial, "to_text", no_text)
+    monkeypatch.setattr(TruncatedSeries, "to_text", no_text)
+    code, out = invoke(capsys, ZETA_STRATA + ["--json"])
+    assert code == 0
+    assert set(json.loads(out)) == {"series", "strata"}
+    with pytest.raises(AssertionError, match="to_text called"):
+        run(ZETA_STRATA)
+
+
+_NESTED_500 = "[" * 500 + "]" * 500
+
+BOUNDED_DETAILS = {
+    "expression": ["beta", "expr", '{"op": "product", "children": [' + _NESTED_500 + "]}"],
+    "polynomial": ["recover", "--plus-coeff", "[" + _NESTED_500 + "]", "--minus-coeff", "[]"],
+    "germ": ["inertia", "--poly", '{"nvars": 1, "terms": [' + _NESTED_500 + "]}"],
+}
+
+
+@pytest.mark.parametrize("argv", BOUNDED_DETAILS.values(), ids=BOUNDED_DETAILS.keys())
+def test_error_details_echo_a_bounded_input(capsys, argv):
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert "[[[" in detail and detail.endswith("...")
+    assert len(detail) < 200

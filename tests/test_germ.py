@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -267,3 +268,63 @@ def test_linear_part_extraction():
     change = split_jet(f, 3).change
     matrix = linear_part(change)
     assert matrix == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+
+
+def _verify_split_untruncated(germ, result):
+    """verify_split by a full re-expansion of f, with no truncation (the oracle)."""
+    if determinant(linear_part(result.change)) == 0:
+        return False
+    composed = germ.substitute(result.change)
+    residual = composed - result.quadratic_part - result.remainder
+    if any(sum(exps) <= result.jet_order for exps in residual.terms()):
+        return False
+    if not result.remainder.is_zero():
+        if result.remainder.order() < 3:
+            return False
+        if any(i < result.inertia.rank for i in result.remainder.variables_used()):
+            return False
+    return True
+
+
+def _selfcheck_split_corpus():
+    """The germs and jet orders of the selfcheck splitting residual grid."""
+    for text in ("x1^2 + 2*x1*x2^2", "x1^2 + x1*x3^3", "x1*x2 + x2^3"):
+        for jet_order in range(3, 7):
+            yield parse_germ(text), jet_order
+    rng = random.Random(14091961)
+    for index in range(30):
+        yield random_singular_germ(rng, rng.randint(1, 4)), 3 + index % 4
+
+
+def _tampered(result):
+    """Results that break or keep the invariants, below and above the jet order."""
+    nv, jet = result.quadratic_part.nvars, result.jet_order
+
+    def monomial(degree, index):
+        return PolynomialGerm(nv, {tuple(degree if i == index else 0 for i in range(nv)): 1})
+
+    last = nv - 1
+    change = list(result.change)
+    yield replace(result, remainder=result.remainder + monomial(3, last))
+    yield replace(result, remainder=result.remainder + monomial(jet, last))
+    yield replace(result, remainder=result.remainder + monomial(jet + 1, last))
+    yield replace(result, quadratic_part=result.quadratic_part.scaled(2))
+    yield replace(result, change=tuple([change[0] + monomial(2, last)] + change[1:]))
+    yield replace(result, change=tuple([change[0] + monomial(jet + 1, last)] + change[1:]))
+
+
+def test_verify_split_agrees_with_the_untruncated_oracle():
+    verdicts = set()
+    for number, (germ, jet_order) in enumerate(_selfcheck_split_corpus()):
+        result = split_jet(germ, jet_order)
+        assert verify_split(germ, result) and _verify_split_untruncated(germ, result)
+        if number % 3:
+            continue
+        for tampered in _tampered(result):
+            verdict = verify_split(germ, tampered)
+            assert verdict == _verify_split_untruncated(germ, tampered), (
+                germ.to_text(),
+                jet_order,
+            )
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -377,3 +377,87 @@ def test_expression_json_round_trip():
     assert expression_from_json(
         {"atom": "quadric_affine", "c": 1, "s": 2, "t": 1}
     ) == QuadricAffine(1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the construction depth cap and bounded error details
+# ---------------------------------------------------------------------------
+
+COMPOSITES = {
+    "product": lambda child: Product((child,)),
+    "disjoint_union": lambda child: DisjointUnion((EMPTY, child)),
+    "difference": lambda child: Difference(child, EMPTY),
+}
+
+
+@pytest.mark.parametrize("wrap", COMPOSITES.values(), ids=COMPOSITES.keys())
+def test_deep_expressions_are_refused_when_built(wrap):
+    cap = scissor.MAX_EXPRESSION_DEPTH
+    node = Sphere(1)
+    built = 1
+    with pytest.raises(MalformedExpression, match=f"deeper than {cap} nodes"):
+        for _ in range(999):  # 1,000 levels with the atom
+            node = wrap(node)
+            built += 1
+    assert built == cap  # the node that would have been cap + 1 deep was refused
+    assert node.depth == cap
+    # the deepest allowed expression evaluates, and its JSON is read back
+    assert beta_eval(node) == beta_eval(Sphere(1))
+    assert expression_from_json(expression_to_json(node)) == node
+
+
+def test_repeated_children_are_shared_not_deepened():
+    line = AffineSpace(1)
+    product = Product((line,) * 1000)
+    assert product.depth == 2
+    assert beta_eval(product) == mono(1000)
+
+
+def test_depth_stays_out_of_equality_and_repr():
+    shallow = Product((Point(),))
+    assert shallow.depth == 2
+    assert shallow == Product((Point(),))
+    assert hash(shallow) == hash(Product((Point(),)))
+    assert repr(shallow) == "Product(children=(Point(),))"
+    assert repr(Difference(Point(), EMPTY)) == (
+        "Difference(ambient=Point(), closed_subset=DisjointUnion(children=()))"
+    )
+    with pytest.raises(TypeError):
+        Product((Point(),), depth=1)
+
+
+def test_product_beta_matches_the_child_by_child_product():
+    rng = random.Random(606)
+    atoms = [AffineSpace(2), PuncturedLine(), Sphere(3), QuadricAffine(0, 2, 1), Point()]
+    for _ in range(100):
+        children = []
+        for _ in range(rng.randint(0, 8)):
+            # runs of one shared object, and equal but distinct objects
+            atom = rng.choice(atoms)
+            children.extend([atom] * rng.randint(1, 3))
+            if rng.random() < 0.3:
+                children.append(QuadricAffine(0, 2, 1))
+        expected = ONE
+        for child in children:
+            expected = expected * beta_eval(child)
+        assert beta_eval(Product(tuple(children))) == expected
+
+
+def test_error_details_echo_a_bounded_input():
+    deep = [[]]
+    for _ in range(500):
+        deep = [deep]
+    with pytest.raises(MalformedExpression) as caught:
+        expression_from_json({"op": "product", "children": [deep]})
+    detail = str(caught.value)
+    assert detail.startswith("expected a JSON object, got [[[") and detail.endswith("...")
+    assert len(detail) < 200
+    with pytest.raises(MalformedExpression) as caught:
+        expression_from_json({"atom": "sphere", "dim": deep})
+    assert len(str(caught.value)) < 200
+    with pytest.raises(MalformedExpression) as caught:
+        expression_from_json({"atom": "x" * 1000})
+    assert len(str(caught.value)) < 200
+    # short inputs are echoed whole
+    with pytest.raises(MalformedExpression, match=r"^expected a JSON object, got \[1, 2\]$"):
+        expression_from_json({"op": "product", "children": [[1, 2]]})

@@ -43,6 +43,8 @@ def _load_json(value: str, what: str):
         return json.loads(_read_source(value))
     except json.JSONDecodeError as exc:
         raise MalformedExpression(f"invalid {what} JSON: {exc.msg}")
+    except ValueError:  # an integer longer than the interpreter's digit limit
+        raise MalformedExpression(f"invalid {what} JSON: an integer has too many digits") from None
     except RecursionError:
         raise MalformedExpression(f"invalid {what} JSON: nested too deeply") from None
 
@@ -288,7 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     poly = argparse.ArgumentParser(add_help=False, parents=[common])
     poly.add_argument("--poly", required=True, help="germ text, file, or -")
-    poly.add_argument("--dim", type=int, default=None, help="override variable count")
+    poly.add_argument(
+        "--dim", type=_int_at_least(1), default=None, help="override variable count (>= 1)"
+    )
 
     inertia = commands.add_parser(
         "inertia", parents=[poly], help="Hessian inertia of a polynomial germ"

@@ -29,10 +29,10 @@ collapses to 1 - u^-1; recover_minmax reports that ambiguity as a value.
 from __future__ import annotations
 
 import json as _json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Mapping, Sequence
 
 from .algebra import ZERO, LaurentPolynomial
 from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
@@ -75,7 +75,8 @@ class PolynomialGerm:
     """Sparse polynomial over Q with zero constant term.
 
     Terms map exponent vectors (tuples of nonnegative ints, one slot per
-    variable) to nonzero Fractions.  Instances are immutable.
+    variable) to nonzero Fractions.  Instances are immutable.  The constructor
+    validates outside input; results of the class's own arithmetic go through _of.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -83,23 +84,26 @@ class PolynomialGerm:
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
         if not isinstance(nvars, int) or nvars < 1:
             raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple, Fraction] = {}
-        for exps, coeff in items:
+        sums: dict[tuple, Fraction] = {}
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
             if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {brief_repr(exps)} for {nvars} variables")
-            coeff = Fraction(coeff)
-            total = clean.get(exps, Fraction(0)) + coeff
-            if total:
-                clean[exps] = total
-            elif exps in clean:
-                del clean[exps]
-        zero_exp = (0,) * nvars
-        if zero_exp in clean:
-            raise NotAGerm(f"nonzero constant term {clean[zero_exp]}")
+            sums[exps] = sums.get(exps, 0) + Fraction(coeff)
+        clean = PolynomialGerm._of(nvars, sums)._terms
+        constant = clean.get((0,) * nvars)
+        if constant is not None:
+            raise NotAGerm(f"nonzero constant term {constant}")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _of(cls, nvars: int, sums: dict[tuple, Fraction]) -> "PolynomialGerm":
+        """Wrap a term map the class's own arithmetic built, unchecked; zero sums drop."""
+        germ = object.__new__(cls)
+        object.__setattr__(germ, "nvars", nvars)
+        object.__setattr__(germ, "_terms", {e: c for e, c in sums.items() if c})
+        return germ
 
     def __setattr__(self, *_):
         raise AttributeError("PolynomialGerm is immutable")
@@ -141,7 +145,7 @@ class PolynomialGerm:
         return {e: c for e, c in self._terms.items() if sum(e) == degree}
 
     def truncate(self, max_degree: int) -> "PolynomialGerm":
-        return PolynomialGerm(
+        return PolynomialGerm._of(
             self.nvars, {e: c for e, c in self._terms.items() if sum(e) <= max_degree}
         )
 
@@ -155,17 +159,13 @@ class PolynomialGerm:
         if not isinstance(other, PolynomialGerm):
             return NotImplemented
         self._same_space(other)
-        merged = dict(self._terms)
+        sums = dict(self._terms)
         for exps, coeff in other._terms.items():
-            total = merged.get(exps, Fraction(0)) + coeff
-            if total:
-                merged[exps] = total
-            elif exps in merged:
-                del merged[exps]
-        return PolynomialGerm(self.nvars, merged)
+            sums[exps] = sums.get(exps, 0) + coeff
+        return PolynomialGerm._of(self.nvars, sums)
 
     def __neg__(self):
-        return PolynomialGerm(self.nvars, {e: -c for e, c in self._terms.items()})
+        return PolynomialGerm._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PolynomialGerm):
@@ -174,9 +174,7 @@ class PolynomialGerm:
 
     def scaled(self, factor) -> "PolynomialGerm":
         factor = Fraction(factor)
-        if not factor:
-            return PolynomialGerm.zero(self.nvars)
-        return PolynomialGerm(self.nvars, {e: c * factor for e, c in self._terms.items()})
+        return PolynomialGerm._of(self.nvars, {e: c * factor for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -189,19 +187,15 @@ class PolynomialGerm:
     __rmul__ = __mul__
 
     def _mul_trunc(self, other: "PolynomialGerm", max_degree: int | None) -> "PolynomialGerm":
-        product: dict[tuple, Fraction] = {}
+        sums: dict[tuple, Fraction] = {}
         for e1, c1 in self._terms.items():
             d1 = sum(e1)
             for e2, c2 in other._terms.items():
                 if max_degree is not None and d1 + sum(e2) > max_degree:
                     continue
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                total = product.get(exps, Fraction(0)) + c1 * c2
-                if total:
-                    product[exps] = total
-                elif exps in product:
-                    del product[exps]
-        return PolynomialGerm(self.nvars, product)
+                sums[exps] = sums.get(exps, 0) + c1 * c2
+        return PolynomialGerm._of(self.nvars, sums)
 
     def _pow_trunc(self, n: int, max_degree: int | None) -> "PolynomialGerm":
         result = None
@@ -236,7 +230,9 @@ class PolynomialGerm:
         """
         if len(replacements) != self.nvars:
             raise ValueError("need one replacement polynomial per variable")
-        result = PolynomialGerm.zero(self.nvars)
+        for replacement in replacements:
+            self._same_space(replacement)
+        sums: dict[tuple, Fraction] = {}
         for exps, coeff in self._terms.items():
             piece = None
             for i, e in enumerate(exps):
@@ -244,28 +240,22 @@ class PolynomialGerm:
                     continue
                 factor = replacements[i]._pow_trunc(e, max_degree)
                 piece = factor if piece is None else piece._mul_trunc(factor, max_degree)
-            result = result + piece.scaled(coeff)
-        return result
+            for pexps, pcoeff in piece._terms.items():
+                sums[pexps] = sums.get(pexps, 0) + coeff * pcoeff
+        return PolynomialGerm._of(self.nvars, sums)
 
     def substitute_single(
         self, index: int, replacement: "PolynomialGerm", max_degree: int | None = None
     ) -> "PolynomialGerm":
         """Compose with the map that rewrites one variable and fixes the rest."""
-        accumulated: dict[tuple, Fraction] = {}
-
-        def put(exps: tuple, value: Fraction):
-            total = accumulated.get(exps, Fraction(0)) + value
-            if total:
-                accumulated[exps] = total
-            elif exps in accumulated:
-                del accumulated[exps]
-
+        self._same_space(replacement)
+        sums: dict[tuple, Fraction] = {}
         powers: dict[int, PolynomialGerm] = {}
         for exps, coeff in self._terms.items():
             e = exps[index]
             if not e:
                 if max_degree is None or sum(exps) <= max_degree:
-                    put(exps, coeff)
+                    sums[exps] = sums.get(exps, 0) + coeff
                 continue
             if e not in powers:
                 powers[e] = replacement._pow_trunc(e, max_degree)
@@ -275,8 +265,9 @@ class PolynomialGerm:
             for pexps, pcoeff in powers[e]._terms.items():
                 if max_degree is not None and rest_degree + sum(pexps) > max_degree:
                     continue
-                put(tuple(a + b for a, b in zip(rest, pexps)), coeff * pcoeff)
-        return PolynomialGerm(self.nvars, accumulated)
+                key = tuple(a + b for a, b in zip(rest, pexps))
+                sums[key] = sums.get(key, 0) + coeff * pcoeff
+        return PolynomialGerm._of(self.nvars, sums)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "PolynomialGerm":
@@ -360,7 +351,7 @@ class PolynomialGerm:
                 value = Fraction(str(coeff))
             except ValueError:
                 raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
-            terms[exps] = terms.get(exps, Fraction(0)) + value
+            terms[exps] = terms.get(exps, 0) + value
         return cls(nvars, terms)
 
 
@@ -381,6 +372,8 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
             data = _json.loads(stripped)
         except _json.JSONDecodeError as exc:
             raise GermSyntaxError(f"invalid germ JSON: {exc.msg}", exc.pos)
+        except ValueError:  # an integer longer than the interpreter's digit limit
+            raise InvalidGerm("invalid germ JSON: an integer has too many digits") from None
         except RecursionError:
             raise InvalidGerm("invalid germ JSON: nested too deeply") from None
         try:
@@ -391,6 +384,9 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
             # a bad nvars, exponent vector, term or coefficient in valid JSON
             raise InvalidGerm(f"invalid germ JSON: {exc}") from exc
     return _parse_germ_text(text, nvars)
+
+
+_DIGITS = frozenset("0123456789")
 
 
 def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
@@ -405,15 +401,18 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
     def read_int(expected: str) -> tuple[int, int]:
         nonlocal pos
         start = pos
-        while pos < size and text[pos].isdigit():
+        while pos < size and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise GermSyntaxError(f"expected {expected}", start)
-        return int(text[start:pos]), start
+        try:
+            return int(text[start:pos]), start
+        except ValueError:  # longer than the interpreter's int/str digit limit
+            raise GermSyntaxError("number has too many digits", start) from None
 
     def parse_factor():
         nonlocal pos
-        if pos < size and text[pos].isdigit():
+        if pos < size and text[pos] in _DIGITS:
             start = pos
             numerator, _ = read_int("a number")
             denominator = 1
@@ -489,10 +488,7 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
         raise InvalidGerm(
             f"declared {nvars} variable(s) but the polynomial uses x{max_index}"
         )
-    terms: dict[tuple, Fraction] = {}
-    for coeff, powers in raw_terms:
-        exps = tuple(powers.get(i, 0) for i in range(nvars))
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    terms = [(tuple(powers.get(i, 0) for i in range(nvars)), coeff) for coeff, powers in raw_terms]
     return PolynomialGerm(nvars, terms)
 
 
@@ -797,7 +793,7 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
                 for component in change
             ]
 
-    quadratic_part = PolynomialGerm(nv, current.terms_of_degree(2))
+    quadratic_part = PolynomialGerm._of(nv, current.terms_of_degree(2))
     remainder = current - quadratic_part
 
     # engine sanity: the invariants promised by SplitResult

@@ -121,7 +121,7 @@ class AffineSpace:
     def __post_init__(self):
         _require_ints(self, "k")
         if self.k < 0:
-            raise MalformedExpression(f"affine space needs k >= 0, got {self.k!r}")
+            raise MalformedExpression(f"affine space needs k >= 0, got {brief_repr(self.k)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class Sphere:
     def __post_init__(self):
         _require_ints(self, "dim")
         if self.dim < 0:
-            raise MalformedExpression(f"sphere needs dim >= 0, got {self.dim!r}")
+            raise MalformedExpression(f"sphere needs dim >= 0, got {brief_repr(self.dim)}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class ProjectiveSpace:
     def __post_init__(self):
         _require_ints(self, "k")
         if self.k < 0:
-            raise MalformedExpression(f"projective space needs k >= 0, got {self.k!r}")
+            raise MalformedExpression(f"projective space needs k >= 0, got {brief_repr(self.k)}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,13 @@ class QuadricAffine:
     def __post_init__(self):
         _require_ints(self, "c", "s", "t")
         if self.c not in (-1, 0, 1):
-            raise MalformedExpression(f"quadric level must be -1, 0 or +1, got {self.c!r}")
+            raise MalformedExpression(
+                f"quadric level must be -1, 0 or +1, got {brief_repr(self.c)}"
+            )
         if self.s < 0 or self.t < 0:
             raise MalformedExpression(
-                f"quadric signature must be nonnegative ints: ({self.s!r}, {self.t!r})"
+                "quadric signature must be nonnegative ints: "
+                f"({brief_repr(self.s)}, {brief_repr(self.t)})"
             )
 
 
@@ -186,7 +189,8 @@ class QuadricProjective:
         _require_ints(self, "m", "M")
         if self.m < 1 or self.M < 1:
             raise MalformedExpression(
-                f"projective quadric needs m, M >= 1, got ({self.m!r}, {self.M!r})"
+                "projective quadric needs m, M >= 1, got "
+                f"({brief_repr(self.m)}, {brief_repr(self.M)})"
             )
 
 

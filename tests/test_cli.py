@@ -239,6 +239,10 @@ def test_usage_error_exit_code(capsys):
         ["discriminate", "--f", "x1^2", "--g", "x1^2", "--order", "0"],
         ["split", "--poly", "x1^2", "--jet", "2"],
         ["selfcheck", "--max", "1"],
+        ["inertia", "--poly", "3", "--dim", "0"],
+        ["inertia", "--poly", "x1^2", "--dim", "0"],
+        ["split", "--poly", "0", "--dim", "0"],
+        ["split", "--poly", "x1^2", "--dim", "-2"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
@@ -509,3 +513,36 @@ def test_error_details_echo_a_bounded_input(capsys, argv):
     detail = json.loads(out)["detail"]
     assert "[[[" in detail and detail.endswith("...")
     assert len(detail) < 200
+
+
+# longer than CPython's default int/str digit limit (4,300)
+_LONG = "7" * 5000
+
+OVER_LONG_NUMBERS = {
+    "expression": (
+        ["beta", "expr", '{"atom": "affine_space", "k": ' + _LONG + "}"],
+        "MalformedExpression",
+    ),
+    "polynomial": (
+        ["recover", "--plus-coeff", "[[0, " + _LONG + "]]", "--minus-coeff", "[]"],
+        "MalformedExpression",
+    ),
+    "germ-json": (["inertia", "--poly", '{"nvars": ' + _LONG + ', "terms": []}'], "InvalidGerm"),
+    "germ-text": (["split", "--poly", "x1^2 + " + _LONG + "*x1^3"], "GermSyntaxError"),
+}
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, error", OVER_LONG_NUMBERS.values(), ids=OVER_LONG_NUMBERS.keys()
+)
+def test_over_long_numbers_end_in_the_envelope(capsys, argv, error):
+    code = run(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.out)
+    assert payload["error"] == error
+    assert "too many digits" in payload["detail"]
+    assert "Traceback" not in captured.err

@@ -1,0 +1,133 @@
+"""The command-line contract on generated input.
+
+Every argv ends in exit 0, in exit 2 (a usage error), or in exit 1 with the
+two-key envelope {"error", "detail"}, and never in a traceback.  The inputs
+are well-formed germ text and set-expression JSON with stray characters,
+non-ASCII digits and digit runs longer than CPython's limit on int/str
+conversions spliced in.  No specific error is asserted for those runs:
+an interpreter without the limit may answer them.  hypothesis is a
+test-only tool; the module is skipped where it is not installed.
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+import pytest
+
+from arczeta.cli import run
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+# Longer than CPython's default int/str digit limit (4,300).  An interpreter
+# without that limit would read an index this long as a variable count.
+LONG = "7" * 5000
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+# Strays spliced into well-formed input.  Numbers stay one or two digits
+# long, apart from LONG, so no germ asks for thousands of variables and no
+# atom for a huge beta.
+GERM_STRAYS = [
+    "x", "^", "*", "+", "-", "/", "0", "12", "1/0", " ", "y", "(", ".", "^^",
+    "\u00b2", "x\u00b3", "\uff12", "\u0663",  # superscripts, fullwidth, Arabic-Indic
+    '{"nvars": ', "{", "}", "[",
+] + [LONG] * HAS_DIGIT_LIMIT
+EXPR_STRAYS = [
+    "{", "}", "[", "]", ",", ":", "-", "0", "12", "2.5", "1e3", '"3"', "null", " ",
+    '{"atom": "point"}', '"children": [', '"op": "product"', "\u00b2", LONG,
+]
+
+FACTOR = st.builds(
+    "{}{}".format, st.sampled_from(["x1", "x2", "x3"]), st.sampled_from(["", "^2", "^3"])
+)
+TERM = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "3*", "1/2*", "12*", "0*"]),
+    st.lists(FACTOR, min_size=1, max_size=3).map("*".join),
+)
+GERM_TEXT = st.builds(
+    lambda first, rest: first + "".join(sign + term for sign, term in rest),
+    TERM,
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", "-"]), TERM), max_size=4),
+)
+
+# mostly in range, sometimes negative or not an integer
+FIELD = st.one_of(st.integers(0, 12), st.integers(0, 3), st.sampled_from([-1, "3", 2.5, None]))
+ATOM = st.one_of(
+    st.builds(lambda k: {"atom": "affine_space", "k": k}, FIELD),
+    st.builds(lambda d: {"atom": "sphere", "dim": d}, FIELD),
+    st.builds(lambda k: {"atom": "projective_space", "k": k}, FIELD),
+    st.builds(
+        lambda c, s, t: {"atom": "quadric_affine", "c": c, "s": s, "t": t},
+        st.sampled_from([-1, 0, 1, 2]),
+        FIELD,
+        FIELD,
+    ),
+    st.builds(lambda m, M: {"atom": "quadric_projective", "m": m, "M": M}, FIELD, FIELD),
+    st.sampled_from([{"atom": "point"}, {"atom": "punctured_line"}, {"atom": "cube"}]),
+)
+EXPRESSION = st.recursive(
+    ATOM,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(lambda cs: {"op": "product", "children": cs}),
+        st.lists(children, max_size=3).map(lambda cs: {"op": "disjoint_union", "children": cs}),
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda cs: {"op": "difference", "children": cs}
+        ),
+    ),
+    max_leaves=6,
+).map(json.dumps)
+
+
+@st.composite
+def _spliced(draw, text, strays):
+    """text with up to three strays spliced in; a digit run never grows by a splice."""
+    text = draw(text)
+    for stray in draw(st.lists(st.sampled_from(strays), max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        before = " " if text[at - 1 : at].isdigit() and stray[:1].isdigit() else ""
+        after = " " if stray[-1:].isdigit() and text[at : at + 1].isdigit() else ""
+        text = text[:at] + before + stray + after + text[at:]
+    return text
+
+
+ARGV = st.sampled_from(["inertia", "split", "expr"]).flatmap(
+    lambda command: _spliced(EXPRESSION, EXPR_STRAYS).map(
+        lambda text: ["beta", "expr", "--", text]
+    )
+    if command == "expr"
+    else _spliced(GERM_TEXT, GERM_STRAYS).map(lambda text: [command, f"--poly={text}"])
+)
+
+
+def _run(argv):
+    """run(argv) with an empty stdin ('-' reads it); (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO("")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(argv=ARGV, as_json=st.booleans())
+@example(argv=["inertia", "--poly=x1^²"], as_json=True)
+@example(argv=["inertia", "--poly=x²^2"], as_json=False)
+@example(argv=["split", "--poly=x1^2 + ２*x1^3"], as_json=True)
+@example(argv=["inertia", "--poly=0", "--dim", "0"], as_json=True)
+@example(argv=["split", "--poly=" + LONG + "*x1^2"], as_json=True)
+@example(argv=["inertia", "--poly=x1^" + LONG], as_json=True)
+@example(argv=["beta", "expr", '{"atom": "affine_space", "k": ' + LONG + "}"], as_json=True)
+@example(argv=["recover", "--plus-coeff", f"[[0, {LONG}]]", "--minus-coeff", "[]"], as_json=True)
+def test_every_input_keeps_the_exit_code_contract(argv, as_json):
+    words = 2 if argv[0] == "beta" else 1  # --json goes after the (sub)command
+    code, out, err = _run(argv[:words] + ["--json"] * as_json + argv[words:])
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert set(json.loads(out)) == {"error", "detail"}

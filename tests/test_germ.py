@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,10 @@ from util import (
     random_singular_germ,
     random_symmetric,
 )
+
+
+# longer than CPython's default int/str digit limit (4,300)
+LONG = "7" * 5000
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +73,43 @@ def test_parse_error_positions():
         parse_germ("2 x1")
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("x1^\u00b2", 3),  # superscript two
+        ("x\u00b2^2", 1),
+        ("\uff12*x1^2", 0),  # fullwidth two
+        ("x1^2 + \u0663*x1^3", 7),  # Arabic-Indic three
+        ("x1^2 + 3/\u00b2*x1^3", 9),
+    ],
+    ids=["superscript-exponent", "superscript-index", "fullwidth", "arabic-indic", "denominator"],
+)
+def test_parse_takes_ascii_digits_only(text, offset):
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ(text)
+    assert info.value.offset == offset
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        (LONG + "*x1^2", 0),
+        ("x1^2 + 1/" + LONG + "*x1^3", 9),
+        ("x1^" + LONG, 3),
+        ("x" + LONG + "^2", 1),
+    ],
+    ids=["coefficient", "denominator", "exponent", "index"],
+)
+def test_parse_reports_an_over_long_number_at_its_offset(text, offset):
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ(text)
+    assert info.value.offset == offset
+    assert "too many digits" in str(info.value)
+
+
 def test_parse_rejects_constant_terms():
     with pytest.raises(NotAGerm):
         parse_germ("x1^2 + 1")
@@ -99,6 +141,50 @@ def test_germ_json_round_trip():
         assert f.is_zero() or parse_germ(f.to_text(), nvars=f.nvars) == f
     f = parse_germ('{"nvars": 2, "terms": [[[2, 0], "1"], [[0, 2], "-3/2"]]}')
     assert f.terms() == {(2, 0): Fraction(1), (0, 2): Fraction(-3, 2)}
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_degree", [None, 4])
+def test_substitution_refuses_another_variable_count(max_degree):
+    germ = parse_germ("x1^2 - x2^3")
+    other = parse_germ("x1 + x3^2")
+    with pytest.raises(ValueError, match="different variable counts"):
+        germ.substitute([other, PolynomialGerm.variable(2, 1)], max_degree)
+    with pytest.raises(ValueError, match="different variable counts"):
+        germ.substitute([PolynomialGerm.variable(2, 0), other], max_degree)
+    with pytest.raises(ValueError, match="different variable counts"):
+        germ.substitute_single(0, other, max_degree)
+    # a replacement the germ does not use is still checked
+    with pytest.raises(ValueError, match="different variable counts"):
+        parse_germ("x1^2", nvars=2).substitute_single(1, other, max_degree)
+
+
+def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
+    rng = random.Random(5)
+    f, g = random_singular_germ(rng, 3), random_singular_germ(rng, 3)
+    change = linear_change(random_invertible(rng, 3), 3)
+    calls = []
+    validating = PolynomialGerm.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        validating(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolynomialGerm, "__init__", counted)
+    results = [
+        f + g, f - g, -f, f * g, f.scaled(Fraction(-3, 2)), f.scaled(0), f.truncate(3),
+        f.substitute(change), f.substitute(change, 4),
+        f.substitute_single(1, g), f.substitute_single(1, g, 4),
+    ]
+    assert calls == []
+    assert f.scaled(0).is_zero() and (f - f).is_zero()
+    for result in results:
+        assert 0 not in result.terms().values()
+        assert all(len(exps) == 3 and sum(exps) > 0 for exps in result.terms())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,96 @@
+"""PolynomialGerm arithmetic against sympy, used here as an independent oracle.
+
+Every operation is compared as a term map: the sympy side is expanded and,
+where a max_degree applies, truncated by total degree.  sympy is a test-only
+tool; the module is skipped where it is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from arczeta import PolynomialGerm
+from util import linear_change, random_invertible, random_singular_germ
+
+sympy = pytest.importorskip("sympy")
+
+SEEDS = range(16)
+
+
+def _symbols(nvars):
+    return sympy.symbols(f"x1:{nvars + 1}")
+
+
+def _expr(germ, xs):
+    total = sympy.Integer(0)
+    for exps, coeff in germ.terms().items():
+        monomial = sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+        total += sympy.Rational(coeff.numerator, coeff.denominator) * monomial
+    return total
+
+
+def _term_map(expr, xs, max_degree=None):
+    poly = sympy.Poly(sympy.expand(expr), *xs)
+    return {
+        exps: Fraction(int(c.p), int(c.q))
+        for exps, c in poly.terms()
+        if c != 0 and (max_degree is None or sum(exps) <= max_degree)
+    }
+
+
+def _germs(seed):
+    """Two random germs in one space, and that space's symbols."""
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 4)
+    return rng, random_singular_germ(rng, nvars), random_singular_germ(rng, nvars), _symbols(nvars)
+
+
+def _changes(rng, nvars):
+    """A linear change, and the same change with a random germ added to each component."""
+    linear = linear_change(random_invertible(rng, nvars), nvars)
+    yield linear
+    yield [component + random_singular_germ(rng, nvars, 3) for component in linear]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ring_operations_match_sympy(seed):
+    rng, f, g, xs = _germs(seed)
+    fx, gx = _expr(f, xs), _expr(g, xs)
+    assert (f + g).terms() == _term_map(fx + gx, xs)
+    assert (f - g).terms() == _term_map(fx - gx, xs)
+    assert (f - f).terms() == {}
+    assert (-f).terms() == _term_map(-fx, xs)
+    assert (f * g).terms() == _term_map(fx * gx, xs)
+    factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    scaled = fx * sympy.Rational(factor.numerator, factor.denominator)
+    assert f.scaled(factor).terms() == _term_map(scaled, xs)
+    for max_degree in (2, 3, 5, 7):
+        assert f.truncate(max_degree).terms() == _term_map(fx, xs, max_degree)
+        assert f._mul_trunc(g, max_degree).terms() == _term_map(fx * gx, xs, max_degree)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substitute_matches_sympy(seed):
+    rng, f, _, xs = _germs(seed)
+    fx = _expr(f, xs)
+    for change in _changes(rng, f.nvars):
+        composed = fx.xreplace(dict(zip(xs, (_expr(c, xs) for c in change))))
+        assert f.substitute(change).terms() == _term_map(composed, xs)
+        for max_degree in (2, 3, 4):
+            assert f.substitute(change, max_degree).terms() == _term_map(composed, xs, max_degree)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substitute_single_matches_sympy(seed):
+    rng, f, g, xs = _germs(seed)
+    fx = _expr(f, xs)
+    index = rng.randrange(f.nvars)
+    linear = linear_change(random_invertible(rng, f.nvars), f.nvars)[index]
+    for replacement in (linear, PolynomialGerm.variable(f.nvars, index) - g, g):
+        composed = fx.xreplace({xs[index]: _expr(replacement, xs)})
+        assert f.substitute_single(index, replacement).terms() == _term_map(composed, xs)
+        for max_degree in (2, 3, 4):
+            assert f.substitute_single(index, replacement, max_degree).terms() == _term_map(
+                composed, xs, max_degree
+            )

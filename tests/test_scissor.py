@@ -461,3 +461,25 @@ def test_error_details_echo_a_bounded_input():
     # short inputs are echoed whole
     with pytest.raises(MalformedExpression, match=r"^expected a JSON object, got \[1, 2\]$"):
         expression_from_json({"op": "product", "children": [[1, 2]]})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda huge: AffineSpace(huge),
+        lambda huge: Sphere(huge),
+        lambda huge: ProjectiveSpace(huge),
+        lambda huge: QuadricAffine(huge, 1, 1),
+        lambda huge: QuadricAffine(0, huge, 1),
+        lambda huge: QuadricAffine(0, 1, huge),
+        lambda huge: QuadricProjective(huge, 1),
+        lambda huge: QuadricProjective(1, huge),
+    ],
+)
+def test_range_errors_echo_a_bounded_value(build):
+    huge = -int("7" * 300)
+    with pytest.raises(MalformedExpression) as caught:
+        build(huge)
+    detail = str(caught.value)
+    assert "-777" in detail and "..." in detail
+    assert len(detail) < 200

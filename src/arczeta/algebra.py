@@ -12,6 +12,7 @@ function, so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -51,6 +52,14 @@ class LaurentPolynomial:
                 del clean[exp]
         self._terms = clean
 
+    @classmethod
+    def _of(cls, terms: dict[int, int]) -> "LaurentPolynomial":
+        """Wrap a term map with no zero coefficient, making no pass over it: the
+        operations prune inside their own loops, and a filter here would repeat that."""
+        result = object.__new__(cls)
+        result._terms = terms
+        return result
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -70,9 +79,7 @@ class LaurentPolynomial:
         # the hot constructor: one term needs no merging, only the zero check
         if not isinstance(exponent, int) or not isinstance(coefficient, int):
             raise TypeError("exponents and coefficients must be int")
-        result = cls.__new__(cls)
-        result._terms = {exponent: coefficient} if coefficient else {}
-        return result
+        return cls._of({exponent: coefficient} if coefficient else {})
 
     # -- inspection --------------------------------------------------------
 
@@ -119,16 +126,12 @@ class LaurentPolynomial:
                 merged[exp] = total
             elif exp in merged:
                 del merged[exp]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = merged
-        return result
+        return LaurentPolynomial._of(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = {exp: -coeff for exp, coeff in self._terms.items()}
-        return result
+        return LaurentPolynomial._of({exp: -coeff for exp, coeff in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -164,9 +167,7 @@ class LaurentPolynomial:
                         product[exp] = total
                     elif exp in product:
                         del product[exp]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._terms = product
-        return result
+        return LaurentPolynomial._of(product)
 
     __rmul__ = __mul__
 
@@ -213,9 +214,9 @@ class LaurentPolynomial:
         if not self._terms:
             raise ZeroPolynomial("cannot factor a monomial out of zero")
         shift = min(self._terms)
-        reduced = LaurentPolynomial.__new__(LaurentPolynomial)
-        reduced._terms = {exp - shift: coeff for exp, coeff in self._terms.items()}
-        return shift, reduced
+        return shift, LaurentPolynomial._of(
+            {exp - shift: coeff for exp, coeff in self._terms.items()}
+        )
 
     def evaluate(self, value) -> Fraction:
         """Exact evaluation at a rational point.
@@ -350,7 +351,7 @@ def geometric_sum(length: int) -> LaurentPolynomial:
     """1 + u + ... + u^(length-1); the empty sum for length 0."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return LaurentPolynomial({k: 1 for k in range(length)})
+    return LaurentPolynomial._of({k: 1 for k in range(length)})
 
 
 class TruncatedSeries:
@@ -381,6 +382,14 @@ class TruncatedSeries:
         self._coeffs = clean
 
     @classmethod
+    def _of(cls, order: int, coefficients: dict[int, LaurentPolynomial]) -> "TruncatedSeries":
+        """Wrap coefficients the class's own arithmetic built: zeros drop, nothing is checked."""
+        series = object.__new__(cls)
+        series._order = order
+        series._coeffs = {n: poly for n, poly in coefficients.items() if poly}
+        return series
+
+    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(order)
 
@@ -406,23 +415,20 @@ class TruncatedSeries:
                 f"series orders differ: {self._order} != {other._order}"
             )
 
-    def __add__(self, other):
+    def _merge(self, other, combine):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
         merged = dict(self._coeffs)
         for n, poly in other._coeffs.items():
-            merged[n] = merged.get(n, ZERO) + poly
-        return TruncatedSeries(self._order, merged)
+            merged[n] = combine(merged.get(n, ZERO), poly)
+        return TruncatedSeries._of(self._order, merged)
+
+    def __add__(self, other):
+        return self._merge(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        merged = dict(self._coeffs)
-        for n, poly in other._coeffs.items():
-            merged[n] = merged.get(n, ZERO) - poly
-        return TruncatedSeries(self._order, merged)
+        return self._merge(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -435,7 +441,7 @@ class TruncatedSeries:
                 if n > self._order:
                     continue
                 product[n] = product.get(n, ZERO) + pi * pj
-        return TruncatedSeries(self._order, product)
+        return TruncatedSeries._of(self._order, product)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -66,7 +66,6 @@ All functions are pure and coefficients for distinct n are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import ONE, U, ZERO, LaurentPolynomial, TruncatedSeries
 from .errors import InvalidGerm
@@ -212,15 +211,23 @@ def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:
     coefficients = {
         report.n: report.total_beta * LaurentPolynomial.monomial(-report.n * germ.dim)
         for report in reports
-        if not report.total_beta.is_zero()
     }
     return TruncatedSeries(len(reports), coefficients)
 
 
-@lru_cache(maxsize=None)
-def _arc_beta_closed(dim: int, plus: int, minus: int, n: int, selector: str) -> LaurentPolynomial:
-    rank = plus + minus
-    cone = beta_cone(plus, minus)
+def coefficient_closed_form(germ: QuadraticGerm, n: int, selector: str) -> LaurentPolynomial:
+    """The T^n zeta coefficient straight from the closed forms.
+
+    Independent of the decomposition engine; used to cross-check
+    zeta_series stratum by stratum.
+    """
+    if not isinstance(germ, QuadraticGerm):
+        raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
+    _check_selector(selector)
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"order n must be a positive integer, got {n!r}")
+    rank = germ.rank
+    cone = beta_cone(germ.plus, germ.minus)
     total = ZERO
     for e in range(1, (n + 1) // 2):
         piece = (
@@ -236,35 +243,17 @@ def _arc_beta_closed(dim: int, plus: int, minus: int, n: int, selector: str) -> 
         if selector == NAIVE:
             leading = LaurentPolynomial.monomial(rank) - cone
         else:
-            leading = beta_level(plus, minus, 1 if selector == PLUS else -1)
+            leading = beta_level(germ.plus, germ.minus, 1 if selector == PLUS else -1)
         total = total + leading * half
-    return total * LaurentPolynomial.monomial(n * (dim - rank))
-
-
-def coefficient_closed_form(germ: QuadraticGerm, n: int, selector: str) -> LaurentPolynomial:
-    """The T^n zeta coefficient straight from the closed forms.
-
-    Independent of the decomposition engine; used to cross-check
-    zeta_series stratum by stratum.
-    """
-    if not isinstance(germ, QuadraticGerm):
-        raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
-    _check_selector(selector)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
-    beta = _arc_beta_closed(germ.dim, germ.plus, germ.minus, n, selector)
-    return beta * LaurentPolynomial.monomial(-n * germ.dim)
+    # u^(n(dim-rank)) for the free z-block times the normalizing u^(-n*dim)
+    return total * LaurentPolynomial.monomial(-n * rank)
 
 
 def zeta_closed_form(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
     """The zeta series assembled from coefficient_closed_form."""
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"truncation order must be a positive integer, got {order!r}")
-    coefficients = {}
-    for n in range(1, order + 1):
-        value = coefficient_closed_form(germ, n, selector)
-        if not value.is_zero():
-            coefficients[n] = value
+    coefficients = {n: coefficient_closed_form(germ, n, selector) for n in range(1, order + 1)}
     return TruncatedSeries(order, coefficients)
 
 

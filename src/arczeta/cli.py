@@ -167,6 +167,10 @@ def _cmd_inertia(args) -> int:
 
 def _cmd_split(args) -> int:
     result = germs.split_jet(_parse_poly_arg(args), args.jet)
+    if args.json:
+        print(json.dumps(result.to_json(), sort_keys=True))
+        return 0
+    # the text is built only when it is printed
     lines = [
         f"inertia: s = {result.inertia.plus}, t = {result.inertia.minus}, "
         f"corank = {result.inertia.corank} (jet order {result.jet_order})"
@@ -175,7 +179,8 @@ def _cmd_split(args) -> int:
         lines.append(f"x{i + 1} -> {component.to_text()}")
     lines.append(f"Q = {result.quadratic_part.to_text()}")
     lines.append(f"F = {result.remainder.to_text()}")
-    return _emit(args, result.to_json(), "\n".join(lines))
+    print("\n".join(lines))
+    return 0
 
 
 def _cmd_discriminate(args) -> int:

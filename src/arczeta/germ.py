@@ -769,18 +769,15 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
         exps = tuple(2 if j == i else 0 for j in range(nv))
         diagonal_coeff.append(current.coefficient(exps))
 
+    # One pass per degree: an absorption x_p -> x_p - c/(2 l_p) m at degree d
+    # cancels only its own term, and every term it creates has degree >= d + 1,
+    # because the quadratic part is diagonal and every other term containing
+    # x_p has degree >= 3.  So the degree-d terms read here stay as they are.
     for degree in range(3, jet_order + 1):
-        while True:
-            offender = None
-            for exps in sorted(current.terms_of_degree(degree)):
-                pivot = next((i for i in range(rank) if exps[i]), None)
-                if pivot is not None:
-                    offender = (exps, pivot)
-                    break
-            if offender is None:
-                break
-            exps, pivot = offender
-            coeff = current.coefficient(exps)
+        for exps, coeff in sorted(current.terms_of_degree(degree).items()):
+            pivot = next((i for i in range(rank) if exps[i]), None)
+            if pivot is None:
+                continue
             rest = list(exps)
             rest[pivot] -= 1
             shift = PolynomialGerm(

@@ -233,3 +233,71 @@ def test_powers_match_repeated_generic_products():
                 expected = _generic_product(expected, base)
     assert LaurentPolynomial.zero() ** 0 == ONE
     assert LaurentPolynomial.zero() ** 3 == LaurentPolynomial.zero()
+
+
+# ---------------------------------------------------------------------------
+# trusted results: the validating constructors see outside input only
+# ---------------------------------------------------------------------------
+
+
+def _refuse(self, *args, **kwargs):
+    raise AssertionError("validating constructor called for an arithmetic result")
+
+
+def _validated(pairs):
+    """The polynomial of the (exponent, coefficient) pairs, through __init__."""
+    return LaurentPolynomial(list(pairs))
+
+
+def test_arithmetic_results_skip_the_validating_constructors(monkeypatch):
+    rng = random.Random(606)
+    pairs = [(random_laurent(rng, 8), random_laurent(rng, 8)) for _ in range(60)]
+    pairs += [(_random_monomial(rng), random_laurent(rng, 8)) for _ in range(20)]
+    pairs += [(LaurentPolynomial({3: 2, -1: 1}), LaurentPolynomial({3: -2, -1: -1}))]
+    order = 5
+    series = [
+        TruncatedSeries(order, {n: random_laurent(rng, 3) for n in range(1, order + 1)})
+        for _ in range(20)
+    ]
+    longer = TruncatedSeries(order + 1, {1: ONE})
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", _refuse)
+    monkeypatch.setattr(TruncatedSeries, "__init__", _refuse)
+    laurent = [
+        (a + b, a - b, a * b, -a, a**3, 2 * a - 1, a.factor_monomial() if a else None)
+        for a, b in pairs
+    ]
+    sums = [geometric_sum(length) for length in range(6)]
+    series_results = [(a + b, a - b, a * b, a - a) for a, b in zip(series, series[1:])]
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(OrderMismatch):
+            op(series[0], longer)
+    monkeypatch.undo()
+
+    for (a, b), (add, sub, mul, neg, cube, affine, factored) in zip(pairs, laurent):
+        ta, tb = a.terms().items(), b.terms().items()
+        assert add == _validated([*ta, *tb])
+        assert sub == _validated([*ta, *((e, -c) for e, c in tb)])
+        assert mul == _generic_product(a, b)
+        assert neg == _validated((e, -c) for e, c in ta)
+        assert cube == _generic_product(_generic_product(a, a), a)
+        assert affine == _validated([*((e, 2 * c) for e, c in ta), (0, -1)])
+        if factored is not None:
+            shift = min(a.terms())
+            assert factored == (shift, _validated((e - shift, c) for e, c in ta))
+        for result in (add, sub, mul, neg, cube, affine):
+            assert 0 not in result.terms().values()
+    for length, value in enumerate(sums):
+        assert value == _validated((k, 1) for k in range(length))
+    for (a, b), (add, sub, mul, zero) in zip(zip(series, series[1:]), series_results):
+        for n in range(1, order + 1):
+            assert add.coefficient(n) == a.coefficient(n) + b.coefficient(n)
+            assert sub.coefficient(n) == a.coefficient(n) - b.coefficient(n)
+            convolution = sum(
+                (a.coefficient(i) * b.coefficient(n - i) for i in range(1, n)),
+                LaurentPolynomial.zero(),
+            )
+            assert mul.coefficient(n) == convolution
+        for result in (add, sub, mul):
+            assert all(result.coefficients().values())
+        assert zero.is_zero() and zero.coefficients() == {}

@@ -497,6 +497,19 @@ def test_zeta_strata_json_renders_no_text(capsys, monkeypatch):
         run(ZETA_STRATA)
 
 
+def test_split_json_renders_no_text(capsys, monkeypatch):
+    def no_text(self):
+        raise AssertionError("to_text called for --json output")
+
+    argv = ["split", "--poly", "x1^2 + 2*x1*x2^2 - x3^3", "--jet", "5"]
+    monkeypatch.setattr(germs.PolynomialGerm, "to_text", no_text)
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == 0
+    assert set(json.loads(out)) == {"jet_order", "inertia", "change", "quadratic_part", "remainder"}
+    with pytest.raises(AssertionError, match="to_text called"):
+        run(argv)
+
+
 _NESTED_500 = "[" * 500 + "]" * 500
 
 BOUNDED_DETAILS = {

@@ -23,6 +23,7 @@ from arczeta.errors import (
     NotAGerm,
     NotSingularAtOrigin,
 )
+from arczeta.germ import SplitResult, _require_singular, _square_root_part
 from util import (
     linear_change,
     random_invertible,
@@ -414,3 +415,90 @@ def test_verify_split_agrees_with_the_untruncated_oracle():
             )
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _split_jet_rescanning(germ, jet_order):
+    """split_jet as it was, rescanning a degree after every absorption (the reference)."""
+    _require_singular(germ)
+    nv = germ.nvars
+    P, diag = congruence_diagonalize(germ.hessian())
+    lam = [d / 2 for d in diag]
+    positives = [i for i, v in enumerate(lam) if v > 0]
+    negatives = [i for i, v in enumerate(lam) if v < 0]
+    kernel = [i for i, v in enumerate(lam) if v == 0]
+    column_order = positives + negatives + kernel
+    plus, minus = len(positives), len(negatives)
+    rank = plus + minus
+    columns = []
+    for new_index, old_index in enumerate(column_order):
+        scale = Fraction(1)
+        if new_index < rank:
+            value = abs(lam[old_index])
+            rho = Fraction(
+                _square_root_part(value.numerator), _square_root_part(value.denominator)
+            )
+            scale = 1 / rho
+        columns.append([P[r][old_index] * scale for r in range(nv)])
+    change = [
+        PolynomialGerm(
+            nv,
+            {
+                tuple(1 if j == c else 0 for j in range(nv)): columns[c][i]
+                for c in range(nv)
+                if columns[c][i]
+            },
+        )
+        for i in range(nv)
+    ]
+    current = germ.truncate(jet_order).substitute(change, max_degree=jet_order)
+    diagonal_coeff = []
+    for i in range(rank):
+        exps = tuple(2 if j == i else 0 for j in range(nv))
+        diagonal_coeff.append(current.coefficient(exps))
+    for degree in range(3, jet_order + 1):
+        while True:
+            offender = None
+            for exps in sorted(current.terms_of_degree(degree)):
+                pivot = next((i for i in range(rank) if exps[i]), None)
+                if pivot is not None:
+                    offender = (exps, pivot)
+                    break
+            if offender is None:
+                break
+            exps, pivot = offender
+            coeff = current.coefficient(exps)
+            rest = list(exps)
+            rest[pivot] -= 1
+            shift = PolynomialGerm(nv, {tuple(rest): coeff / (2 * diagonal_coeff[pivot])})
+            replacement = PolynomialGerm.variable(nv, pivot) - shift
+            current = current.substitute_single(pivot, replacement, jet_order)
+            change = [
+                component.substitute_single(pivot, replacement, jet_order)
+                for component in change
+            ]
+    quadratic_part = PolynomialGerm(nv, current.terms_of_degree(2))
+    return SplitResult(
+        change=tuple(change),
+        quadratic_part=quadratic_part,
+        remainder=current - quadratic_part,
+        inertia=Inertia(plus=plus, minus=minus, corank=nv - rank),
+        jet_order=jet_order,
+    )
+
+
+def _random_split_corpus():
+    """Seeded germs with cross terms: 1-5 variables, degree up to 6, jets 3-7."""
+    rng = random.Random(600)
+    for _ in range(120):
+        germ = random_singular_germ(rng, rng.randint(1, 5), rng.randint(2, 6))
+        yield germ, rng.randint(3, 7)
+
+
+def test_one_pass_split_matches_the_rescanning_reference():
+    cases = [*_selfcheck_split_corpus(), *_random_split_corpus()]
+    crossed = 0
+    for germ, jet_order in cases:
+        expected = _split_jet_rescanning(germ, jet_order).to_json()
+        assert split_jet(germ, jet_order).to_json() == expected, (germ.to_text(), jet_order)
+        crossed += any(max(exps) == 1 for exps in germ.terms_of_degree(2))
+    assert len(cases) == 162 and crossed > 20

@@ -17,7 +17,7 @@ import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .errors import OrderMismatch, PoleAtZero, ZeroPolynomial, brief_repr
+from .errors import OrderMismatch, PoleAtZero, ZeroPolynomial, brief_repr, number_text
 
 __all__ = [
     "LaurentPolynomial",
@@ -244,10 +244,10 @@ class LaurentPolynomial:
             coeff = self._terms[exp]
             mag = abs(coeff)
             if exp == 0:
-                body = str(mag)
+                body = number_text(mag)
             else:
                 upart = "u" if exp == 1 else f"u^{exp}"
-                body = upart if mag == 1 else f"{mag}*{upart}"
+                body = upart if mag == 1 else f"{number_text(mag)}*{upart}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -325,7 +325,7 @@ class LaurentPolynomial:
 
     def to_json(self) -> list[list]:
         """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
-        return [[exp, str(self._terms[exp])] for exp in sorted(self._terms)]
+        return [[exp, number_text(self._terms[exp])] for exp in sorted(self._terms)]
 
     @classmethod
     def from_json(cls, data) -> "LaurentPolynomial":

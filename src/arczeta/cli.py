@@ -53,7 +53,7 @@ def _load_polynomial(value: str) -> LaurentPolynomial:
     data = _load_json(value, "polynomial")
     try:
         return LaurentPolynomial.from_json(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an infinite float
         raise MalformedExpression(str(exc))
 
 
@@ -239,10 +239,122 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+class _Deferred:
+    """A command's parser, built only when argparse hands it the rest of argv.
 
+    argparse parses a command's options with the one subparser whose name it
+    reads, while top-level usage, --help and the error for an unknown command
+    use only the names and help lines given to add_parser.  So a request
+    builds the top-level parser and the parser of its own command instead of
+    all sixteen, which cost several times the work of a median germ request.
+    It is the parser_class of every add_subparsers below: add_parser passes
+    its options= keyword on to it, a function that adds the command's
+    options to the parser built here.
+    """
+
+    def __init__(self, options, **kwargs):
+        self._options = options
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._options(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _commands(parser: argparse.ArgumentParser, dest: str):
+    return parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+
+
+def _json_option(parser) -> None:
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _beta_options(parser) -> None:
+    kinds = _commands(parser, "kind")
+    for kind, (help_text, names, _) in _CLOSED_FORMS.items():
+        kinds.add_parser(kind, options=_closed_form_options(names), help=help_text)
+    kinds.add_parser(
+        "expr", options=_expr_options, help="evaluate beta of a set-expression JSON file"
+    )
+
+
+def _closed_form_options(names):
+    def options(parser) -> None:
+        _json_option(parser)
+        for name in names:
+            parser.add_argument(f"--{name}", type=_int_at_least(0), required=True)
+        parser.set_defaults(func=_cmd_beta_closed)
+
+    return options
+
+
+def _expr_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("source", help="path to expression JSON, or - for stdin")
+    parser.set_defaults(func=_cmd_beta_expr)
+
+
+def _zeta_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--dim", type=int, required=True)
+    parser.add_argument("--plus", type=int, required=True)
+    parser.add_argument("--minus", type=int, required=True)
+    parser.add_argument(
+        "--selector", choices=list(arcspace.SELECTORS), default=arcspace.NAIVE
+    )
+    parser.add_argument("--order", type=_int_at_least(1), default=6)
+    parser.add_argument("--strata", action="store_true", help="dump the stratum reports")
+    parser.set_defaults(func=_cmd_zeta)
+
+
+def _recover_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--plus-coeff", required=True, dest="plus_coeff")
+    parser.add_argument("--minus-coeff", required=True, dest="minus_coeff")
+    parser.set_defaults(func=_cmd_recover)
+
+
+def _recover_naive_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--coeff", required=True)
+    parser.set_defaults(func=_cmd_recover_naive)
+
+
+def _poly_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--poly", required=True, help="germ text, file, or -")
+    parser.add_argument(
+        "--dim", type=_int_at_least(1), default=None, help="override variable count (>= 1)"
+    )
+
+
+def _inertia_options(parser) -> None:
+    _poly_options(parser)
+    parser.set_defaults(func=_cmd_inertia)
+
+
+def _split_options(parser) -> None:
+    _poly_options(parser)
+    parser.add_argument("--jet", type=_int_at_least(3), default=3, help="jet order (>= 3)")
+    parser.set_defaults(func=_cmd_split)
+
+
+def _discriminate_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--f", required=True, help="first germ text, file, or -")
+    parser.add_argument("--g", required=True, help="second germ text, file, or -")
+    parser.add_argument("--order", type=_int_at_least(1), default=6)
+    parser.set_defaults(func=_cmd_discriminate)
+
+
+def _selfcheck_options(parser) -> None:
+    _json_option(parser)
+    parser.add_argument("--max", type=_int_at_least(2), default=12)
+    parser.set_defaults(func=_cmd_selfcheck)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arczeta",
         description=(
@@ -250,87 +362,35 @@ def _build_parser() -> argparse.ArgumentParser:
             "zeta functions of quadratic germs"
         ),
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    beta = commands.add_parser("beta", help="virtual Poincare polynomials")
-    beta_kinds = beta.add_subparsers(dest="kind", required=True)
-
-    for kind, (help_text, names, _) in _CLOSED_FORMS.items():
-        closed = beta_kinds.add_parser(kind, parents=[common], help=help_text)
-        for name in names:
-            closed.add_argument(f"--{name}", type=_int_at_least(0), required=True)
-        closed.set_defaults(func=_cmd_beta_closed)
-
-    expr = beta_kinds.add_parser(
-        "expr", parents=[common], help="evaluate beta of a set-expression JSON file"
+    commands = _commands(parser, "command")
+    commands.add_parser("beta", options=_beta_options, help="virtual Poincare polynomials")
+    commands.add_parser(
+        "zeta", options=_zeta_options, help="zeta series of a diagonal quadratic germ"
     )
-    expr.add_argument("source", help="path to expression JSON, or - for stdin")
-    expr.set_defaults(func=_cmd_beta_expr)
-
-    zeta = commands.add_parser(
-        "zeta", parents=[common], help="zeta series of a diagonal quadratic germ"
+    commands.add_parser(
+        "recover", options=_recover_options, help="square counts from signed T^2 coefficients"
     )
-    zeta.add_argument("--dim", type=int, required=True)
-    zeta.add_argument("--plus", type=int, required=True)
-    zeta.add_argument("--minus", type=int, required=True)
-    zeta.add_argument(
-        "--selector", choices=list(arcspace.SELECTORS), default=arcspace.NAIVE
+    commands.add_parser(
+        "recover-naive",
+        options=_recover_naive_options,
+        help="min/max from a naive T^2 coefficient",
     )
-    zeta.add_argument("--order", type=_int_at_least(1), default=6)
-    zeta.add_argument("--strata", action="store_true", help="dump the stratum reports")
-    zeta.set_defaults(func=_cmd_zeta)
-
-    recover = commands.add_parser(
-        "recover", parents=[common], help="square counts from signed T^2 coefficients"
+    commands.add_parser(
+        "inertia", options=_inertia_options, help="Hessian inertia of a polynomial germ"
     )
-    recover.add_argument("--plus-coeff", required=True, dest="plus_coeff")
-    recover.add_argument("--minus-coeff", required=True, dest="minus_coeff")
-    recover.set_defaults(func=_cmd_recover)
-
-    recover_naive = commands.add_parser(
-        "recover-naive", parents=[common], help="min/max from a naive T^2 coefficient"
+    commands.add_parser(
+        "split", options=_split_options, help="jet-level splitting of a singular germ"
     )
-    recover_naive.add_argument("--coeff", required=True)
-    recover_naive.set_defaults(func=_cmd_recover_naive)
-
-    poly = argparse.ArgumentParser(add_help=False, parents=[common])
-    poly.add_argument("--poly", required=True, help="germ text, file, or -")
-    poly.add_argument(
-        "--dim", type=_int_at_least(1), default=None, help="override variable count (>= 1)"
+    commands.add_parser(
+        "discriminate", options=_discriminate_options, help="compare zeta data of two germs"
     )
-
-    inertia = commands.add_parser(
-        "inertia", parents=[poly], help="Hessian inertia of a polynomial germ"
-    )
-    inertia.set_defaults(func=_cmd_inertia)
-
-    split = commands.add_parser(
-        "split", parents=[poly], help="jet-level splitting of a singular germ"
-    )
-    split.add_argument("--jet", type=_int_at_least(3), default=3, help="jet order (>= 3)")
-    split.set_defaults(func=_cmd_split)
-
-    discriminate = commands.add_parser(
-        "discriminate", parents=[common], help="compare zeta data of two germs"
-    )
-    discriminate.add_argument("--f", required=True, help="first germ text, file, or -")
-    discriminate.add_argument("--g", required=True, help="second germ text, file, or -")
-    discriminate.add_argument("--order", type=_int_at_least(1), default=6)
-    discriminate.set_defaults(func=_cmd_discriminate)
-
-    selfcheck = commands.add_parser(
-        "selfcheck", parents=[common], help="run the identity grids"
-    )
-    selfcheck.add_argument("--max", type=_int_at_least(2), default=12)
-    selfcheck.set_defaults(func=_cmd_selfcheck)
-
+    commands.add_parser("selfcheck", options=_selfcheck_options, help="run the identity grids")
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,6 +4,8 @@ The class name of each error is what the command line layer reports in its
 JSON failure envelope, so these names are part of the public interface.
 """
 
+import sys
+
 __all__ = [
     "ArcZetaError",
     "ZeroPolynomial",
@@ -18,6 +20,7 @@ __all__ = [
     "NotSingularAtOrigin",
     "NotSignatureForm",
     "DimensionMismatch",
+    "ResultTooLarge",
 ]
 
 
@@ -33,6 +36,23 @@ def brief_repr(value) -> str:
     """
     text = repr(value)
     return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
+
+
+def number_text(value) -> str:
+    """str(value) of an int or Fraction for output, or ResultTooLarge.
+
+    The interpreter refuses to convert an integer with more digits than
+    sys.get_int_max_str_digits() (4,300 by default), and that ValueError is
+    the only one str() of an int or a Fraction raises.  Renderers format
+    every coefficient through here, so such an answer ends in the envelope.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise ResultTooLarge(
+            "the answer has a number with more digits than the interpreter prints "
+            f"({sys.get_int_max_str_digits()})"
+        ) from None
 
 
 class ArcZetaError(Exception):
@@ -89,3 +109,7 @@ class NotSignatureForm(ArcZetaError):
 
 class DimensionMismatch(ArcZetaError):
     """Two germs that live in different ambient dimensions."""
+
+
+class ResultTooLarge(ArcZetaError):
+    """An answer holding a number longer than the interpreter's int/str digit limit."""

@@ -44,6 +44,7 @@ from .errors import (
     NotSignatureForm,
     NotSingularAtOrigin,
     brief_repr,
+    number_text,
 )
 
 __all__ = [
@@ -311,11 +312,11 @@ class PolynomialGerm:
                     factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
             mag = abs(coeff)
             if not factors:
-                body = str(mag)
+                body = number_text(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([number_text(mag)] + factors)
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -331,7 +332,7 @@ class PolynomialGerm:
         return {
             "nvars": self.nvars,
             "terms": [
-                [list(exps), str(self._terms[exps])]
+                [list(exps), number_text(self._terms[exps])]
                 for exps in sorted(self._terms, key=self._term_key)
             ],
         }

@@ -1,8 +1,10 @@
+import argparse
 import io
 import json
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,7 @@ import arczeta.cli as cli
 from arczeta import LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck
 from arczeta import germ as germs
 from arczeta.cli import run
-from arczeta.errors import NotSignatureForm
+from arczeta.errors import NotSignatureForm, ResultTooLarge, number_text
 
 
 def invoke(capsys, argv):
@@ -559,3 +561,203 @@ def test_over_long_numbers_end_in_the_envelope(capsys, argv, error):
     assert payload["error"] == error
     assert "too many digits" in payload["detail"]
     assert "Traceback" not in captured.err
+
+
+def test_an_infinite_json_coefficient_ends_in_the_envelope(capsys):
+    code, out = invoke(capsys, ["recover-naive", "--coeff", "[[0, Infinity]]", "--json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "MalformedExpression",
+        "detail": "cannot convert float infinity to integer",
+    }
+
+
+# Under the digit limit as input; the change split_jet builds from it has
+# numbers over the limit.
+_SEVENS = "7" * 2500
+_BIG_SPLIT = ["split", "--poly", f"{_SEVENS}*x1^2 + {_SEVENS}1*x1*x2 + x2^2"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_an_answer_too_long_to_print_ends_in_the_envelope(capsys, extra):
+    code = run(_BIG_SPLIT + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == json.dumps(
+        {
+            "detail": "the answer has a number with more digits than the interpreter "
+            f"prints ({sys.get_int_max_str_digits()})",
+            "error": "ResultTooLarge",
+        },
+        sort_keys=True,
+    ) + "\n"
+    assert captured.err == ""
+    # the inertia of the same germ prints no such number
+    assert invoke(capsys, ["inertia"] + _BIG_SPLIT[1:] + extra)[0] == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_number_text_turns_only_the_digit_limit_into_result_too_large():
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    assert number_text(Fraction(-3, 4)) == "-3/4"
+    assert number_text(7) == "7"
+    for value in (huge, Fraction(1, huge), -huge):
+        with pytest.raises(ResultTooLarge, match="more digits than the interpreter prints"):
+            number_text(value)
+    with pytest.raises(ResultTooLarge):
+        LaurentPolynomial({0: huge}).to_text()
+    with pytest.raises(ResultTooLarge):
+        germs.PolynomialGerm(1, {(2,): Fraction(1, huge)}).to_json()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_a_digit_limit_failure_outside_rendering_is_no_result_too_large(monkeypatch):
+    """Only the renderers answer ResultTooLarge; no error message is read."""
+
+    def failing(germ, jet_order):
+        return int("9" * (sys.get_int_max_str_digits() + 1))
+
+    monkeypatch.setattr(germs, "split_jet", failing)
+    with pytest.raises(ValueError):
+        run(["split", "--poly", "x1^2", "--json"])
+
+
+# ---------------------------------------------------------------------------
+# the parser: each run() builds the top level and its own command only
+# ---------------------------------------------------------------------------
+
+# Each argv that sets an option is next to the same command without it.
+ANSWERED_ARGVS = [
+    ["zeta", "--dim", "3", "--plus", "2", "--minus", "1", "--selector", "plus", "--order", "3",
+     "--json"],
+    ["zeta", "--dim", "3", "--plus", "2", "--minus", "1"],
+    ["inertia", "--poly", "x1^2 - x2*x3", "--dim", "5", "--json"],
+    ["inertia", "--poly", "x1^2 - x2*x3"],
+    ["split", "--poly", "x1^2 + 2*x1*x2^2 - x3^3", "--jet", "5", "--json"],
+    ["split", "--poly", "x1^2 + 2*x1*x2^2 - x3^3"],
+    ["discriminate", "--f", "x1^2 + x2^2", "--g", "x1^2 - x2^2", "--order", "4", "--json"],
+    ["discriminate", "--f", "x1^2 + x2^2", "--g", "x1^2 - x2^2"],
+    ["beta", "x1", "--s", "2", "--t", "1", "--json"],
+    ["beta", "x1", "--s", "2", "--t", "1"],
+]
+# usage errors (exit 2) and help (exit 0)
+INTERRUPTIONS = [
+    ["zeta", "--dim", "x", "--plus", "1", "--minus", "0"],
+    ["split", "--poly", "x1^2", "--jet", "2", "--json"],
+    ["--help"],
+    ["nonsense"],
+    ["split", "--help"],
+    [],
+]
+# every help text, and usage errors at each level
+PARSER_ARGVS = (
+    [["--help"], [], ["nonsense"], ["--json"], ["beta"], ["beta", "nope"], ["beta", "-h"]]
+    + [[command, "--help"] for command in ["zeta", "recover", "recover-naive", "inertia",
+                                           "split", "discriminate", "selfcheck"]]
+    + [["beta", kind, "--help"] for kind in ["x0", "x1", "xneg1", "z", "expr"]]
+    + [["beta", "x0", "--m", "2"], ["inertia", "--poly", "x1^2", "--bogus"], ["recover-naive"],
+       ["split", "--poly", "x1^2", "--js"], ["zeta", "--dim", "1", "--plus", "1", "--minus",
+                                              "0", "--selector", "bad"]]
+    + INTERRUPTIONS
+    + ANSWERED_ARGVS
+)
+
+
+def _outcome(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _counting_parser_builds(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, progs",
+    [
+        (["inertia", "--poly", "x1^2"], ["arczeta", "arczeta inertia"]),
+        (["split", "--help"], ["arczeta", "arczeta split"]),
+        (["beta", "x0", "--m", "2", "--M", "2"], ["arczeta", "arczeta beta", "arczeta beta x0"]),
+        (["beta", "nope"], ["arczeta", "arczeta beta"]),
+        (["--help"], ["arczeta"]),
+        (["nonsense"], ["arczeta"]),
+    ],
+)
+def test_a_request_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv, progs):
+    built = _counting_parser_builds(monkeypatch)
+    run(argv)
+    capsys.readouterr()
+    assert built == progs
+
+
+def test_deferred_parsers_behave_as_parsers_built_up_front(capsys, monkeypatch):
+    deferred = [_outcome(capsys, argv) for argv in PARSER_ARGVS]
+
+    def built_up_front(options, **kwargs):
+        parser = argparse.ArgumentParser(**kwargs)
+        options(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "_Deferred", built_up_front)
+    built = _counting_parser_builds(monkeypatch)
+    assert [_outcome(capsys, argv) for argv in PARSER_ARGVS] == deferred
+    assert built[:15] == [
+        "arczeta", "arczeta beta", "arczeta beta x0", "arczeta beta x1", "arczeta beta xneg1",
+        "arczeta beta z", "arczeta beta expr", "arczeta zeta", "arczeta recover",
+        "arczeta recover-naive", "arczeta inertia", "arczeta split", "arczeta discriminate",
+        "arczeta selfcheck", "arczeta",
+    ]
+
+
+def test_options_do_not_carry_into_the_next_call(capsys):
+    expected = [_outcome(capsys, argv) for argv in ANSWERED_ARGVS]
+    assert all(code == 0 for code, _, _ in expected)
+    cases = list(zip(ANSWERED_ARGVS, expected))
+    for argv, outcome in cases + cases[::-1]:
+        assert _outcome(capsys, argv) == outcome, argv
+
+
+def test_usage_errors_and_help_leave_later_answers_unchanged(capsys):
+    interrupted = [_outcome(capsys, argv) for argv in INTERRUPTIONS]
+    assert [code for code, _, _ in interrupted] == [2, 2, 0, 2, 0, 2]
+    expected = [_outcome(capsys, argv) for argv in ANSWERED_ARGVS]
+    for i, (argv, outcome) in enumerate(zip(ANSWERED_ARGVS, expected)):
+        k = i % len(INTERRUPTIONS)
+        assert _outcome(capsys, INTERRUPTIONS[k]) == interrupted[k], INTERRUPTIONS[k]
+        assert _outcome(capsys, argv) == outcome, argv
+    # help prints the same bytes every time
+    helps = {_outcome(capsys, ["--help"]) for _ in range(3)}
+    assert helps == {interrupted[2]}
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import arczeta.cli\n"
+        "print(len(built))\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "0\n"

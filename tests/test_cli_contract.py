@@ -1,12 +1,17 @@
 """The command-line contract on generated input.
 
 Every argv ends in exit 0, in exit 2 (a usage error), or in exit 1 with the
-two-key envelope {"error", "detail"}, and never in a traceback.  The inputs
-are well-formed germ text and set-expression JSON with stray characters,
-non-ASCII digits and digit runs longer than CPython's limit on int/str
-conversions spliced in.  No specific error is asserted for those runs:
-an interpreter without the limit may answer them.  hypothesis is a
-test-only tool; the module is skipped where it is not installed.
+two-key envelope {"error", "detail"}, and never in a traceback.  Every
+subcommand that reads input is covered: germ text and germ JSON (inertia,
+split, discriminate), set-expression JSON (beta expr), polynomial JSON
+(recover, recover-naive) and counts (zeta).  The inputs are well-formed
+with stray characters, non-finite JSON numbers, non-ASCII digits and digit
+runs longer than CPython's limit on int/str conversions spliced in.  No
+specific error is asserted for those runs: an interpreter without the
+limit may answer them.  Germ text for inertia and split and expression
+JSON for beta expr keep a test of their own, so the other commands add
+examples instead of sharing them.  hypothesis is a test-only tool; the
+module is skipped where it is not installed.
 """
 
 import contextlib
@@ -16,7 +21,9 @@ import sys
 
 import pytest
 
+from arczeta.arcspace import MINUS, PLUS, SELECTORS
 from arczeta.cli import run
+from arczeta.germ import Inertia, _t2_coefficients
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -38,6 +45,11 @@ EXPR_STRAYS = [
     "{", "}", "[", "]", ",", ":", "-", "0", "12", "2.5", "1e3", '"3"', "null", " ",
     '{"atom": "point"}', '"children": [', '"op": "product"', "\u00b2", LONG,
 ]
+# Non-finite numbers are valid input to Python's json module.
+JSON_STRAYS = EXPR_STRAYS + ["Infinity", "-Infinity", "NaN", "1e400", '"x"', '"1/2"', "\uff12"]
+# A 2,500-digit number is under the digit limit, but the change split_jet
+# builds from it has numbers over it.
+SEVENS = "7" * 2500
 
 FACTOR = st.builds(
     "{}{}".format, st.sampled_from(["x1", "x2", "x3"]), st.sampled_from(["", "^2", "^3"])
@@ -93,12 +105,92 @@ def _spliced(draw, text, strays):
     return text
 
 
+# Small polynomial JSON, and the T^2 coefficients of signature quadrics
+# (s + t <= 4), so that recover and recover-naive also get answerable input.
+POLY_TERM = st.tuples(st.integers(-6, 6), st.integers(-3, 3)).map(lambda t: [t[0], str(t[1])])
+T2 = [_t2_coefficients(Inertia(s, t, 0)) for s in range(5) for t in range(5 - s) if s + t]
+T2_JSON = [json.dumps(c[selector].to_json()) for c in T2 for selector in SELECTORS]
+POLY_JSON = st.one_of(st.sampled_from(T2_JSON), st.lists(POLY_TERM, max_size=4).map(json.dumps))
+# (plus, minus) pairs of one quadric, or of none
+RECOVER_PAIR = st.one_of(
+    st.sampled_from([(json.dumps(c[PLUS].to_json()), json.dumps(c[MINUS].to_json())) for c in T2]),
+    st.tuples(POLY_JSON, POLY_JSON),
+)
+
+
+@st.composite
+def _germ_json(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    coeff = st.sampled_from(["1", "-2", "1/2", "0", 3, -1])
+    terms = draw(st.lists(st.tuples(exps, coeff).map(list), max_size=4))
+    return json.dumps({"nvars": nvars, "terms": terms})
+
+
+GERM = st.one_of(_spliced(GERM_TEXT, GERM_STRAYS), _spliced(_germ_json(), JSON_STRAYS))
+NOT_COUNTS = st.sampled_from(["-1", "0", "x", "2.5", "", "\uff12", "0x3", LONG])
+
+
+def _count(low, high):
+    """low..high as text, or one time in eight something else."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda valid: st.integers(low, high).map(str) if valid else NOT_COUNTS
+    )
+
+
+# small sizes (zeta order <= 8, dim <= 6) keep the suite fast
+ORDER = _count(1, 8)
+ZETA = st.builds(
+    lambda dim, plus, minus, selector, order, strata: [
+        "zeta", f"--dim={dim}", f"--plus={plus}", f"--minus={minus}",
+        f"--selector={selector}", f"--order={order}",
+    ] + ["--strata"] * strata,
+    _count(0, 6),
+    _count(0, 3),
+    _count(0, 3),
+    st.sampled_from([*SELECTORS, "both"]),
+    ORDER,
+    st.booleans(),
+)
+SWAP_SIGNS = str.maketrans("+-", "-+")
+
+
+def _discriminate(f, g, order):
+    return ["discriminate", f"--f={f}", f"--g={g}", f"--order={order}"]
+
+
+# two germs, or one against itself with its signs swapped (most often in the
+# same variables, so the comparison runs)
+DISCRIMINATE = st.builds(_discriminate, GERM, GERM, ORDER) | st.builds(
+    lambda f, order: _discriminate(f, f.translate(SWAP_SIGNS), order), GERM, ORDER
+)
+RECOVER = RECOVER_PAIR.flatmap(
+    lambda pair: st.builds(
+        lambda plus, minus: ["recover", f"--plus-coeff={plus}", f"--minus-coeff={minus}"],
+        _spliced(st.just(pair[0]), JSON_STRAYS),
+        _spliced(st.just(pair[1]), JSON_STRAYS),
+    )
+)
+RECOVER_NAIVE = _spliced(POLY_JSON, JSON_STRAYS).map(
+    lambda text: ["recover-naive", f"--coeff={text}"]
+)
 ARGV = st.sampled_from(["inertia", "split", "expr"]).flatmap(
     lambda command: _spliced(EXPRESSION, EXPR_STRAYS).map(
         lambda text: ["beta", "expr", "--", text]
     )
     if command == "expr"
     else _spliced(GERM_TEXT, GERM_STRAYS).map(lambda text: [command, f"--poly={text}"])
+)
+OTHER_ARGV = st.one_of(
+    st.sampled_from(["inertia", "split"]).flatmap(
+        lambda command: _spliced(_germ_json(), JSON_STRAYS).map(
+            lambda text: [command, f"--poly={text}"]
+        )
+    ),
+    ZETA,
+    DISCRIMINATE,
+    RECOVER,
+    RECOVER_NAIVE,
 )
 
 
@@ -114,6 +206,15 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _check(argv, as_json):
+    words = 2 if argv[0] == "beta" else 1  # --json goes after the (sub)command
+    code, out, err = _run(argv[:words] + ["--json"] * as_json + argv[words:])
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert set(json.loads(out)) == {"error", "detail"}
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(argv=ARGV, as_json=st.booleans())
 @example(argv=["inertia", "--poly=x1^²"], as_json=True)
@@ -124,10 +225,17 @@ def _run(argv):
 @example(argv=["inertia", "--poly=x1^" + LONG], as_json=True)
 @example(argv=["beta", "expr", '{"atom": "affine_space", "k": ' + LONG + "}"], as_json=True)
 @example(argv=["recover", "--plus-coeff", f"[[0, {LONG}]]", "--minus-coeff", "[]"], as_json=True)
+@example(argv=["split", f"--poly={SEVENS}*x1^2 + {SEVENS}1*x1*x2 + x2^2"], as_json=True)
+@example(argv=["split", f"--poly={SEVENS}*x1^2 + {SEVENS}1*x1*x2 + x2^2"], as_json=False)
 def test_every_input_keeps_the_exit_code_contract(argv, as_json):
-    words = 2 if argv[0] == "beta" else 1  # --json goes after the (sub)command
-    code, out, err = _run(argv[:words] + ["--json"] * as_json + argv[words:])
-    assert "Traceback" not in err
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert set(json.loads(out)) == {"error", "detail"}
+    _check(argv, as_json)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=OTHER_ARGV, as_json=st.booleans())
+@example(argv=["recover", "--plus-coeff=[[0, Infinity]]", "--minus-coeff=[]"], as_json=True)
+@example(argv=["recover-naive", "--coeff=[[0, NaN]]"], as_json=False)
+@example(argv=["zeta", "--dim=2", "--plus=3", "--minus=0", "--order=8", "--strata"], as_json=True)
+@example(argv=["discriminate", "--f=x1^2", "--g=x1^2 + x2^2"], as_json=True)
+def test_every_other_command_keeps_the_exit_code_contract(argv, as_json):
+    _check(argv, as_json)

@@ -1,0 +1,115 @@
+"""Hessian inertia against sympy, used here as an independent oracle.
+
+For seeded random rational symmetric matrices, sympy builds the exact
+characteristic polynomial and counts its positive and negative roots with
+count_roots.  count_roots counts distinct roots, so it runs on each
+square-free factor (the zero root divided out) and is weighted by the
+factor's multiplicity.  Both routes of the package must give that count:
+hessian_inertia (congruence_diagonalize on the Hessian of the quadratic
+form) and charpoly_inertia.  The matrices include rank-deficient ones,
+ones with an all-zero diagonal and ones with repeated eigenvalues.  sympy
+is a test-only tool; the module is skipped where it is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from arczeta import PolynomialGerm, charpoly_inertia, congruence_diagonalize, hessian_inertia
+from util import random_symmetric
+
+sympy = pytest.importorskip("sympy")
+
+SEEDS = range(30)
+X = sympy.Symbol("x")
+
+
+def _sympy_inertia(matrix):
+    """(positive, negative, zero) eigenvalue counts, with multiplicity."""
+    entries = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in matrix]
+    charpoly = sympy.Poly(sympy.Matrix(entries).charpoly(X).as_expr(), X)
+    counts = [0, 0, 0]
+    for factor, multiplicity in charpoly.sqf_list()[1]:
+        if factor.eval(0) == 0:  # square-free, so x divides it once
+            counts[2] += multiplicity
+            factor = factor.exquo(sympy.Poly(X, X))
+        counts[0] += multiplicity * factor.count_roots(0, None)
+        counts[1] += multiplicity * factor.count_roots(None, 0)
+    assert sum(counts) == len(matrix)  # a symmetric matrix has only real eigenvalues
+    return tuple(counts)
+
+
+def _quadratic_form(matrix) -> PolynomialGerm:
+    """The germ x^T H x / 2, whose Hessian at the origin is H."""
+    n = len(matrix)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            exps = tuple((k == i) + (k == j) for k in range(n))
+            terms[exps] = matrix[i][i] / 2 if i == j else matrix[i][j]
+    return PolynomialGerm(n, terms)
+
+
+def _rank_deficient(rng, size):
+    """B^T D B with B of rank below size and D diagonal with signs of both kinds."""
+    rank = rng.randint(0, size - 1)
+    B = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(size)] for _ in range(rank)]
+    D = [rng.choice([-2, -1, 1, 3]) for _ in range(rank)]
+    return [
+        [sum(B[k][i] * D[k] * B[k][j] for k in range(rank)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _zero_diagonal(rng, size):
+    """Zero diagonal, random (possibly zero) off-diagonal entries."""
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            value = Fraction(rng.choice([0, rng.randint(-4, 4)]), rng.randint(1, 3))
+            matrix[i][j] = matrix[j][i] = value
+    return matrix
+
+
+def _repeated(rng, size):
+    """A diagonal of repeated values under a shear congruence."""
+    values = [Fraction(rng.choice([-1, 0, 2])) for _ in range(size)]
+    # P^T diag(values) P with P unit upper triangular keeps the inertia
+    P = [[Fraction(1 if i == j else (rng.randint(-2, 2) if j > i else 0)) for j in range(size)]
+         for i in range(size)]
+    return [
+        [sum(P[k][i] * values[k] * P[k][j] for k in range(size)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+MAKERS = {
+    "random": random_symmetric,
+    "rank-deficient": _rank_deficient,
+    "zero-diagonal": _zero_diagonal,
+    "repeated": _repeated,
+}
+
+
+@pytest.mark.parametrize("kind", MAKERS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_both_inertia_routes_match_sympy(kind, seed):
+    rng = random.Random(seed)
+    matrix = MAKERS[kind](rng, rng.randint(1, 6))
+    positive, negative, zero = _sympy_inertia(matrix)
+    germ = _quadratic_form(matrix)
+    assert germ.hessian() == matrix
+    inertia = hessian_inertia(germ)
+    assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)
+    _, diag = congruence_diagonalize(matrix)
+    assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (positive, negative)
+    assert charpoly_inertia(matrix) == (positive, negative)
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_the_zero_matrix_has_only_zero_eigenvalues(size):
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    assert _sympy_inertia(matrix) == (0, 0, size)
+    assert charpoly_inertia(matrix) == (0, 0)
+    assert hessian_inertia(_quadratic_form(matrix)).corank == size

@@ -336,9 +336,12 @@ class LaurentPolynomial:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"bad polynomial term {brief_repr(entry)}")
             exp, coeff = entry
-            if not isinstance(exp, int):
+            if not isinstance(exp, int) or isinstance(exp, bool):
                 raise ValueError(f"exponent must be an integer, got {brief_repr(exp)}")
-            terms[exp] = terms.get(exp, 0) + int(coeff)
+            value = int(coeff)  # a bad string or a non-finite float fails here
+            if isinstance(coeff, (float, bool)):  # int() would truncate or reinterpret it
+                raise ValueError(f"coefficient must be an integer, got {brief_repr(coeff)}")
+            terms[exp] = terms.get(exp, 0) + value
         return cls(terms)
 
 

@@ -91,20 +91,27 @@ def _cmd_beta_expr(args) -> int:
     return _emit(args, value.to_json(), value.to_text())
 
 
-def _stratum_payload(report) -> dict:
-    return {
-        "n": report.n,
-        "selector": report.selector,
-        "strata": [
-            {
-                "description": description,
-                "expression": scissor.expression_to_json(expression),
-                "beta": beta.to_json(),
-            }
+def _strata_json(series, reports) -> str:
+    """The text json.dumps(..., sort_keys=True) gives for the zeta --strata payload.
+
+    The strata of one request share most of their nodes, so the expressions
+    are written by scissor.expression_json_text with one memo for the whole
+    request; the wrappers below spell out the keys in sorted order.
+    """
+    memo: dict = {}
+    dumps = json.dumps
+    texts = []
+    for report in reports:
+        strata = ", ".join(
+            f'{{"beta": {dumps(beta.to_json())}, "description": {dumps(description)}, '
+            f'"expression": {scissor.expression_json_text(expression, memo)}}}'
             for (description, expression), beta in zip(report.strata, report.betas)
-        ],
-        "total_beta": report.total_beta.to_json(),
-    }
+        )
+        texts.append(
+            f'{{"n": {report.n}, "selector": {dumps(report.selector)}, "strata": [{strata}], '
+            f'"total_beta": {dumps(report.total_beta.to_json())}}}'
+        )
+    return f'{{"series": {dumps(series.to_json(), sort_keys=True)}, "strata": [{", ".join(texts)}]}}'
 
 
 def _cmd_zeta(args) -> int:
@@ -116,11 +123,7 @@ def _cmd_zeta(args) -> int:
     reports = [arcspace.stratify(germ, n, args.selector) for n in range(1, args.order + 1)]
     series = arcspace.series_from_reports(germ, reports)
     if args.json:
-        payload = {
-            "series": series.to_json(),
-            "strata": [_stratum_payload(report) for report in reports],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(_strata_json(series, reports))
         return 0
     # the text is built only when it is printed
     lines = [series.to_text()]

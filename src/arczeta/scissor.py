@@ -39,11 +39,13 @@ Two independent routes to beta of the affine quadrics are implemented.
 
 Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
-recompute identically.
+recompute identically, and expression_json_text fills only the memo its
+caller passes in.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -75,6 +77,7 @@ __all__ = [
     "cone_relation_check",
     "euler_characteristic",
     "expression_to_json",
+    "expression_json_text",
     "expression_from_json",
 ]
 
@@ -445,11 +448,49 @@ def expression_to_json(expression: SetExpression) -> dict:
     node = _node_type(expression)
     if node.kind == "atom":
         return {"atom": node.tag, **{name: getattr(expression, name) for name in node.fields}}
-    if node.fields:
-        children = [getattr(expression, slot) for slot in node.fields]
-    else:
-        children = expression.children
+    children = _children(node, expression)
     return {"op": node.tag, "children": [expression_to_json(child) for child in children]}
+
+
+def _children(node: _Node, expression) -> tuple:
+    """The children of a composite node, in JSON order."""
+    if node.fields:
+        return tuple(getattr(expression, slot) for slot in node.fields)
+    return expression.children
+
+
+def expression_json_text(expression: SetExpression, memo: dict) -> str:
+    """The text json.dumps(expression_to_json(expression), sort_keys=True) gives.
+
+    Each distinct node is turned into text once per memo, so an output that
+    repeats shared nodes (the strata of zeta --strata share most of theirs)
+    costs one rendering per node instead of one per occurrence.  The caller
+    makes the memo and drops it with the request: nothing is kept here.
+    Composites are keyed by id, which is sound only while every node
+    rendered with the memo stays alive, so a memo must not outlive the
+    expressions it was used on.  Atoms are keyed by value, because equal
+    atoms are built again and again.
+    """
+    return _json_text(expression, memo)
+
+
+def _json_text(expression, memo: dict) -> str:
+    node = _node_type(expression)
+    key = expression if node.kind == "atom" else id(expression)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    if node.kind == "atom":
+        text = json.dumps(expression_to_json(expression), sort_keys=True)
+    else:
+        # a run of one repeated child object is rendered once and repeated
+        parts = []
+        for _, run in groupby(_children(node, expression), key=id):
+            run = list(run)
+            parts += [_json_text(run[0], memo)] * len(run)
+        text = '{"children": [' + ", ".join(parts) + '], "op": "' + node.tag + '"}'
+    memo[key] = text
+    return text
 
 
 def _tagged(kind: str, tag) -> type:

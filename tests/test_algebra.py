@@ -112,6 +112,34 @@ def test_json_round_trip():
         assert LaurentPolynomial.from_json(data) == p
 
 
+def test_json_reads_integer_and_decimal_string_coefficients():
+    expected = LaurentPolynomial({0: 1, -1: -1})
+    assert LaurentPolynomial.from_json([[0, "1"], [-1, "-1"]]) == expected
+    assert LaurentPolynomial.from_json([[0, 1], [-1, -1]]) == expected
+    assert LaurentPolynomial.from_json([[0, 2], [0, "-1"], [-1, "-1"]]) == expected
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        ([[0, 1.9], [-1, -1.5]], "coefficient must be an integer, got 1.9"),
+        ([[0, 2.0]], "coefficient must be an integer, got 2.0"),
+        ([[0, True], [-1, "-1"]], "coefficient must be an integer, got True"),
+        ([[0, False]], "coefficient must be an integer, got False"),
+        ([[True, "1"]], "exponent must be an integer, got True"),
+        ([[1.0, "1"]], "exponent must be an integer, got 1.0"),
+        # int()'s own message, which the command line reports as it is
+        ([[0, "x"]], "invalid literal for int() with base 10: 'x'"),
+        ([[0, "1.5"]], "invalid literal for int() with base 10: '1.5'"),
+        ([[0, float("nan")]], "cannot convert float NaN to integer"),
+    ],
+)
+def test_json_refuses_coefficients_it_would_truncate(data, detail):
+    with pytest.raises(ValueError) as caught:
+        LaurentPolynomial.from_json(data)
+    assert str(caught.value) == detail
+
+
 def test_series_examples():
     t2 = TruncatedSeries(4, {2: ONE})
     assert t2 + t2 == TruncatedSeries(4, {2: LaurentPolynomial.constant(2)})

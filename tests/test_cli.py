@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 import types
@@ -499,6 +500,103 @@ def test_zeta_strata_json_renders_no_text(capsys, monkeypatch):
         run(ZETA_STRATA)
 
 
+def _stratum_payload(report) -> dict:
+    """The dict the command line built for one report before it wrote text directly."""
+    return {
+        "n": report.n,
+        "selector": report.selector,
+        "strata": [
+            {
+                "description": description,
+                "expression": scissor.expression_to_json(expression),
+                "beta": beta.to_json(),
+            }
+            for (description, expression), beta in zip(report.strata, report.betas)
+        ],
+        "total_beta": report.total_beta.to_json(),
+    }
+
+
+def _reference_strata_output(dim, plus, minus, selector, order) -> str:
+    """zeta --strata --json as the dict tree and json.dumps render it."""
+    germ = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
+    reports = [arcspace.stratify(germ, n, selector) for n in range(1, order + 1)]
+    payload = {
+        "series": arcspace.series_from_reports(germ, reports).to_json(),
+        "strata": [_stratum_payload(report) for report in reports],
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _strata_argv(dim, plus, minus, selector, order):
+    return [
+        "zeta", "--strata", "--json", "--dim", str(dim), "--plus", str(plus),
+        "--minus", str(minus), "--selector", selector, "--order", str(order),
+    ]
+
+
+def _strata_germs():
+    """(dim, plus, minus): rank = dim (no z-block), plus = 0 and minus = 0
+    (empty level sets), ranks up to 16, and a seeded draw like the benchmark's."""
+    cases = [(1, 1, 0), (1, 0, 1), (3, 3, 0), (2, 0, 2), (4, 2, 2), (16, 9, 7), (16, 0, 16)]
+    rng = random.Random(21)
+    for _ in range(3):
+        dim = rng.randint(1, 16)
+        rank = rng.randint(1, dim)
+        plus = rng.randint(0, rank)
+        cases.append((dim, plus, rank - plus))
+    return cases
+
+
+STRATA_GRID = [
+    (*germ, selector, order)
+    for germ in _strata_germs()
+    for selector in arcspace.SELECTORS
+    for order in (1, 2, 3, 40)
+    # order 40 on the large germs only, to keep the grid fast
+    if order < 40 or germ[0] >= 4
+]
+
+
+@pytest.mark.parametrize("request_", STRATA_GRID, ids=["-".join(map(str, r)) for r in STRATA_GRID])
+def test_zeta_strata_json_matches_the_dict_tree_byte_for_byte(capsys, request_):
+    assert invoke(capsys, _strata_argv(*request_)) == (0, _reference_strata_output(*request_))
+
+
+def test_zeta_strata_json_replays_forward_and_backward_in_one_process(capsys):
+    requests = [r for r in STRATA_GRID if r[-1] in (3, 40)][::5]
+    cases = [(request_, _reference_strata_output(*request_)) for request_ in requests]
+    for request_, expected in cases + cases[::-1]:
+        assert invoke(capsys, _strata_argv(*request_)) == (0, expected), request_
+
+
+def _package_caches():
+    """Every functools cache on a module of the package, found as the benchmark finds them."""
+    return {
+        value
+        for name, module in list(sys.modules.items())
+        if name == "arczeta" or name.startswith("arczeta.")
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_info", None))
+        and callable(getattr(value, "cache_clear", None))
+    }
+
+
+def _module_state(module):
+    return {
+        name: len(value) if isinstance(value, (dict, list, set)) else None
+        for name, value in vars(module).items()
+    }
+
+
+def test_zeta_strata_json_keeps_no_state_after_the_request(capsys):
+    before = {module: _module_state(module) for module in (cli, scissor)}
+    code, _ = invoke(capsys, _strata_argv(16, 9, 7, "naive", 40))
+    assert code == 0
+    assert _package_caches() == {scissor._beta_quadric}
+    assert {module: _module_state(module) for module in (cli, scissor)} == before
+
+
 def test_split_json_renders_no_text(capsys, monkeypatch):
     def no_text(self):
         raise AssertionError("to_text called for --json output")
@@ -570,6 +668,23 @@ def test_an_infinite_json_coefficient_ends_in_the_envelope(capsys):
         "error": "MalformedExpression",
         "detail": "cannot convert float infinity to integer",
     }
+
+
+NON_INTEGER_COEFFICIENTS = {
+    "floats": ["recover-naive", "--coeff", "[[0, 1.9], [-1, -1.5]]"],
+    "bool-and-string": ["recover-naive", "--coeff", '[[0, true], [-1, "-1"]]'],
+    "bool-exponent": ["recover-naive", "--coeff", '[[true, "1"], [-1, "-1"]]'],
+    "integral-float": ["recover", "--plus-coeff", "[[-2, 1.0], [-1, 1]]", "--minus-coeff", "[]"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", NON_INTEGER_COEFFICIENTS.values(), ids=NON_INTEGER_COEFFICIENTS.keys()
+)
+def test_a_non_integer_json_coefficient_ends_in_the_envelope(capsys, argv):
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == 1
+    assert json.loads(out)["error"] == "MalformedExpression"
 
 
 # Under the digit limit as input; the change split_jet builds from it has

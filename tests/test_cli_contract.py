@@ -235,6 +235,10 @@ def test_every_input_keeps_the_exit_code_contract(argv, as_json):
 @given(argv=OTHER_ARGV, as_json=st.booleans())
 @example(argv=["recover", "--plus-coeff=[[0, Infinity]]", "--minus-coeff=[]"], as_json=True)
 @example(argv=["recover-naive", "--coeff=[[0, NaN]]"], as_json=False)
+@example(argv=["recover-naive", "--coeff=[[0, 1.9], [-1, -1.5]]"], as_json=True)
+@example(argv=["recover-naive", '--coeff=[[0, true], [-1, "-1"]]'], as_json=True)
+@example(argv=["recover-naive", '--coeff=[[true, "1"], [-1, "-1"]]'], as_json=False)
+@example(argv=["recover", "--plus-coeff=[[-2, 1.0], [-1, 1]]", "--minus-coeff=[]"], as_json=True)
 @example(argv=["zeta", "--dim=2", "--plus=3", "--minus=0", "--order=8", "--strata"], as_json=True)
 @example(argv=["discriminate", "--f=x1^2", "--g=x1^2 + x2^2"], as_json=True)
 def test_every_other_command_keeps_the_exit_code_contract(argv, as_json):

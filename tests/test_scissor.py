@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -377,6 +378,24 @@ def test_expression_json_round_trip():
     assert expression_from_json(
         {"atom": "quadric_affine", "c": 1, "s": 2, "t": 1}
     ) == QuadricAffine(1, 2, 1)
+
+
+def test_expression_json_text_is_the_sorted_dumps_of_expression_to_json():
+    rng = random.Random(16180)
+    memo = {}
+    kept = []  # the memo keys composites by id, so every node it saw stays alive
+    for _ in range(200):
+        expression = _random_expression(rng, 3)
+        if kept and rng.random() < 0.5:
+            # a node shared across expressions and repeated in a run, and an
+            # atom whose keys sort differently from its fields, built anew
+            shared = rng.choice(kept)
+            expression = Product((shared, shared, expression, QuadricProjective(2, 1), shared))
+        kept.append(expression)
+        text = scissor.expression_json_text(expression, memo)
+        assert text == json.dumps(expression_to_json(expression), sort_keys=True)
+        assert scissor.expression_json_text(expression, {}) == text
+    assert scissor.expression_json_text(EMPTY, memo) == '{"children": [], "op": "disjoint_union"}'
 
 
 # ---------------------------------------------------------------------------

@@ -368,14 +368,14 @@ class TruncatedSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coefficients: Mapping[int, LaurentPolynomial] = ()):
-        if not isinstance(order, int) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise ValueError("truncation order must be a positive integer")
         items = (
             coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         )
         clean: dict[int, LaurentPolynomial] = {}
         for n, poly in items:
-            if not isinstance(n, int) or n < 1 or n > order:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n > order:
                 raise ValueError(f"series index {n!r} outside 1..{order}")
             if not isinstance(poly, LaurentPolynomial):
                 raise TypeError("coefficients must be LaurentPolynomial")
@@ -491,8 +491,12 @@ class TruncatedSeries:
     def from_json(cls, data) -> "TruncatedSeries":
         if not isinstance(data, dict) or "order" not in data:
             raise ValueError("series JSON must be an object with 'order' and 'terms'")
-        coeffs = {
-            int(n): LaurentPolynomial.from_json(poly)
-            for n, poly in data.get("terms", [])
-        }
+        coeffs: dict[int, LaurentPolynomial] = {}
+        for entry in data.get("terms", []):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"bad series term {brief_repr(entry)}")
+            n, poly = entry
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"series index must be an integer, got {brief_repr(n)}")
+            coeffs[n] = coeffs.get(n, ZERO) + LaurentPolynomial.from_json(poly)
         return cls(data["order"], coeffs)

@@ -33,6 +33,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 
 from .algebra import ZERO, LaurentPolynomial
 from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
@@ -83,12 +84,12 @@ class PolynomialGerm:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
-        if not isinstance(nvars, int) or nvars < 1:
+        if type(nvars) is not int or nvars < 1:  # a bool is no count
             raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
         sums: dict[tuple, Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
-            if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {brief_repr(exps)} for {nvars} variables")
             sums[exps] = sums.get(exps, 0) + Fraction(coeff)
         clean = PolynomialGerm._of(nvars, sums)._terms
@@ -188,15 +189,9 @@ class PolynomialGerm:
     __rmul__ = __mul__
 
     def _mul_trunc(self, other: "PolynomialGerm", max_degree: int | None) -> "PolynomialGerm":
-        sums: dict[tuple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other._terms.items():
-                if max_degree is not None and d1 + sum(e2) > max_degree:
-                    continue
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                sums[exps] = sums.get(exps, 0) + c1 * c2
-        return PolynomialGerm._of(self.nvars, sums)
+        limit = float("inf") if max_degree is None else max_degree
+        product = _product(_graded(self._terms), _graded(other._terms), limit, {})
+        return PolynomialGerm._of(self.nvars, product)
 
     def _pow_trunc(self, n: int, max_degree: int | None) -> "PolynomialGerm":
         result = None
@@ -222,52 +217,50 @@ class PolynomialGerm:
     # -- substitution -------------------------------------------------------
 
     def substitute(
-        self, replacements: Sequence["PolynomialGerm"], max_degree: int | None = None
+        self,
+        replacements: Sequence["PolynomialGerm"] | Mapping[int, "PolynomialGerm"],
+        max_degree: int | None = None,
     ) -> "PolynomialGerm":
-        """Compose with the map x_i -> replacements[i], all in the same space.
+        """Compose with x_i -> replacements[i], all in the same space.
 
-        Each replacement must itself vanish at the origin, so composition
-        preserves germs and cannot lower the total degree of a term.
+        replacements holds one germ per variable, or maps {index: germ} and
+        fixes every other variable.  The result is the full composition less
+        its terms of degree > max_degree.  Replacements vanish at the origin,
+        so no term loses degree: terms of f above max_degree are never
+        expanded, and every product term is cut at max_degree.
         """
-        if len(replacements) != self.nvars:
-            raise ValueError("need one replacement polynomial per variable")
-        for replacement in replacements:
+        if not isinstance(replacements, Mapping):
+            if len(replacements) != self.nvars:
+                raise ValueError("need one replacement polynomial per variable")
+            replacements = dict(enumerate(replacements))
+        for index, replacement in replacements.items():
+            if type(index) is not int or not 0 <= index < self.nvars:
+                raise ValueError(f"variable index {brief_repr(index)} outside 0..{self.nvars - 1}")
             self._same_space(replacement)
+        limit = float("inf") if max_degree is None else max_degree
         sums: dict[tuple, Fraction] = {}
+        powers: dict[tuple, list] = {}  # (index, exponent) -> graded replacement**exponent
         for exps, coeff in self._terms.items():
-            piece = None
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                factor = replacements[i]._pow_trunc(e, max_degree)
-                piece = factor if piece is None else piece._mul_trunc(factor, max_degree)
-            for pexps, pcoeff in piece._terms.items():
-                sums[pexps] = sums.get(pexps, 0) + coeff * pcoeff
-        return PolynomialGerm._of(self.nvars, sums)
-
-    def substitute_single(
-        self, index: int, replacement: "PolynomialGerm", max_degree: int | None = None
-    ) -> "PolynomialGerm":
-        """Compose with the map that rewrites one variable and fixes the rest."""
-        self._same_space(replacement)
-        sums: dict[tuple, Fraction] = {}
-        powers: dict[int, PolynomialGerm] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[index]
-            if not e:
-                if max_degree is None or sum(exps) <= max_degree:
-                    sums[exps] = sums.get(exps, 0) + coeff
+            degree = sum(exps)
+            if degree > limit:
                 continue
-            if e not in powers:
-                powers[e] = replacement._pow_trunc(e, max_degree)
-            rest = list(exps)
-            rest[index] = 0
-            rest_degree = sum(rest)
-            for pexps, pcoeff in powers[e]._terms.items():
-                if max_degree is not None and rest_degree + sum(pexps) > max_degree:
-                    continue
-                key = tuple(a + b for a, b in zip(rest, pexps))
-                sums[key] = sums.get(key, 0) + coeff * pcoeff
+            rest, factors = list(exps), []
+            for i in replacements:
+                e = exps[i]
+                if e:
+                    rest[i], degree = 0, degree - e
+                    if (i, e) not in powers:
+                        powers[i, e] = _graded(replacements[i]._pow_trunc(e, max_degree)._terms)
+                    factors.append(powers[i, e])
+            if not factors:
+                sums[exps] = sums.get(exps, 0) + coeff
+                continue
+            # the monomial of the fixed variables times the factors; the last
+            # product goes straight into sums
+            piece = [(tuple(rest), degree, coeff)]
+            for factor in factors[:-1]:
+                piece = _graded(_product(piece, factor, limit, {}))
+            _product(piece, factors[-1], limit, sums)
         return PolynomialGerm._of(self.nvars, sums)
 
     @classmethod
@@ -354,6 +347,21 @@ class PolynomialGerm:
                 raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
             terms[exps] = terms.get(exps, 0) + value
         return cls(nvars, terms)
+
+
+def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
+    """The terms as (exps, degree, coeff) triples, for _product."""
+    return [(exps, sum(exps), coeff) for exps, coeff in terms.items()]
+
+
+def _product(piece: list, factor: list, limit: float, sums: dict) -> dict:
+    """Add to sums the terms of degree <= limit of piece * factor, two _graded lists."""
+    for e1, d1, c1 in piece:
+        for e2, d2, c2 in factor:
+            if d1 + d2 <= limit:
+                key = tuple(map(add, e1, e2))
+                sums[key] = sums.get(key, 0) + c1 * c2
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -752,23 +760,14 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
             scale = 1 / rho
         columns.append([P[r][old_index] * scale for r in range(nv)])
 
+    units = [tuple(1 if j == c else 0 for j in range(nv)) for c in range(nv)]
     change = [
-        PolynomialGerm(
-            nv,
-            {
-                tuple(1 if j == c else 0 for j in range(nv)): columns[c][i]
-                for c in range(nv)
-                if columns[c][i]
-            },
-        )
+        PolynomialGerm._of(nv, {units[c]: columns[c][i] for c in range(nv)})
         for i in range(nv)
     ]
-    current = germ.truncate(jet_order).substitute(change, max_degree=jet_order)
+    current = germ.substitute(change, max_degree=jet_order)
 
-    diagonal_coeff = []
-    for i in range(rank):
-        exps = tuple(2 if j == i else 0 for j in range(nv))
-        diagonal_coeff.append(current.coefficient(exps))
+    diagonal_coeff = [current.coefficient(tuple(2 * e for e in units[i])) for i in range(rank)]
 
     # One pass per degree: an absorption x_p -> x_p - c/(2 l_p) m at degree d
     # cancels only its own term, and every term it creates has degree >= d + 1,
@@ -781,15 +780,11 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
                 continue
             rest = list(exps)
             rest[pivot] -= 1
-            shift = PolynomialGerm(
-                nv, {tuple(rest): coeff / (2 * diagonal_coeff[pivot])}
-            )
-            replacement = PolynomialGerm.variable(nv, pivot) - shift
-            current = current.substitute_single(pivot, replacement, jet_order)
-            change = [
-                component.substitute_single(pivot, replacement, jet_order)
-                for component in change
-            ]
+            # x_p - c/(2 l_p) * m: two distinct terms, as m has degree >= 2
+            terms = {units[pivot]: Fraction(1), tuple(rest): -coeff / (2 * diagonal_coeff[pivot])}
+            replacement = {pivot: PolynomialGerm._of(nv, terms)}
+            current = current.substitute(replacement, jet_order)
+            change = [component.substitute(replacement, jet_order) for component in change]
 
     quadratic_part = PolynomialGerm._of(nv, current.terms_of_degree(2))
     remainder = current - quadratic_part
@@ -822,7 +817,7 @@ def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
     if determinant(linear_part(result.change)) == 0:
         return False
     jet = result.jet_order
-    composed = germ.truncate(jet).substitute(result.change, max_degree=jet)
+    composed = germ.substitute(result.change, max_degree=jet)
     residual = composed - result.quadratic_part - result.remainder
     if any(sum(exps) <= jet for exps in residual.terms()):
         return False

@@ -195,6 +195,39 @@ def test_series_text_and_json_round_trip():
         assert TruncatedSeries.from_json(series.to_json()) == series
 
 
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        ({"order": 3, "terms": [[1.9, [[0, "1"]]]]}, "series index must be an integer, got 1.9"),
+        ({"order": 3, "terms": [[2.0, [[0, "1"]]]]}, "series index must be an integer, got 2.0"),
+        ({"order": 3, "terms": [["2", [[0, "1"]]]]}, "series index must be an integer, got '2'"),
+        ({"order": 3, "terms": [[True, [[0, "1"]]]]}, "series index must be an integer, got True"),
+        ({"order": 3, "terms": [[1]]}, "bad series term [1]"),
+        ({"order": True, "terms": []}, "truncation order must be a positive integer"),
+        ({"order": 3, "terms": [[4, [[0, "1"]]]]}, "series index 4 outside 1..3"),
+    ],
+)
+def test_series_json_refuses_what_it_would_truncate_or_reinterpret(data, detail):
+    with pytest.raises(ValueError) as caught:
+        TruncatedSeries.from_json(data)
+    assert str(caught.value) == detail
+
+
+def test_series_refuses_a_bool_order_or_index():
+    with pytest.raises(ValueError, match="truncation order"):
+        TruncatedSeries(True)
+    with pytest.raises(ValueError, match="series index True outside 1..3"):
+        TruncatedSeries(3, {True: ONE})
+
+
+def test_series_json_adds_the_coefficients_of_a_repeated_index():
+    data = {"order": 3, "terms": [[1, [[0, "1"]]], [2, [[1, "1"]]], [1, [[0, "2"], [1, "-1"]]]]}
+    expected = TruncatedSeries(3, {1: LaurentPolynomial({0: 3, 1: -1}), 2: U})
+    assert TruncatedSeries.from_json(data) == expected
+    cancelled = {"order": 3, "terms": [[2, [[0, "1"]]], [2, [[0, "-1"]]]]}
+    assert TruncatedSeries.from_json(cancelled).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # single-term fast paths, against the generic double loop
 # ---------------------------------------------------------------------------

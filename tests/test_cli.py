@@ -266,6 +266,8 @@ BAD_GERM_JSON = [
     '{"nvars": 1, "terms": [[[2], "1/0"]]}',
     '{"nvars": 2, "terms": [[[2], "1"]]}',
     '{"nvars": "2", "terms": [[[2, 0], "1"]]}',
+    '{"nvars": 2, "terms": [[[true, 1], "1"]]}',  # not read as x1*x2
+    '{"nvars": true, "terms": [[[2], "1"]]}',  # not read as one variable
 ]
 
 

@@ -241,5 +241,7 @@ def test_every_input_keeps_the_exit_code_contract(argv, as_json):
 @example(argv=["recover", "--plus-coeff=[[-2, 1.0], [-1, 1]]", "--minus-coeff=[]"], as_json=True)
 @example(argv=["zeta", "--dim=2", "--plus=3", "--minus=0", "--order=8", "--strata"], as_json=True)
 @example(argv=["discriminate", "--f=x1^2", "--g=x1^2 + x2^2"], as_json=True)
+@example(argv=["inertia", '--poly={"nvars": 2, "terms": [[[true, 1], "1"]]}'], as_json=True)
+@example(argv=["inertia", '--poly={"nvars": true, "terms": [[[2], "1"]]}'], as_json=True)
 def test_every_other_command_keeps_the_exit_code_contract(argv, as_json):
     _check(argv, as_json)

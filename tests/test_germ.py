@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import replace
@@ -144,6 +145,22 @@ def test_germ_json_round_trip():
     assert f.terms() == {(2, 0): Fraction(1), (0, 2): Fraction(-3, 2)}
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('{"nvars": 2, "terms": [[[true, 1], "1"]]}', "bad exponent vector (True, 1)"),
+        ('{"nvars": 2, "terms": [[[2, false], "1"]]}', "bad exponent vector (2, False)"),
+        ('{"nvars": true, "terms": [[[2], "1"]]}', "nvars must be a positive integer, got True"),
+    ],
+)
+def test_germ_json_refuses_booleans_as_integers(text, detail):
+    with pytest.raises(InvalidGerm) as info:
+        parse_germ(text)
+    assert detail in str(info.value)
+    with pytest.raises(ValueError, match="bad exponent vector|nvars must"):
+        PolynomialGerm.from_json(json.loads(text))
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -158,34 +175,55 @@ def test_substitution_refuses_another_variable_count(max_degree):
     with pytest.raises(ValueError, match="different variable counts"):
         germ.substitute([PolynomialGerm.variable(2, 0), other], max_degree)
     with pytest.raises(ValueError, match="different variable counts"):
-        germ.substitute_single(0, other, max_degree)
+        germ.substitute({0: other}, max_degree)
     # a replacement the germ does not use is still checked
     with pytest.raises(ValueError, match="different variable counts"):
-        parse_germ("x1^2", nvars=2).substitute_single(1, other, max_degree)
+        parse_germ("x1^2", nvars=2).substitute({1: other}, max_degree)
+    with pytest.raises(ValueError, match="one replacement polynomial per variable"):
+        germ.substitute([PolynomialGerm.variable(2, 0)], max_degree)
+
+
+@pytest.mark.parametrize("max_degree", [None, 4])
+@pytest.mark.parametrize("index", [2, -1, 7, True, "0", 0.0, None])
+def test_substitution_refuses_a_key_that_names_no_variable(index, max_degree):
+    germ = parse_germ("x1^2 - x2^3")
+    with pytest.raises(ValueError, match="variable index .* outside 0..1"):
+        germ.substitute({index: PolynomialGerm.variable(2, 0)}, max_degree)
+
+
+def test_partial_substitution_is_exact_at_max_degree():
+    germ = parse_germ("x1 + x2^2")
+    change = [parse_germ("x1 + x1^5", nvars=2), PolynomialGerm.variable(2, 1)]
+    assert germ.substitute(change, 3) == germ
+    assert germ.substitute({0: change[0]}, 3) == germ
+    assert germ.substitute({0: change[0]}) == parse_germ("x1 + x2^2 + x1^5")
+    assert germ.substitute({}, 1) == parse_germ("x1", nvars=2)
 
 
 def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
     rng = random.Random(5)
     f, g = random_singular_germ(rng, 3), random_singular_germ(rng, 3)
     change = linear_change(random_invertible(rng, 3), 3)
-    calls = []
-    validating = PolynomialGerm.__init__
+    split_germs = [parse_germ(text) for text in ("x1^2 + 2*x1*x2^2", "x1*x2 + x2^3")]
+    split_germs += [random_singular_germ(rng, rng.randint(2, 4), 5) for _ in range(6)]
+    splits = [(germ, jet, split_jet(germ, jet).to_json()) for germ in split_germs for jet in (3, 6)]
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        validating(self, *args, **kwargs)
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"validating constructor called with {args}")
 
-    monkeypatch.setattr(PolynomialGerm, "__init__", counted)
+    monkeypatch.setattr(PolynomialGerm, "__init__", refuse)
     results = [
         f + g, f - g, -f, f * g, f.scaled(Fraction(-3, 2)), f.scaled(0), f.truncate(3),
         f.substitute(change), f.substitute(change, 4),
-        f.substitute_single(1, g), f.substitute_single(1, g, 4),
+        f.substitute({1: g}), f.substitute({1: g}, 4), f.substitute({0: g, 2: f}, 5),
     ]
-    assert calls == []
     assert f.scaled(0).is_zero() and (f - f).is_zero()
     for result in results:
         assert 0 not in result.terms().values()
         assert all(len(exps) == 3 and sum(exps) > 0 for exps in result.terms())
+    for germ, jet, expected in splits:
+        result = split_jet(germ, jet)
+        assert result.to_json() == expected and verify_split(germ, result)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +455,45 @@ def test_verify_split_agrees_with_the_untruncated_oracle():
     assert verdicts == {True, False}
 
 
+def _compose_by_ring_operations(germ, change):
+    """f(change(x)) through + and * alone: no substitute."""
+    total = PolynomialGerm.zero(germ.nvars)
+    for exps, coeff in germ.terms().items():
+        term = None
+        for component, e in zip(change, exps):
+            for _ in range(e):
+                term = component if term is None else term * component
+        total = total + term.scaled(coeff)
+    return total
+
+
+def _substitute_single(germ, index, replacement, max_degree):
+    """x_index -> replacement with the other variables fixed, truncated at max_degree.
+
+    The single-variable loop split_jet used before substitute took a partial
+    map, kept here so that the reference below does not share its engine.
+    """
+    sums = {}
+    powers = {}
+    for exps, coeff in germ.terms().items():
+        e = exps[index]
+        if not e:
+            if sum(exps) <= max_degree:
+                sums[exps] = sums.get(exps, 0) + coeff
+            continue
+        if e not in powers:
+            powers[e] = replacement._pow_trunc(e, max_degree)
+        rest = list(exps)
+        rest[index] = 0
+        rest_degree = sum(rest)
+        for pexps, pcoeff in powers[e].terms().items():
+            if rest_degree + sum(pexps) > max_degree:
+                continue
+            key = tuple(a + b for a, b in zip(rest, pexps))
+            sums[key] = sums.get(key, 0) + coeff * pcoeff
+    return PolynomialGerm(germ.nvars, sums)
+
+
 def _split_jet_rescanning(germ, jet_order):
     """split_jet as it was, rescanning a degree after every absorption (the reference)."""
     _require_singular(germ)
@@ -450,7 +527,7 @@ def _split_jet_rescanning(germ, jet_order):
         )
         for i in range(nv)
     ]
-    current = germ.truncate(jet_order).substitute(change, max_degree=jet_order)
+    current = _compose_by_ring_operations(germ.truncate(jet_order), change)
     diagonal_coeff = []
     for i in range(rank):
         exps = tuple(2 if j == i else 0 for j in range(nv))
@@ -471,9 +548,9 @@ def _split_jet_rescanning(germ, jet_order):
             rest[pivot] -= 1
             shift = PolynomialGerm(nv, {tuple(rest): coeff / (2 * diagonal_coeff[pivot])})
             replacement = PolynomialGerm.variable(nv, pivot) - shift
-            current = current.substitute_single(pivot, replacement, jet_order)
+            current = _substitute_single(current, pivot, replacement, jet_order)
             change = [
-                component.substitute_single(pivot, replacement, jet_order)
+                _substitute_single(component, pivot, replacement, jet_order)
                 for component in change
             ]
     quadratic_part = PolynomialGerm(nv, current.terms_of_degree(2))

@@ -81,16 +81,53 @@ def test_substitute_matches_sympy(seed):
             assert f.substitute(change, max_degree).terms() == _term_map(composed, xs, max_degree)
 
 
+def _with_linear_terms(rng, f):
+    """f plus a random nonzero linear form, so some terms of f are a lone x_i."""
+    return f + linear_change(random_invertible(rng, f.nvars), f.nvars)[0]
+
+
+def _high_changes(rng, nvars):
+    """Changes whose components reach past every max_degree tried (degree up to 6)."""
+    linear = linear_change(random_invertible(rng, nvars), nvars)
+    return [component + random_singular_germ(rng, nvars, 6) for component in linear]
+
+
+def _compare(f, replacements, xs, max_degrees=(1, 2, 3, 4)):
+    """substitute against sympy, untruncated and at each max_degree."""
+    fx = _expr(f, xs)
+    mapping = replacements if isinstance(replacements, dict) else dict(enumerate(replacements))
+    composed = fx.xreplace({xs[i]: _expr(r, xs) for i, r in mapping.items()})
+    full = f.substitute(replacements)
+    assert full.terms() == _term_map(composed, xs)
+    for max_degree in max_degrees:
+        truncated = f.substitute(replacements, max_degree)
+        assert truncated == full.truncate(max_degree)
+        assert truncated.terms() == _term_map(composed, xs, max_degree)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substitute_with_linear_terms_and_high_changes_truncates_exactly(seed):
+    rng, f, _, xs = _germs(seed)
+    f = _with_linear_terms(rng, f)
+    _compare(f, _high_changes(rng, f.nvars), xs)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substitute_single_matches_sympy(seed):
+    """One variable rewritten, the others fixed: a one-key map."""
     rng, f, g, xs = _germs(seed)
-    fx = _expr(f, xs)
     index = rng.randrange(f.nvars)
     linear = linear_change(random_invertible(rng, f.nvars), f.nvars)[index]
     for replacement in (linear, PolynomialGerm.variable(f.nvars, index) - g, g):
-        composed = fx.xreplace({xs[index]: _expr(replacement, xs)})
-        assert f.substitute_single(index, replacement).terms() == _term_map(composed, xs)
-        for max_degree in (2, 3, 4):
-            assert f.substitute_single(index, replacement, max_degree).terms() == _term_map(
-                composed, xs, max_degree
-            )
+        _compare(f, {index: replacement}, xs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_partial_substitute_with_linear_terms_and_high_changes_matches_sympy(seed):
+    """Maps of 1 to nvars variables, on germs with linear terms and high changes."""
+    rng, f, _, xs = _germs(seed)
+    f = _with_linear_terms(rng, f)
+    change = _high_changes(rng, f.nvars)
+    for size in range(1, f.nvars + 1):
+        indices = rng.sample(range(f.nvars), size)
+        _compare(f, {i: change[i] for i in indices}, xs)

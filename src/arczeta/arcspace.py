@@ -65,8 +65,7 @@ All functions are pure and coefficients for distinct n are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field, set_key
 from .algebra import ONE, U, ZERO, LaurentPolynomial, TruncatedSeries
 from .errors import InvalidGerm
 from .scissor import (
@@ -107,15 +106,16 @@ def _check_selector(selector: str):
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
 
 
-@dataclass(frozen=True)
-class QuadraticGerm:
+class QuadraticGerm(Record):
     """The germ sum of plus squares minus `minus` squares on R^dim."""
 
-    dim: int
-    plus: int
-    minus: int
+    __slots__ = _fields = ("dim", "plus", "minus")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, plus: int, minus: int):
+        set_field(self, "dim", dim)
+        set_field(self, "plus", plus)
+        set_field(self, "minus", minus)
+        set_key(self, (dim, plus, minus))
         for name in ("dim", "plus", "minus"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -134,15 +134,24 @@ class QuadraticGerm:
         return self.plus + self.minus
 
 
-@dataclass(frozen=True)
-class ArcStratumReport:
-    """The strata of one coefficient set, with their summed beta."""
+class ArcStratumReport(Record):
+    """The strata of one coefficient set, with their summed beta.
 
-    n: int
-    selector: str
-    strata: tuple  # of (description, SetExpression)
-    betas: tuple  # beta of each stratum, in the order of strata
-    total_beta: LaurentPolynomial
+    strata is a tuple of (description, SetExpression) pairs and betas the
+    beta of each stratum, in the order of strata.
+    """
+
+    __slots__ = _fields = ("n", "selector", "strata", "betas", "total_beta")
+
+    def __init__(
+        self, n: int, selector: str, strata: tuple, betas: tuple, total_beta: LaurentPolynomial
+    ):
+        set_field(self, "n", n)
+        set_field(self, "selector", selector)
+        set_field(self, "strata", strata)
+        set_field(self, "betas", betas)
+        set_field(self, "total_beta", total_beta)
+        set_key(self, (n, selector, strata, betas, total_beta))
 
 
 def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import json as _json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import add
 
+from ._record import Record, set_field, set_key
 from .algebra import ZERO, LaurentPolynomial
 from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
 from .errors import (
@@ -265,6 +265,9 @@ class PolynomialGerm:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "PolynomialGerm":
+        """The coordinate x_(index+1); index counts from 0."""
+        if type(index) is not int or not 0 <= index < nvars:  # a bool is no index
+            raise ValueError(f"variable index {brief_repr(index)} outside 0..{nvars - 1}")
         exps = [0] * nvars
         exps[index] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
@@ -506,13 +509,16 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Record):
     """Sylvester inertia of a quadratic form: plus/minus square counts."""
 
-    plus: int
-    minus: int
-    corank: int
+    __slots__ = _fields = ("plus", "minus", "corank")
+
+    def __init__(self, plus: int, minus: int, corank: int):
+        set_field(self, "plus", plus)
+        set_field(self, "minus", minus)
+        set_field(self, "corank", corank)
+        set_key(self, (plus, minus, corank))
 
     @property
     def rank(self) -> int:
@@ -681,8 +687,7 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(Record):
     """A coordinate change realizing the split normal form to a jet order.
 
     change:          one polynomial per variable, rational jets with an
@@ -694,11 +699,22 @@ class SplitResult:
     degree <= jet_order.
     """
 
-    change: tuple
-    quadratic_part: PolynomialGerm
-    remainder: PolynomialGerm
-    inertia: Inertia
-    jet_order: int
+    __slots__ = _fields = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
+
+    def __init__(
+        self,
+        change: tuple,
+        quadratic_part: PolynomialGerm,
+        remainder: PolynomialGerm,
+        inertia: Inertia,
+        jet_order: int,
+    ):
+        set_field(self, "change", change)
+        set_field(self, "quadratic_part", quadratic_part)
+        set_field(self, "remainder", remainder)
+        set_field(self, "inertia", inertia)
+        set_field(self, "jet_order", jet_order)
+        set_key(self, (change, quadratic_part, remainder, inertia, jet_order))
 
     def to_json(self) -> dict:
         return {
@@ -887,18 +903,24 @@ def recover_signature(c_plus: LaurentPolynomial, c_minus: LaurentPolynomial) -> 
     return plus, minus
 
 
-@dataclass(frozen=True)
-class NaiveRecovery:
+class NaiveRecovery(Record):
     """Outcome of reading (min, max) off a naive T^2 coefficient.
 
     Ambiguity is a value, not an error: the max = min + 1 family collapses
     to the same coefficient for every min.
     """
 
-    status: str  # "determined" or "ambiguous"
-    m: int | None = None
-    M: int | None = None
-    reason: str | None = None
+    __slots__ = _fields = ("status", "m", "M", "reason")
+
+    def __init__(
+        self, status: str, m: int | None = None, M: int | None = None, reason: str | None = None
+    ):
+        # status is "determined" or "ambiguous"
+        set_field(self, "status", status)
+        set_field(self, "m", m)
+        set_field(self, "M", M)
+        set_field(self, "reason", reason)
+        set_key(self, (status, m, M, reason))
 
     def to_json(self) -> dict:
         if self.status == "determined":
@@ -952,8 +974,7 @@ def recover_minmax(coefficient: LaurentPolynomial) -> NaiveRecovery:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminationResult:
+class DiscriminationResult(Record):
     """Comparison of the zeta data of two germs' quadratic parts.
 
     A differing coefficient refutes equivalence of the quadratic parts
@@ -961,13 +982,28 @@ class DiscriminationResult:
     conditional on the reduction to the quadratic part.
     """
 
-    distinguished: bool
-    selector: str | None
-    n: int | None
-    order: int
-    conditional: bool
-    inertia_f: Inertia
-    inertia_g: Inertia
+    __slots__ = _fields = (
+        "distinguished", "selector", "n", "order", "conditional", "inertia_f", "inertia_g"
+    )
+
+    def __init__(
+        self,
+        distinguished: bool,
+        selector: str | None,
+        n: int | None,
+        order: int,
+        conditional: bool,
+        inertia_f: Inertia,
+        inertia_g: Inertia,
+    ):
+        set_field(self, "distinguished", distinguished)
+        set_field(self, "selector", selector)
+        set_field(self, "n", n)
+        set_field(self, "order", order)
+        set_field(self, "conditional", conditional)
+        set_field(self, "inertia_f", inertia_f)
+        set_field(self, "inertia_g", inertia_g)
+        set_key(self, (distinguished, selector, n, order, conditional, inertia_f, inertia_g))
 
     def to_json(self) -> dict:
         payload = {

@@ -46,12 +46,12 @@ caller passes in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import groupby
 from operator import add
-from typing import Callable, NamedTuple, Union
 
+from ._record import Record, set_field, set_key
 from .algebra import ONE, U, ZERO, LaurentPolynomial, geometric_sum
 from .errors import EmptyProjectiveQuadric, MalformedExpression, NotReducible, brief_repr
 
@@ -114,61 +114,71 @@ def _compose(node, *children):
     depth = 1 + max((getattr(child, "depth", 1) for child in children), default=0)
     if depth > MAX_EXPRESSION_DEPTH:
         raise MalformedExpression(_TOO_DEEP)
-    object.__setattr__(node, "depth", depth)
+    set_field(node, "depth", depth)
 
 
-@dataclass(frozen=True)
-class AffineSpace:
-    k: int
+class AffineSpace(Record):
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
+    def __init__(self, k: int):
+        set_field(self, "k", k)
+        set_key(self, (k,))
         _require_ints(self, "k")
         if self.k < 0:
             raise MalformedExpression(f"affine space needs k >= 0, got {brief_repr(self.k)}")
 
 
-@dataclass(frozen=True)
-class PuncturedLine:
+class PuncturedLine(Record):
     """The real line minus a point, R^*."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Point:
-    pass
+    def __init__(self):
+        set_key(self, ())
 
 
-@dataclass(frozen=True)
-class Sphere:
-    dim: int
+class Point(Record):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self):
+        set_key(self, ())
+
+
+class Sphere(Record):
+    __slots__ = _fields = ("dim",)
+
+    def __init__(self, dim: int):
+        set_field(self, "dim", dim)
+        set_key(self, (dim,))
         _require_ints(self, "dim")
         if self.dim < 0:
             raise MalformedExpression(f"sphere needs dim >= 0, got {brief_repr(self.dim)}")
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
-    k: int
+class ProjectiveSpace(Record):
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
+    def __init__(self, k: int):
+        set_field(self, "k", k)
+        set_key(self, (k,))
         _require_ints(self, "k")
         if self.k < 0:
             raise MalformedExpression(f"projective space needs k >= 0, got {brief_repr(self.k)}")
 
 
-@dataclass(frozen=True)
-class QuadricAffine:
+class QuadricAffine(Record):
     """{x_1^2+...+x_s^2 - y_1^2-...-y_t^2 = c} in R^(s+t), c in {-1, 0, +1}.
 
     (0, 0, 0) is the single point of R^0.
     """
 
-    c: int
-    s: int
-    t: int
+    __slots__ = _fields = ("c", "s", "t")
 
-    def __post_init__(self):
+    def __init__(self, c: int, s: int, t: int):
+        set_field(self, "c", c)
+        set_field(self, "s", s)
+        set_field(self, "t", t)
+        set_key(self, (c, s, t))
         _require_ints(self, "c", "s", "t")
         if self.c not in (-1, 0, 1):
             raise MalformedExpression(
@@ -181,14 +191,15 @@ class QuadricAffine:
             )
 
 
-@dataclass(frozen=True)
-class QuadricProjective:
+class QuadricProjective(Record):
     """The same equation read in P^(m+M-1)(R); needs m, M >= 1 to be nonempty."""
 
-    m: int
-    M: int
+    __slots__ = _fields = ("m", "M")
 
-    def __post_init__(self):
+    def __init__(self, m: int, M: int):
+        set_field(self, "m", m)
+        set_field(self, "M", M)
+        set_key(self, (m, M))
         _require_ints(self, "m", "M")
         if self.m < 1 or self.M < 1:
             raise MalformedExpression(
@@ -197,50 +208,57 @@ class QuadricProjective:
             )
 
 
-@dataclass(frozen=True)
-class Product:
-    children: tuple
-    depth: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        _compose(self, *self.children)
+# depth, set by _compose, is a slot outside _fields: it takes no part in
+# ==, hash or repr.
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    children: tuple
-    depth: int = field(init=False, repr=False, compare=False)
+class Product(Record):
+    __slots__ = ("children", "depth")
+    _fields = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        _compose(self, *self.children)
+    def __init__(self, children: tuple):
+        children = tuple(children)
+        set_field(self, "children", children)
+        set_key(self, (children,))
+        _compose(self, *children)
 
 
-@dataclass(frozen=True)
-class Difference:
+class DisjointUnion(Record):
+    __slots__ = ("children", "depth")
+    _fields = ("children",)
+
+    def __init__(self, children: tuple):
+        children = tuple(children)
+        set_field(self, "children", children)
+        set_key(self, (children,))
+        _compose(self, *children)
+
+
+class Difference(Record):
     """ambient minus a closed algebraic subset of it (additivity hypothesis)."""
 
-    ambient: "SetExpression"
-    closed_subset: "SetExpression"
-    depth: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("ambient", "closed_subset", "depth")
+    _fields = ("ambient", "closed_subset")
 
-    def __post_init__(self):
+    def __init__(self, ambient: SetExpression, closed_subset: SetExpression):
+        set_field(self, "ambient", ambient)
+        set_field(self, "closed_subset", closed_subset)
+        set_key(self, (ambient, closed_subset))
         _compose(self, self.ambient, self.closed_subset)
 
 
-SetExpression = Union[
-    AffineSpace,
-    PuncturedLine,
-    Point,
-    Sphere,
-    ProjectiveSpace,
-    QuadricAffine,
-    QuadricProjective,
-    Product,
-    DisjointUnion,
-    Difference,
-]
+SetExpression = (
+    AffineSpace
+    | PuncturedLine
+    | Point
+    | Sphere
+    | ProjectiveSpace
+    | QuadricAffine
+    | QuadricProjective
+    | Product
+    | DisjointUnion
+    | Difference
+)
 
 EMPTY = DisjointUnion(())
 
@@ -377,11 +395,10 @@ def _beta_product(product: Product) -> LaurentPolynomial:
     return total
 
 
-class _Node(NamedTuple):
-    kind: str  # the JSON key carrying the tag: "atom" or "op"
-    tag: str
-    fields: tuple  # atoms: the integer fields; ops: the child slots, () if variadic
-    beta: Callable[..., LaurentPolynomial]
+# kind: the JSON key carrying the tag, "atom" or "op"; fields: an atom's
+# integer fields, or an op's child slots (() if variadic); beta: the node's
+# value from its fields.
+_Node = namedtuple("_Node", "kind tag fields beta")
 
 
 # The one table behind beta_eval, expression_to_json and expression_from_json.

@@ -878,3 +878,26 @@ def test_importing_the_cli_builds_no_parser():
     completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == "0\n"
+
+
+def test_importing_and_running_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about half of
+    # what importing the package used to cost
+    script = (
+        "import contextlib, io, sys\n"
+        "import arczeta, arczeta.cli\n"
+        "def loaded():\n"
+        "    return sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "for argv in (\n"
+        "    ['zeta', '--dim', '4', '--plus', '2', '--minus', '1', '--order', '4', '--strata', '--json'],\n"
+        "    ['split', '--poly', 'x1^2 + 2*x1*x2^2', '--jet', '4', '--json'],\n"
+        "    ['selfcheck', '--max', '3', '--json'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert arczeta.cli.run(argv) == 0, argv\n"
+        "print(loaded())\n"
+    )
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n[]\n"

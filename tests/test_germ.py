@@ -1,21 +1,30 @@
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
 
 from arczeta import (
+    SELECTORS,
+    ArcStratumReport,
+    DiscriminationResult,
     Inertia,
+    NaiveRecovery,
     PolynomialGerm,
+    QuadraticGerm,
     charpoly_inertia,
     congruence_diagonalize,
     determinant,
+    discriminate,
     hessian_inertia,
     linear_part,
+    naive_t2_coefficient,
     parse_germ,
+    recover_minmax,
     split_jet,
+    stratify,
     verify_split,
 )
 from arczeta.errors import (
@@ -26,6 +35,7 @@ from arczeta.errors import (
 )
 from arczeta.germ import SplitResult, _require_singular, _square_root_part
 from util import (
+    assert_dataclass_semantics,
     linear_change,
     random_invertible,
     random_singular_germ,
@@ -231,6 +241,20 @@ def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_variable_is_the_coordinate_it_names(nvars):
+    for index in range(nvars):
+        exps = tuple(int(i == index) for i in range(nvars))
+        assert PolynomialGerm.variable(nvars, index).terms() == {exps: 1}
+        assert PolynomialGerm.variable(nvars, index).to_text() == f"x{index + 1}"
+
+
+@pytest.mark.parametrize("index", [-1, -2, 2, 5, True, False, 1.0, "0", None])
+def test_variable_refuses_an_index_that_names_no_variable(index):
+    with pytest.raises(ValueError, match="variable index"):
+        PolynomialGerm.variable(2, index)
+
+
 def test_inertia_examples():
     assert hessian_inertia(parse_germ("x1*x2")) == Inertia(plus=1, minus=1, corank=0)
     assert hessian_inertia(parse_germ("x1^2 + 4*x1*x2 + x2^2")) == Inertia(
@@ -428,14 +452,18 @@ def _tampered(result):
     def monomial(degree, index):
         return PolynomialGerm(nv, {tuple(degree if i == index else 0 for i in range(nv)): 1})
 
+    def replaced(**fields):
+        names = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
+        return SplitResult(**{**{name: getattr(result, name) for name in names}, **fields})
+
     last = nv - 1
     change = list(result.change)
-    yield replace(result, remainder=result.remainder + monomial(3, last))
-    yield replace(result, remainder=result.remainder + monomial(jet, last))
-    yield replace(result, remainder=result.remainder + monomial(jet + 1, last))
-    yield replace(result, quadratic_part=result.quadratic_part.scaled(2))
-    yield replace(result, change=tuple([change[0] + monomial(2, last)] + change[1:]))
-    yield replace(result, change=tuple([change[0] + monomial(jet + 1, last)] + change[1:]))
+    yield replaced(remainder=result.remainder + monomial(3, last))
+    yield replaced(remainder=result.remainder + monomial(jet, last))
+    yield replaced(remainder=result.remainder + monomial(jet + 1, last))
+    yield replaced(quadratic_part=result.quadratic_part.scaled(2))
+    yield replaced(change=tuple([change[0] + monomial(2, last)] + change[1:]))
+    yield replaced(change=tuple([change[0] + monomial(jet + 1, last)] + change[1:]))
 
 
 def test_verify_split_agrees_with_the_untruncated_oracle():
@@ -579,3 +607,70 @@ def test_one_pass_split_matches_the_rescanning_reference():
         assert split_jet(germ, jet_order).to_json() == expected, (germ.to_text(), jet_order)
         crossed += any(max(exps) == 1 for exps in germ.terms_of_degree(2))
     assert len(cases) == 162 and crossed > 20
+
+
+# ---------------------------------------------------------------------------
+# result records behave as the frozen dataclasses they replace
+# ---------------------------------------------------------------------------
+
+RECORD_TWINS = {
+    cls: make_dataclass(cls.__name__, names, frozen=True)
+    for cls, names in (
+        (Inertia, ["plus", "minus", "corank"]),
+        (SplitResult, ["change", "quadratic_part", "remainder", "inertia", "jet_order"]),
+        (NaiveRecovery, ["status", ("m", object, None), ("M", object, None), ("reason", object, None)]),
+        (
+            DiscriminationResult,
+            ["distinguished", "selector", "n", "order", "conditional", "inertia_f", "inertia_g"],
+        ),
+        (QuadraticGerm, ["dim", "plus", "minus"]),
+        (ArcStratumReport, ["n", "selector", "strata", "betas", "total_beta"]),
+    )
+}
+
+
+def test_result_records_keep_the_semantics_of_frozen_dataclasses():
+    rng = random.Random(4242)
+    records = []
+    for _ in range(25):
+        nvars = rng.randint(1, 4)
+        germ, other = random_singular_germ(rng, nvars), random_singular_germ(rng, nvars)
+        records += [hessian_inertia(germ), split_jet(germ, rng.randint(3, 5))]
+        records.append(discriminate(germ, other, rng.randint(1, 4)))
+        plus, minus = rng.randint(0, 3), rng.randint(1, 3)
+        quadratic = QuadraticGerm(plus + minus + rng.randint(0, 2), plus, minus)
+        records += [quadratic, stratify(quadratic, rng.randint(1, 4), rng.choice(SELECTORS))]
+        records.append(recover_minmax(naive_t2_coefficient(rng.randint(1, 3), rng.randint(3, 5))))
+    records += [Inertia(1, 2, 0), Inertia(plus=1, minus=2, corank=0), QuadraticGerm(3, 1, 2)]
+    records += [NaiveRecovery("ambiguous"), NaiveRecovery("ambiguous", reason="why")]
+    assert {type(record) for record in records} == set(RECORD_TWINS)
+    assert_dataclass_semantics(records, RECORD_TWINS)
+
+
+def test_result_records_of_equal_fields_but_different_classes_differ():
+    inertia, quadratic = Inertia(3, 1, 2), QuadraticGerm(3, 1, 2)
+    assert inertia != quadratic and not inertia == quadratic and hash(inertia) == hash(quadratic)
+    assert inertia.__eq__(quadratic) is NotImplemented
+    assert inertia != (3, 1, 2) and len({inertia, quadratic, Inertia(3, 1, 2)}) == 2
+
+
+def test_naive_recovery_defaults_and_keywords():
+    bare = NaiveRecovery("ambiguous")
+    assert (bare.m, bare.M, bare.reason) == (None, None, None)
+    assert repr(bare) == "NaiveRecovery(status='ambiguous', m=None, M=None, reason=None)"
+    assert NaiveRecovery(status="determined", m=1, M=1) == NaiveRecovery("determined", 1, 1, None)
+    assert NaiveRecovery(reason="r", status="ambiguous").to_json() == {
+        "status": "ambiguous",
+        "reason": "r",
+    }
+    with pytest.raises(TypeError):
+        NaiveRecovery()
+    with pytest.raises(TypeError):
+        Inertia(1, 2)
+
+
+def test_quadratic_germ_errors_embed_its_repr():
+    with pytest.raises(InvalidGerm, match=r"got QuadraticGerm\(dim=2, plus=2, minus=1\)$"):
+        QuadraticGerm(2, 2, 1)
+    with pytest.raises(InvalidGerm, match=r"got QuadraticGerm\(dim=0, plus=0, minus=1\)$"):
+        QuadraticGerm(dim=0, plus=0, minus=1)

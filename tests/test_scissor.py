@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from dataclasses import fields, make_dataclass
 
 import pytest
 
@@ -35,6 +36,7 @@ from arczeta.errors import (
     MalformedExpression,
     NotReducible,
 )
+from util import assert_dataclass_semantics
 
 U = LaurentPolynomial.monomial(1)
 ONE = LaurentPolynomial.one()
@@ -443,6 +445,71 @@ def test_depth_stays_out_of_equality_and_repr():
     )
     with pytest.raises(TypeError):
         Product((Point(),), depth=1)
+
+
+# The frozen dataclasses the nodes once were; depth never took part in ==,
+# hash or repr, so the twins leave it out.
+NODE_TWINS = {
+    cls: make_dataclass(cls.__name__, names, frozen=True)
+    for cls, names in (
+        (AffineSpace, ["k"]),
+        (PuncturedLine, []),
+        (Point, []),
+        (Sphere, ["dim"]),
+        (ProjectiveSpace, ["k"]),
+        (QuadricAffine, ["c", "s", "t"]),
+        (QuadricProjective, ["m", "M"]),
+        (Product, ["children"]),
+        (DisjointUnion, ["children"]),
+        (Difference, ["ambient", "closed_subset"]),
+    )
+}
+
+
+def test_nodes_keep_the_semantics_of_frozen_dataclasses():
+    rng = random.Random(1729)
+    nodes = [_random_expression(rng, rng.randint(0, 3)) for _ in range(150)]
+    nodes += [cls(3) for cls in (AffineSpace, Sphere, ProjectiveSpace)]
+    nodes += [PuncturedLine(), Point(), EMPTY, Product(()), Difference(Point(), Point())]
+    assert {type(node) for node in nodes} == set(NODE_TWINS)
+    assert_dataclass_semantics(nodes, NODE_TWINS)
+
+
+def test_nodes_of_different_classes_never_compare_equal():
+    assert Point() != PuncturedLine() and not Point() == PuncturedLine()
+    assert Point().__eq__(PuncturedLine()) is NotImplemented
+    assert hash(Point()) == hash(PuncturedLine()) == hash(())
+    spaces = [AffineSpace(3), Sphere(3), ProjectiveSpace(3)]
+    for a in spaces:
+        for b in spaces:
+            assert (a == b) == (a is b)
+    assert Product(()) != DisjointUnion(()) and QuadricAffine(0, 0, 0) != (0, 0, 0)
+    assert len({Point(), PuncturedLine(), Point(), *spaces, AffineSpace(3)}) == 5
+
+
+def test_nodes_are_immutable_and_take_keywords():
+    atom = QuadricAffine(t=3, c=1, s=2)
+    assert repr(atom) == "QuadricAffine(c=1, s=2, t=3)" and atom == QuadricAffine(1, 2, 3)
+    assert Difference(closed_subset=EMPTY, ambient=Point()) == Difference(Point(), EMPTY)
+    assert Product(children=[Point()]).children == (Point(),)
+    for node, name in ((atom, "c"), (Product((atom,)), "children"), (Product((atom,)), "depth")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert atom.c == 1 and Product((atom,)).depth == 2
+
+
+@pytest.mark.parametrize("wrap", COMPOSITES.values(), ids=COMPOSITES.keys())
+def test_depth_is_no_field(wrap):
+    node = wrap(wrap(Sphere(1)))
+    assert node.depth == 3
+    twin = NODE_TWINS[type(node)]
+    twin = twin(*(getattr(node, field.name) for field in fields(twin)))
+    object.__setattr__(node, "depth", 99)  # past the guard: nothing else may change it
+    assert node == wrap(wrap(Sphere(1))) and hash(node) == hash(wrap(wrap(Sphere(1))))
+    assert (hash(node), repr(node)) == (hash(twin), repr(twin))
+    assert "depth" not in repr(node)
 
 
 def test_product_beta_matches_the_child_by_child_product():

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from arczeta import LaurentPolynomial, PolynomialGerm
 from arczeta.selfcheck import (  # noqa: F401  (the grids' generators, shared with the tests)
@@ -48,3 +54,41 @@ def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
                 terms[exps] = Fraction(matrix[i][j])
         components.append(PolynomialGerm(nvars, terms))
     return components
+
+
+def assert_dataclass_semantics(records, twins):
+    """Each record keeps the ==, hash and repr of a frozen dataclass twin.
+
+    twins maps each record class to a frozen dataclass of the same name and
+    compared fields; records are seeded values of those classes.  == is
+    checked on every ordered pair, across classes too, so keep records to
+    a few hundred.
+    """
+
+    def twin_of(record):
+        twin = twins[type(record)]
+        return twin(*(getattr(record, field.name) for field in dataclasses.fields(twin)))
+
+    for record in records:
+        twin = twin_of(record)
+        names = [field.name for field in dataclasses.fields(twin)]
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        rebuilt = type(record)(**{name: getattr(record, name) for name in names})
+        assert rebuilt == record and not rebuilt != record and hash(rebuilt) == hash(record)
+        try:
+            copy.deepcopy([getattr(record, name) for name in names])
+        except AttributeError:  # a PolynomialGerm field: it cannot be copied either way
+            pass
+        else:
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.deepcopy(record) == record
+        for name in names + ["not_a_field"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == repr(twin)  # nothing above changed it
+    for a, b in itertools.product(records, repeat=2):
+        assert (a == b) == (twin_of(a) == twin_of(b))
+        assert (a != b) == (twin_of(a) != twin_of(b))

@@ -21,6 +21,7 @@ __all__ = [
     "NotSignatureForm",
     "DimensionMismatch",
     "ResultTooLarge",
+    "InvariantViolation",
 ]
 
 
@@ -113,3 +114,11 @@ class DimensionMismatch(ArcZetaError):
 
 class ResultTooLarge(ArcZetaError):
     """An answer holding a number longer than the interpreter's int/str digit limit."""
+
+
+class InvariantViolation(ArcZetaError):
+    """A computed result broke an invariant the engine promises: a defect, not bad input.
+
+    The engine checks these with explicit tests rather than asserts, so the
+    check also runs under python -O and ends in the failure envelope.
+    """

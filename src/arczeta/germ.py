@@ -31,7 +31,7 @@ from __future__ import annotations
 import json as _json
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 
 from ._record import Record, set_field, set_key
@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     GermSyntaxError,
     InvalidGerm,
+    InvariantViolation,
     NotAGerm,
     NotSignatureForm,
     NotSingularAtOrigin,
@@ -53,6 +54,7 @@ __all__ = [
     "parse_germ",
     "Inertia",
     "hessian_inertia",
+    "congruence_inertia",
     "congruence_diagonalize",
     "charpoly_inertia",
     "determinant",
@@ -84,8 +86,7 @@ class PolynomialGerm:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
-        if type(nvars) is not int or nvars < 1:  # a bool is no count
-            raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
+        _require_nvars(nvars)
         sums: dict[tuple, Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
@@ -109,6 +110,11 @@ class PolynomialGerm:
 
     def __setattr__(self, *_):
         raise AttributeError("PolynomialGerm is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor;
+        # the default slot-state restore would go through __setattr__
+        return type(self), (self.nvars, self._terms)
 
     @classmethod
     def zero(cls, nvars: int) -> "PolynomialGerm":
@@ -266,6 +272,7 @@ class PolynomialGerm:
     @classmethod
     def variable(cls, nvars: int, index: int) -> "PolynomialGerm":
         """The coordinate x_(index+1); index counts from 0."""
+        _require_nvars(nvars)
         if type(index) is not int or not 0 <= index < nvars:  # a bool is no index
             raise ValueError(f"variable index {brief_repr(index)} outside 0..{nvars - 1}")
         exps = [0] * nvars
@@ -350,6 +357,11 @@ class PolynomialGerm:
                 raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
             terms[exps] = terms.get(exps, 0) + value
         return cls(nvars, terms)
+
+
+def _require_nvars(nvars):
+    if type(nvars) is not int or nvars < 1:  # a bool is no count
+        raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
 
 
 def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
@@ -505,7 +517,8 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
 
 
 # ---------------------------------------------------------------------------
-# Inertia by exact congruence diagonalization, with a char-poly cross-check
+# Inertia by integer congruence, with a char-poly cross-check; split_jet's
+# rational congruence diagonalization, which also returns the change P
 # ---------------------------------------------------------------------------
 
 
@@ -553,12 +566,17 @@ def congruence_diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]
     P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def add_column(dst, src, factor):
-        for r in range(n):
-            H[r][dst] += factor * H[r][src]
-        for r in range(n):
-            H[dst][r] += factor * H[src][r]
-        for r in range(n):
-            P[r][dst] += factor * P[r][src]
+        # rows where the source entry is 0 gain nothing
+        for row in H:
+            if row[src]:
+                row[dst] += factor * row[src]
+        target = H[dst]
+        for r, x in enumerate(H[src]):
+            if x:
+                target[r] += factor * x
+        for row in P:
+            if row[src]:
+                row[dst] += factor * row[src]
 
     def swap_columns(a, b):
         for r in range(n):
@@ -581,6 +599,92 @@ def congruence_diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]
             if H[k][j]:
                 add_column(j, k, -H[k][j] / H[k][k])
     return P, [H[i][i] for i in range(n)]
+
+
+_EXACT = (int, Fraction)
+
+
+def _integer_symmetric(matrix) -> list[list[int]]:
+    """A square symmetric matrix times the lcm of its denominators, as ints.
+
+    The scale is positive, so every route that counts signs of eigenvalues
+    or of pivots counts the same on the result.
+    """
+    n = len(matrix)
+    # an int or a Fraction already has the numerator and denominator read below
+    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    scale = 1
+    for row in rows:  # row by row: lcm(*all) would build an n*n argument tuple
+        scale = lcm(scale, *(x.denominator for x in row))
+    A = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    return A
+
+
+def congruence_inertia(matrix) -> tuple[int, int]:
+    """(plus, minus) of a symmetric matrix by congruence over the integers.
+
+    After clearing denominators (a positive scaling), each step removes one
+    row and column and keeps the inertia of what is left, by Sylvester's
+    law: congruence and positive scalings do not change it.
+
+    * A nonzero diagonal entry p = A[k][k], with a the rest of row k and B
+      the rest of A, is a pivot.  The congruence x_k -> x_k - (a.x)/p turns
+      A into diag(p, S) with S = B - a a^T / p, so A has the inertia of S
+      plus one sign of p.  The step keeps |p| S = |p| B - sign(p) a a^T,
+      which is integral, divided by the positive gcd of its entries.
+    * If every diagonal entry is 0 but some A[i][j] is not, the congruence
+      x_i -> x_i + x_j (invertible) makes the new A[i][i] equal to
+      A[i][i] + 2 A[i][j] + A[j][j] = 2 A[i][j], a pivot.
+    * A block that is all zero has only zero eigenvalues: its size is the
+      corank.
+
+    The block kept is a positive multiple of the Schur complement with
+    coprime integer entries.  Every integral multiple of the Schur
+    complement, Bareiss's fraction-free block with the same pivots
+    included, is an integer multiple of it, so its entries are never
+    larger than Bareiss's; no Fraction is built past the denominators.
+    congruence_diagonalize gives the same counts with the rational change
+    of coordinates that split_jet needs.
+    """
+    A = _integer_symmetric(matrix)
+    plus = minus = 0
+    while A:
+        size = len(A)
+        k = next((i for i in range(size) if A[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(size) for j in range(i) if A[i][j]), None)
+            if pair is None:
+                break  # the zero block
+            i, j = pair
+            for row in A:
+                row[i] += row[j]
+            A[i] = [x + y for x, y in zip(A[i], A[j])]
+            k = i
+        pivot_row = A[k]
+        p = pivot_row[k]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        a = pivot_row[:k] + pivot_row[k + 1 :]
+        signed = a if p > 0 else [-x for x in a]
+        q = abs(p)
+        A = [
+            [q * b - w * c for b, c in zip(row[:k] + row[k + 1 :], a)]
+            for row, w in zip(A[:k] + A[k + 1 :], signed)
+        ]
+        g = 0
+        for row in A:  # like the lcm above, and most blocks reach 1 early
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g > 1:
+            A = [[x // g for x in row] for row in A]
+    return plus, minus
 
 
 def determinant(matrix) -> Fraction:
@@ -628,9 +732,7 @@ def _require_singular(germ: PolynomialGerm):
 def hessian_inertia(germ: PolynomialGerm) -> Inertia:
     """Exact inertia of the Hessian at the origin (Sylvester's law)."""
     _require_singular(germ)
-    _, diag = congruence_diagonalize(germ.hessian())
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
+    plus, minus = congruence_inertia(germ.hessian())
     return Inertia(plus=plus, minus=minus, corank=germ.nvars - plus - minus)
 
 
@@ -641,14 +743,10 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
     Faddeev-LeVerrier recursion over the integers, and counts positive and
     negative roots by Descartes' rule, which is exact here because a
     symmetric matrix has only real eigenvalues.  This is a deliberately
-    different route from congruence_diagonalize, used to cross-check it.
+    different route from the congruence routes, used to cross-check them.
     """
-    n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    A = [[int(x * scale) for x in row] for row in rows]
+    A = _integer_symmetric(matrix)
+    n = len(A)
 
     coeffs = [1]
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -659,7 +757,8 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
         ]
         trace = sum(AM[i][i] for i in range(n))
         quotient, residue = divmod(trace, k)
-        assert residue == 0, "Faddeev-LeVerrier division must be exact"
+        if residue:
+            raise InvariantViolation(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
         c = -quotient
         coeffs.append(c)
         M = [
@@ -678,7 +777,11 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
         if c:
             break
         zero += 1
-    assert positive + negative + zero == n
+    if positive + negative + zero != n:
+        raise InvariantViolation(
+            f"Descartes counts {positive} + {negative} + {zero} roots of a degree-{n} "
+            "characteristic polynomial"
+        )
     return positive, negative
 
 
@@ -808,10 +911,14 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     # engine sanity: the invariants promised by SplitResult
     for exps, coeff in quadratic_part.terms().items():
         support = [i for i, e in enumerate(exps) if e]
-        assert len(support) == 1 and support[0] < rank
-        assert (coeff > 0) == (support[0] < plus)
-    assert remainder.is_zero() or remainder.order() >= 3
-    assert all(i >= rank for i in remainder.variables_used())
+        if len(support) != 1 or support[0] >= rank:
+            raise InvariantViolation(f"split quadratic term {exps} is not a rank square")
+        if (coeff > 0) != (support[0] < plus):
+            raise InvariantViolation(f"split quadratic term {exps} has the wrong sign")
+    if not remainder.is_zero() and remainder.order() < 3:
+        raise InvariantViolation(f"split remainder has order {remainder.order()} < 3")
+    if any(i < rank for i in remainder.variables_used()):
+        raise InvariantViolation("split remainder uses a rank variable")
 
     return SplitResult(
         change=tuple(change),

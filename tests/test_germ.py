@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import random
+import subprocess
 import sys
 from dataclasses import make_dataclass
 from fractions import Fraction
@@ -16,6 +19,7 @@ from arczeta import (
     QuadraticGerm,
     charpoly_inertia,
     congruence_diagonalize,
+    congruence_inertia,
     determinant,
     discriminate,
     hessian_inertia,
@@ -27,9 +31,11 @@ from arczeta import (
     stratify,
     verify_split,
 )
+from arczeta import germ as germs, selfcheck
 from arczeta.errors import (
     GermSyntaxError,
     InvalidGerm,
+    InvariantViolation,
     NotAGerm,
     NotSingularAtOrigin,
 )
@@ -255,6 +261,25 @@ def test_variable_refuses_an_index_that_names_no_variable(index):
         PolynomialGerm.variable(2, index)
 
 
+@pytest.mark.parametrize("nvars", ["2", None, 2.0, True, 0, -1])
+def test_variable_refuses_a_count_that_is_no_positive_int(nvars):
+    with pytest.raises(ValueError, match="nvars must be a positive integer"):
+        PolynomialGerm.variable(nvars, 0)
+
+
+def test_germs_copy_and_pickle_to_equal_germs():
+    rng = random.Random(31)
+    samples = [random_singular_germ(rng, rng.randint(1, 4)) for _ in range(20)]
+    samples.append(PolynomialGerm.zero(3))
+    for germ in samples:
+        for twin in (copy.copy(germ), copy.deepcopy(germ), pickle.loads(pickle.dumps(germ))):
+            assert twin == germ and twin.to_json() == germ.to_json()
+            with pytest.raises(AttributeError):
+                twin.nvars = 1
+    result = split_jet(samples[0], 4)
+    assert pickle.loads(pickle.dumps(result)) == result and copy.deepcopy(result) == result
+
+
 def test_inertia_examples():
     assert hessian_inertia(parse_germ("x1*x2")) == Inertia(plus=1, minus=1, corank=0)
     assert hessian_inertia(parse_germ("x1^2 + 4*x1*x2 + x2^2")) == Inertia(
@@ -299,7 +324,36 @@ def test_congruence_matches_charpoly_oracle():
             sum(1 for d in diag if d > 0),
             sum(1 for d in diag if d < 0),
         )
-        assert counted == charpoly_inertia(matrix)
+        assert counted == charpoly_inertia(matrix) == congruence_inertia(matrix)
+
+
+@pytest.mark.parametrize("route", [congruence_inertia, charpoly_inertia, congruence_diagonalize])
+def test_inertia_routes_refuse_a_matrix_that_is_not_square_symmetric(route):
+    with pytest.raises(ValueError, match="must be square"):
+        route([[1, 2]])
+    with pytest.raises(ValueError, match="must be square"):
+        route([[1, 2], [2]])
+    with pytest.raises(ValueError, match="must be symmetric"):
+        route([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="must be symmetric"):
+        route([[0, Fraction(1, 2)], [Fraction(1, 3), 0]])
+
+
+def test_integer_congruence_takes_the_entry_types_rational_congruence_takes():
+    matrix = [[1, "1/2", 0.5], ["1/2", Fraction(-3), 0], [0.5, 0, True]]
+    _, diag = congruence_diagonalize(matrix)
+    counted = (sum(d > 0 for d in diag), sum(d < 0 for d in diag))
+    assert congruence_inertia(matrix) == counted == charpoly_inertia(matrix)
+
+
+def test_hessian_inertia_and_the_inertia_grid_run_no_rational_elimination(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("congruence_diagonalize called")
+
+    monkeypatch.setattr(germs, "congruence_diagonalize", refuse)
+    assert hessian_inertia(parse_germ("x1*x2 + x3^2 - x4^3")) == Inertia(2, 1, 1)
+    verdicts = [ok for _, ok in selfcheck._inertia_two_paths(12)]
+    assert len(verdicts) == 300 and all(verdicts)
 
 
 def test_inertia_invariant_under_linear_changes():
@@ -367,6 +421,8 @@ def _assert_split_invariants(germ, jet_order):
         assert result.remainder.order() >= 3
         assert all(i >= inertia.rank for i in result.remainder.variables_used())
     assert verify_split(germ, result)
+    # the rational and the integer congruence routes agree
+    assert inertia == hessian_inertia(germ)
 
 
 def test_split_invariants_on_named_corpus():
@@ -380,6 +436,38 @@ def test_split_invariants_on_random_corpus():
     for index in range(60):
         germ = random_singular_germ(rng, rng.randint(1, 4))
         _assert_split_invariants(germ, 3 + index % 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_inertia_is_the_hessian_inertia(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        germ = random_singular_germ(rng, rng.randint(1, 6), max_degree=3)
+        assert split_jet(germ, 3).inertia == hessian_inertia(germ)
+
+
+# The split of x1^2 with the signs of congruence_diagonalize's pivots
+# flipped: the quadratic term then has the wrong sign for its slot.
+_FLIPPED_SPLIT = """
+import arczeta.germ as germs
+from arczeta.cli import run
+rational = germs.congruence_diagonalize
+def flipped(matrix):
+    P, diag = rational(matrix)
+    return P, [-d for d in diag]
+germs.congruence_diagonalize = flipped
+raise SystemExit(run(["split", "--poly", "x1^2", "--jet", "3", "--json"]))
+"""
+
+
+def test_split_invariant_checks_survive_optimized_mode():
+    completed = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_SPLIT], capture_output=True, text=True
+    )
+    assert completed.returncode == 1 and completed.stderr == ""
+    payload = json.loads(completed.stdout)
+    assert payload["error"] == InvariantViolation.__name__
+    assert "wrong sign" in payload["detail"]
 
 
 def test_split_normalizes_square_factors():

@@ -4,11 +4,13 @@ For seeded random rational symmetric matrices, sympy builds the exact
 characteristic polynomial and counts its positive and negative roots with
 count_roots.  count_roots counts distinct roots, so it runs on each
 square-free factor (the zero root divided out) and is weighted by the
-factor's multiplicity.  Both routes of the package must give that count:
-hessian_inertia (congruence_diagonalize on the Hessian of the quadratic
-form) and charpoly_inertia.  The matrices include rank-deficient ones,
-ones with an all-zero diagonal and ones with repeated eigenvalues.  sympy
-is a test-only tool; the module is skipped where it is not installed.
+factor's multiplicity.  Every route of the package must give that count:
+congruence_inertia (integer congruence, also behind hessian_inertia on the
+Hessian of the quadratic form), congruence_diagonalize (rational
+congruence) and charpoly_inertia.  The matrices include rank-deficient
+ones, ones with an all-zero diagonal, ones with repeated eigenvalues and
+ones with large numerators and denominators.  sympy is a test-only tool;
+the module is skipped where it is not installed.
 """
 
 import random
@@ -16,7 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta import PolynomialGerm, charpoly_inertia, congruence_diagonalize, hessian_inertia
+from arczeta import (
+    PolynomialGerm,
+    charpoly_inertia,
+    congruence_diagonalize,
+    congruence_inertia,
+    hessian_inertia,
+)
 from util import random_symmetric
 
 sympy = pytest.importorskip("sympy")
@@ -84,11 +92,32 @@ def _repeated(rng, size):
     ]
 
 
+def _large(rng, size):
+    """Numerators and denominators of up to 30 digits; about half are singular.
+
+    The lcm of the denominators that clears them is then a big number too.
+    """
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            value = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+            matrix[i][j] = matrix[j][i] = value
+    if size > 1 and rng.random() < 0.5:
+        i, j = rng.sample(range(size), 2)
+        for k in range(size):  # row and column i copy row and column j
+            matrix[i][k] = matrix[j][k]
+        for k in range(size):
+            matrix[k][i] = matrix[i][k]
+        matrix[i][i] = matrix[j][j] = matrix[i][j]
+    return matrix
+
+
 MAKERS = {
     "random": random_symmetric,
     "rank-deficient": _rank_deficient,
     "zero-diagonal": _zero_diagonal,
     "repeated": _repeated,
+    "large": _large,
 }
 
 
@@ -104,6 +133,7 @@ def test_both_inertia_routes_match_sympy(kind, seed):
     assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)
     _, diag = congruence_diagonalize(matrix)
     assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (positive, negative)
+    assert congruence_inertia(matrix) == (positive, negative)
     assert charpoly_inertia(matrix) == (positive, negative)
 
 
@@ -112,4 +142,42 @@ def test_the_zero_matrix_has_only_zero_eigenvalues(size):
     matrix = [[Fraction(0)] * size for _ in range(size)]
     assert _sympy_inertia(matrix) == (0, 0, size)
     assert charpoly_inertia(matrix) == (0, 0)
+    assert congruence_inertia(matrix) == (0, 0)
     assert hessian_inertia(_quadratic_form(matrix)).corank == size
+
+
+def _f(*rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+NAMED = {
+    "hyperbolic pair": _f([0, 1], [1, 0]),
+    "negative hyperbolic pair": _f([0, -3], [-3, 0]),
+    "zero diagonal, 3x3": _f([0, 1, 2], [1, 0, 3], [2, 3, 0]),
+    "zero diagonal, one zero row": _f([0, 0, 0], [0, 0, 5], [0, 5, 0]),
+    "zero diagonal after a pivot": _f([1, 1, 1], [1, 1, 2], [1, 2, 1]),
+    "rank one": _f([1, 2, 3], [2, 4, 6], [3, 6, 9]),
+    "rank one, negative": _f(["-1/2", "-1/3"], ["-1/3", "-2/9"]),
+    "1x1 positive": _f(["3/7"]),
+    "1x1 negative": _f(["-10000000000000000000001/3"]),
+    "1x1 zero": _f([0]),
+    "large entries": _f(
+        ["123456789012345678901234567890/7", "-1/999999999999999999999"],
+        ["-1/999999999999999999999", "-98765432109876543210/13"],
+    ),
+    "tiny determinant": _f(
+        [10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_matrices_match_sympy_on_every_route(name):
+    matrix = NAMED[name]
+    positive, negative, zero = _sympy_inertia(matrix)
+    assert congruence_inertia(matrix) == (positive, negative)
+    assert charpoly_inertia(matrix) == (positive, negative)
+    _, diag = congruence_diagonalize(matrix)
+    assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (positive, negative)
+    inertia = hessian_inertia(_quadratic_form(matrix))
+    assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)

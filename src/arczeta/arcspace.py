@@ -43,21 +43,35 @@ Within the stratum of a fixed e:
   the cone in R^rank (naive, which subsumes a_e^w != 0); the later w
   coefficients a_(e+1)^w .. a_n^w and the z-block are free.
 
-Summing the strata and collapsing the hyperplane powers gives the closed
-forms implemented in coefficient_closed_form:
+The zeta series attaches u^(-n*dim) to the beta of the order-n set as its
+T^n coefficient; in particular it is unchanged under adding unused ambient
+coordinates.  stratify builds the strata as set expressions and evaluates
+them through the decomposition engine, which is an independent code path
+against the rational form below.
 
-    beta(signed, n) = u^(n(dim-rank)) * [ sum_(e=1)^(ceil(n/2)-1)
-        (beta_cone - 1) u^((n-2e)(rank-1)) u^(e*rank)
-        + [n even] beta_level(level) u^(n*rank/2) ],
+The rational form.  Summed over n, the zeta series is one rational
+function of T:
 
-    beta(naive, n)  = u^(n(dim-rank)) * [ sum_(e=1)^(ceil(n/2)-1)
-        (beta_cone - 1) (u-1) u^((n-2e)(rank-1)) u^(e*rank)
-        + [n even] (u^rank - beta_cone) u^(n*rank/2) ].
+    Z(T) = X * (A + B * Y),   X = u^(-rank) T^2 / (1 - u^(-rank) T^2),
+                              Y = u^(-1) T / (1 - u^(-1) T),
 
-stratify builds the strata as set expressions and evaluates them through
-the decomposition engine, which is an independent code path against these
-formulas.  The zeta series attaches u^(-n*dim) to the T^n coefficient; in
-particular it is unchanged under adding unused ambient coordinates.
+    signed:  A = beta_level(+-1),       B = beta_cone - 1,
+    naive:   A = u^rank - beta_cone,    B = (beta_cone - 1) (u - 1).
+
+Expanding X and X * Y, the T^n coefficient is
+
+    c_n = B * sum_(e=1)^(ceil(n/2)-1) u^(-(n-2e) - rank*e)
+          + [n even] A u^(-rank*n/2):
+
+the stratum of each e < n/2 times u^(-n*dim) is the B term of that e, and
+the stratum e = n/2 gives the A term.  This is Denef-Loeser's formula for
+the blow-up of the origin of R^rank (the z-block cancels).  The exceptional
+divisor E = P^(rank-1) has (N, nu) = (2, rank) and gives the pole of X;
+the strict transform S of the cone has (1, 1) and gives the pole of Y.  In
+the naive case A = (u-1) beta(E minus S) and B = (u-1)^2 beta(E meet S),
+where E meet S is the projective quadric.  coefficient_closed_form and
+zeta_closed_form read the series off (A, B), and signed_t2_coefficient and
+naive_t2_coefficient return its T^2 coefficient u^(-rank) A.
 
 No arc is ever enumerated or sampled: everything is a constructible set.
 All functions are pure and coefficients for distinct n are independent.
@@ -104,6 +118,14 @@ SELECTORS = (NAIVE, PLUS, MINUS)
 def _check_selector(selector: str):
     if selector not in SELECTORS:
         raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
+
+
+def _check_arguments(germ, selector: str, count, what: str):
+    if not isinstance(germ, QuadraticGerm):
+        raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
+    _check_selector(selector)
+    if not isinstance(count, int) or count < 1:
+        raise ValueError(f"{what} must be a positive integer, got {count!r}")
 
 
 class QuadraticGerm(Record):
@@ -161,11 +183,7 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
     docstring for the derivation); beta of the whole set is the sum of
     beta over the strata.
     """
-    if not isinstance(germ, QuadraticGerm):
-        raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
-    _check_selector(selector)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
+    _check_arguments(germ, selector, n, "order n")
 
     rank = germ.rank
     free_z = n * (germ.dim - rank)
@@ -224,72 +242,66 @@ def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:
     return TruncatedSeries(len(reports), coefficients)
 
 
+def _rational_form(
+    plus: int, minus: int, selector: str
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """The numerators (A, B) of Z(T) = X * (A + B * Y); see the module docstring."""
+    if selector == NAIVE:
+        cone = beta_cone(plus, minus)
+        return LaurentPolynomial.monomial(plus + minus) - cone, (cone - ONE) * (U - ONE)
+    level = beta_level(plus, minus, 1 if selector == PLUS else -1)
+    return level, beta_cone(plus, minus) - ONE
+
+
+def _expand(rank: int, form, n: int) -> LaurentPolynomial:
+    """The T^n coefficient of X * (A + B * Y): one product by B, plus A at even n."""
+    a, b = form
+    # the T^n terms of X * Y: u^(-rank*e) T^(2e) times u^(-k) T^k, k = n - 2e >= 1
+    total = b * LaurentPolynomial((-(n - 2 * e) - rank * e, 1) for e in range(1, (n + 1) // 2))
+    if n % 2 == 0:
+        total = total + a * LaurentPolynomial.monomial(-rank * (n // 2))
+    return total
+
+
 def coefficient_closed_form(germ: QuadraticGerm, n: int, selector: str) -> LaurentPolynomial:
-    """The T^n zeta coefficient straight from the closed forms.
+    """The T^n zeta coefficient read off the rational form.
 
     Independent of the decomposition engine; used to cross-check
     zeta_series stratum by stratum.
     """
-    if not isinstance(germ, QuadraticGerm):
-        raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
-    _check_selector(selector)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
-    rank = germ.rank
-    cone = beta_cone(germ.plus, germ.minus)
-    total = ZERO
-    for e in range(1, (n + 1) // 2):
-        piece = (
-            (cone - ONE)
-            * LaurentPolynomial.monomial((n - 2 * e) * (rank - 1))
-            * LaurentPolynomial.monomial(e * rank)
-        )
-        if selector == NAIVE:
-            piece = piece * (U - ONE)
-        total = total + piece
-    if n % 2 == 0:
-        half = LaurentPolynomial.monomial((n // 2) * rank)
-        if selector == NAIVE:
-            leading = LaurentPolynomial.monomial(rank) - cone
-        else:
-            leading = beta_level(germ.plus, germ.minus, 1 if selector == PLUS else -1)
-        total = total + leading * half
-    # u^(n(dim-rank)) for the free z-block times the normalizing u^(-n*dim)
-    return total * LaurentPolynomial.monomial(-n * rank)
+    _check_arguments(germ, selector, n, "order n")
+    return _expand(germ.rank, _rational_form(germ.plus, germ.minus, selector), n)
 
 
 def zeta_closed_form(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
-    """The zeta series assembled from coefficient_closed_form."""
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {order!r}")
-    coefficients = {n: coefficient_closed_form(germ, n, selector) for n in range(1, order + 1)}
-    return TruncatedSeries(order, coefficients)
+    """The zeta series expanded from the rational form, with (A, B) built once."""
+    _check_arguments(germ, selector, order, "truncation order")
+    form = _rational_form(germ.plus, germ.minus, selector)
+    return TruncatedSeries(order, {n: _expand(germ.rank, form, n) for n in range(1, order + 1)})
+
+
+def _t2_coefficient(plus: int, minus: int, selector: str) -> LaurentPolynomial:
+    rank = plus + minus
+    if rank < 1:
+        raise InvalidGerm("need plus + minus >= 1")
+    return LaurentPolynomial.monomial(-rank) * _rational_form(plus, minus, selector)[0]
 
 
 def signed_t2_coefficient(plus: int, minus: int, sign: str) -> LaurentPolynomial:
     """The T^2 coefficient of the signed zeta function, for any ambient dim.
 
-    The ambient dimension cancels: the coefficient is
+    The ambient dimension cancels: the coefficient is u^(-rank) * A, that is
     u^(-(plus+minus)) * beta_level(plus, minus, +-1).
     """
     if sign not in (PLUS, MINUS):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    rank = plus + minus
-    if rank < 1:
-        raise InvalidGerm("need plus + minus >= 1")
-    level = 1 if sign == PLUS else -1
-    return LaurentPolynomial.monomial(-rank) * beta_level(plus, minus, level)
+    return _t2_coefficient(plus, minus, sign)
 
 
 def naive_t2_coefficient(plus: int, minus: int) -> LaurentPolynomial:
     """The T^2 coefficient of the naive zeta function, for any ambient dim.
 
-    Equals u^(-rank) * (u^rank - beta_cone); only min(plus, minus) and
-    max(plus, minus) enter.
+    Equals u^(-rank) * A = u^(-rank) * (u^rank - beta_cone); only
+    min(plus, minus) and max(plus, minus) enter.
     """
-    rank = plus + minus
-    if rank < 1:
-        raise InvalidGerm("need plus + minus >= 1")
-    return LaurentPolynomial.monomial(-rank) * (
-        LaurentPolynomial.monomial(rank) - beta_cone(plus, minus)
-    )
+    return _t2_coefficient(plus, minus, NAIVE)

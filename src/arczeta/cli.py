@@ -117,7 +117,8 @@ def _strata_json(series, reports) -> str:
 def _cmd_zeta(args) -> int:
     germ = arcspace.QuadraticGerm(dim=args.dim, plus=args.plus, minus=args.minus)
     if not args.strata:
-        series = arcspace.zeta_series(germ, args.selector, args.order)
+        # the series from its rational form; only --strata runs the engine
+        series = arcspace.zeta_closed_form(germ, args.selector, args.order)
         return _emit(args, series.to_json(), series.to_text())
     # one pass: the series and the dump both come from these reports
     reports = [arcspace.stratify(germ, n, args.selector) for n in range(1, args.order + 1)]

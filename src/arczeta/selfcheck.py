@@ -1,7 +1,9 @@
 """The selfcheck batch: every dual-route identity, checked on a grid.
 
 Each grid is a generator of (label, ok) pairs, one pair per identity it
-checks; run_selfcheck counts them and keeps the labels of the failures.
+checks; run_selfcheck counts them and keeps the labels of the failures.  A
+route that raises ends its grid there: the exception counts as one more
+failed identity, labelled with its type and detail, and the next grid runs.
 The grids call the closed forms through the scissor module attribute, so
 a patched closed form is what they see.
 
@@ -227,9 +229,13 @@ def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
     reports = []
     for name, grid in GRIDS:
         count, failures = 0, []
-        for label, ok in grid(bound):
+        try:
+            for label, ok in grid(bound):
+                count += 1
+                if not ok:
+                    failures.append(label)
+        except Exception as exc:  # a broken route fails its grid, not the batch
             count += 1
-            if not ok:
-                failures.append(label)
+            failures.append(f"raised {type(exc).__name__}: {exc}")
         reports.append((name, count, failures))
     return reports, all(not failures for _, _, failures in reports)

@@ -5,6 +5,9 @@ Each test prints a [PASS] line with its runtime; run with
     pytest tests/test_acceptance.py -v -s
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -36,6 +39,7 @@ from arczeta import (
     verify_split,
     zeta_series,
 )
+from arczeta.cli import run
 from util import random_singular_germ, random_symmetric, signature_pairs
 
 U = LaurentPolynomial.monomial(1)
@@ -247,3 +251,14 @@ def test_criterion_9_naive_ambiguity():
                 else:
                     assert outcome.status == "determined"
                     assert (outcome.m, outcome.M) == (m, M)
+
+
+def test_criterion_10_plain_zeta_at_order_400():
+    argv = ["zeta", "--dim", "3", "--plus", "1", "--minus", "1", "--order", "400", "--json"]
+    out = io.StringIO()
+    with _Timer("criterion 10: plain zeta --order 400 from the rational form", 1.0):
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    assert code == 0
+    series = TruncatedSeries.from_json(json.loads(out.getvalue()))
+    assert series.order == 400

@@ -108,6 +108,13 @@ def test_stratified_coefficients_match_closed_form():
                     assert series.coefficient(n) == coefficient_closed_form(
                         germ, n, selector
                     )
+    # far enough for odd and even n >= 9 and for the B sum to have many terms
+    for dim in range(1, 5):
+        for plus, minus in signature_pairs(dim):
+            germ = QuadraticGerm(dim=dim, plus=plus, minus=minus)
+            for selector in SELECTORS:
+                series = zeta_closed_form(germ, selector, 30)
+                assert zeta_series(germ, selector, 30) == series, (dim, plus, minus, selector)
 
 
 def test_stabilization_under_extra_coordinates():

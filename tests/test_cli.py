@@ -13,7 +13,7 @@ import arczeta.cli as cli
 from arczeta import LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck
 from arczeta import germ as germs
 from arczeta.cli import run
-from arczeta.errors import NotSignatureForm, ResultTooLarge, number_text
+from arczeta.errors import InvariantViolation, NotSignatureForm, ResultTooLarge, number_text
 
 
 def invoke(capsys, argv):
@@ -314,6 +314,20 @@ def test_zeta_strata_takes_the_betas_from_the_reports(capsys, monkeypatch, extra
     assert code == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_plain_zeta_answers_from_the_rational_form(capsys, monkeypatch, extra):
+    engine = arcspace.zeta_series(arcspace.QuadraticGerm(dim=4, plus=2, minus=1), arcspace.NAIVE, 7)
+    expected = json.dumps(engine.to_json(), sort_keys=True) if extra else engine.to_text()
+
+    def no_engine(*args):
+        raise AssertionError("plain zeta ran the decomposition engine")
+
+    for module in (arcspace, scissor):  # arcspace holds its own name for beta_eval
+        monkeypatch.setattr(module, "beta_eval", no_engine)
+    monkeypatch.setattr(arcspace, "stratify", no_engine)
+    assert invoke(capsys, ZETA_STRATA[:-1] + extra) == (0, expected + "\n")
+
+
 def test_beta_expr_on_a_deep_quadric_with_a_cold_cache(capsys):
     scissor._beta_quadric.cache_clear()
     atom = {"atom": "quadric_affine", "c": 1, "s": 200, "t": 200}
@@ -391,6 +405,31 @@ def test_selfcheck_counts_a_rejected_recovery_as_a_failure(capsys, monkeypatch):
     assert round_trip["count"] == 16
     assert len(round_trip["failures"]) == 16
     assert checks["zeta series law grid"]["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "error", [InvariantViolation("split_jet left a rank variable"), ZeroDivisionError("boom")]
+)
+def test_selfcheck_counts_a_raising_route_as_one_failure(capsys, monkeypatch, error):
+    _, passing = invoke(capsys, ["selfcheck", "--max", "2", "--json"])
+    expected = {check["name"]: check for check in json.loads(passing)["checks"]}
+
+    def raising(germ, jet_order):
+        raise error
+
+    monkeypatch.setattr(germs, "split_jet", raising)
+    code, out = invoke(capsys, ["selfcheck", "--max", "2", "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    label = f"raised {type(error).__name__}: {error}"
+    expected["splitting residual grid"].update(count=1, failures=[label])
+    assert payload["checks"] == list(expected.values())
+    code, out = invoke(capsys, ["selfcheck", "--max", "2"])
+    assert code == 1
+    assert f"splitting residual grid: FAILED at {label} out of 1 identities" in out
+    assert "inertia congruence/charpoly grid: 300 identities OK" in out
+    assert out.endswith("SELFCHECK FAILED\n")
 
 
 def test_zeta_laws_build_each_series_once(monkeypatch):

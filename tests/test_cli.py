@@ -500,6 +500,24 @@ def test_expression_depth_cap_is_exact(capsys):
     }
 
 
+def test_projective_space_cap_is_exact(capsys):
+    cap = scissor.MAX_PROJECTIVE_DIMENSION
+
+    def atom(k):
+        return json.dumps({"atom": "projective_space", "k": k})
+
+    code, out = invoke(capsys, ["beta", "expr", atom(cap), "--json"])
+    assert (code, len(json.loads(out))) == (0, cap + 1)
+    for k in (cap + 1, 10**9):
+        for extra in ([], ["--json"]):
+            code, out = invoke(capsys, ["beta", "expr", atom(k), *extra])
+            assert code == 1
+            assert json.loads(out) == {
+                "error": "MalformedExpression",
+                "detail": f"projective space needs k <= {cap}, got {k}",
+            }
+
+
 @pytest.mark.parametrize(
     "argv",
     [["beta", "expr", _nested_products(5000)], ["inertia", "--poly", _deep_germ_json(5000)]],
@@ -786,7 +804,8 @@ def test_a_digit_limit_failure_outside_rendering_is_no_result_too_large(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the parser: each run() builds the top level and its own command only
+# the parser: a canonical argv builds no argparse parser, any other argv the
+# top level and its own command only
 # ---------------------------------------------------------------------------
 
 # Each argv that sets an option is next to the same command without it.
@@ -847,12 +866,14 @@ def _counting_parser_builds(monkeypatch):
 @pytest.mark.parametrize(
     "argv, progs",
     [
-        (["inertia", "--poly", "x1^2"], ["arczeta", "arczeta inertia"]),
+        (["inertia", "--poly", "x1^2"], []),
         (["split", "--help"], ["arczeta", "arczeta split"]),
-        (["beta", "x0", "--m", "2", "--M", "2"], ["arczeta", "arczeta beta", "arczeta beta x0"]),
+        (["beta", "x0", "--m", "2", "--M", "2"], []),
         (["beta", "nope"], ["arczeta", "arczeta beta"]),
         (["--help"], ["arczeta"]),
         (["nonsense"], ["arczeta"]),
+        (["beta", "x0", "--m", "2", "--M", "-2"], ["arczeta", "arczeta beta", "arczeta beta x0"]),
+        (["beta", "expr", '{"atom": "point"}'], ["arczeta", "arczeta beta", "arczeta beta expr"]),
     ],
 )
 def test_a_request_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv, progs):

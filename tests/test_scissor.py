@@ -281,6 +281,19 @@ def test_nodes_validate_on_construction():
             build()
 
 
+def test_projective_space_cap_is_exact():
+    cap = scissor.MAX_PROJECTIVE_DIMENSION
+    assert beta_eval(ProjectiveSpace(cap)) == geometric_sum(cap + 1)
+    assert beta_eval(expression_from_json({"atom": "projective_space", "k": cap})).degree() == cap
+    # refused before any polynomial is built, however large k is
+    for k in (cap + 1, 10**9, 10**300):
+        with pytest.raises(MalformedExpression, match=f"^projective space needs k <= {cap}, got "):
+            ProjectiveSpace(k)
+        atom = {"atom": "projective_space", "k": k}
+        with pytest.raises(MalformedExpression, match=f"needs k <= {cap}"):
+            expression_from_json({"op": "product", "children": [atom]})
+
+
 def test_json_reader_reports_the_first_error_in_document_order():
     # building a node validates it, so a bad atom is reported before any
     # later structural error of its parent

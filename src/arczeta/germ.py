@@ -32,7 +32,7 @@ import json as _json
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, mul
 
 from ._record import Record, set_field, set_key
 from .algebra import ZERO, LaurentPolynomial
@@ -751,19 +751,16 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
     coeffs = [1]
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        AM = [
-            [sum(A[i][r] * M[r][j] for r in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(AM[i][i] for i in range(n))
+        columns = tuple(zip(*M))
+        M = [[sum(map(mul, row, column)) for column in columns] for row in A]  # A M
+        trace = sum(M[i][i] for i in range(n))
         quotient, residue = divmod(trace, k)
         if residue:
             raise InvariantViolation(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
         c = -quotient
         coeffs.append(c)
-        M = [
-            [AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-        ]
+        for i in range(n):  # M = A M + c I
+            M[i][i] += c
 
     def sign_changes(sequence):
         signs = [1 if x > 0 else -1 for x in sequence if x]

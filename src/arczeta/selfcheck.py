@@ -5,7 +5,9 @@ checks; run_selfcheck counts them and keeps the labels of the failures.  A
 route that raises ends its grid there: the exception counts as one more
 failed identity, labelled with its type and detail, and the next grid runs.
 The grids call the closed forms through the scissor module attribute, so
-a patched closed form is what they see.
+a patched closed form is what they see.  The three grids that read the
+engine's zeta coefficients share one table per run (_EngineCoefficients),
+which calls stratify through the arcspace module attribute once per key.
 
 The random generators below also feed the test suite, so the grids and the
 tests draw the same matrices and germs from the same seeds.
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 
 from . import arcspace, germ as germs, scissor
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, TruncatedSeries
 from .errors import NotSignatureForm
 from .scissor import QuadricAffine
 
@@ -116,12 +118,43 @@ def _degree_bound(bound):
                     yield f"(c={c}, s={s}, t={t})", degree == s + t - 1
 
 
-def _round_trip(bound):
+class _EngineCoefficients(dict):
+    """The engine route's normalized zeta coefficients, stratified once per key.
+
+    Maps (germ, n, selector), the germ standing for its (dim, plus, minus),
+    to stratify(germ, n, selector).total_beta * u^(-n*dim): the T^n
+    coefficient of zeta_series.  A key is filled on first use; a stratify
+    that raises fills nothing, so the next read raises again.  Only the
+    coefficients are kept, not the reports and their set expressions, and
+    equal coefficients of different keys (a germ and its grown germ, say)
+    share one object: a comparison of two entries reads the same either
+    way.  run_selfcheck makes one table per run, so nothing outlives it.
+    """
+
+    __slots__ = ("_distinct",)
+
+    def __init__(self):
+        super().__init__()
+        self._distinct = {}
+
+    def __missing__(self, key):
+        germ, n, selector = key
+        value = arcspace.stratify(germ, n, selector).total_beta
+        value = value * LaurentPolynomial.monomial(-n * germ.dim)
+        value = self[key] = self._distinct.setdefault(value, value)
+        return value
+
+    def series(self, germ, selector: str, order: int) -> TruncatedSeries:
+        """zeta_series(germ, selector, order), read from the table."""
+        return TruncatedSeries(order, {n: self[germ, n, selector] for n in range(1, order + 1)})
+
+
+def _round_trip(bound, engine):
     for dim in range(1, min(8, max(bound, 2)) + 1):
         for plus, minus in signature_pairs(dim):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-            c_plus = arcspace.zeta_series(quad, arcspace.PLUS, 2).coefficient(2)
-            c_minus = arcspace.zeta_series(quad, arcspace.MINUS, 2).coefficient(2)
+            c_plus = engine.series(quad, arcspace.PLUS, 2).coefficient(2)
+            c_minus = engine.series(quad, arcspace.MINUS, 2).coefficient(2)
             try:
                 recovered = germs.recover_signature(c_plus, c_minus)
             except NotSignatureForm:
@@ -129,19 +162,19 @@ def _round_trip(bound):
             yield f"(d={dim}, s={plus}, t={minus})", recovered == (plus, minus)
 
 
-def _zeta_two_paths(bound):
+def _zeta_two_paths(bound, engine):
     for dim in range(1, min(6, max(bound, 2)) + 1):
         for plus, minus in signature_pairs(dim):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
             for selector in arcspace.SELECTORS:
                 for n in range(1, 7):
-                    stratified = arcspace.stratify(quad, n, selector).total_beta
-                    lhs = stratified * LaurentPolynomial.monomial(-n * dim)
+                    stratified = engine[quad, n, selector]
                     closed = arcspace.coefficient_closed_form(quad, n, selector)
-                    yield f"(d={dim}, s={plus}, t={minus}, n={n}, {selector})", lhs == closed
+                    label = f"(d={dim}, s={plus}, t={minus}, n={n}, {selector})"
+                    yield label, stratified == closed
 
 
-def _zeta_laws(bound):
+def _zeta_laws(bound, engine):
     order = 6
     for dim in range(1, min(6, max(bound, 2)) + 1):
         for plus, minus in signature_pairs(dim):
@@ -150,9 +183,9 @@ def _zeta_laws(bound):
             grown = arcspace.QuadraticGerm(dim=dim + 1, plus=plus, minus=minus)
             swapped = arcspace.QuadraticGerm(dim=dim, plus=minus, minus=plus)
             # built once per selector and shared by every law below
-            series_of = {sel: arcspace.zeta_series(quad, sel, order) for sel in arcspace.SELECTORS}
+            series_of = {sel: engine.series(quad, sel, order) for sel in arcspace.SELECTORS}
             for selector, series in series_of.items():
-                stable = series == arcspace.zeta_series(grown, selector, order)
+                stable = series == engine.series(grown, selector, order)
                 yield f"stabilization ({where}, {selector})", stable
                 yield f"T^1 ({where}, {selector})", series.coefficient(1).is_zero()
                 yield f"degree bound ({where}, {selector})", not any(
@@ -166,7 +199,7 @@ def _zeta_laws(bound):
                 plus_series.coefficient(n) == minus_series.coefficient(n)
                 for n in range(1, order + 1, 2)
             )
-            swap = plus_series == arcspace.zeta_series(swapped, arcspace.MINUS, order)
+            swap = plus_series == engine.series(swapped, arcspace.MINUS, order)
             yield f"sign swap ({where})", swap
 
 
@@ -221,16 +254,20 @@ GRIDS = (
     ("splitting residual grid", _split_residuals),
 )
 
+# the grids that take the run's _EngineCoefficients as a second argument
+_READS_ENGINE = (_round_trip, _zeta_two_paths, _zeta_laws)
+
 
 def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
     """Run every identity grid up to the bound; returns (reports, all_ok)."""
     if bound < 2:
         raise ValueError("selfcheck bound must be at least 2")
+    engine = _EngineCoefficients()
     reports = []
     for name, grid in GRIDS:
         count, failures = 0, []
         try:
-            for label, ok in grid(bound):
+            for label, ok in grid(bound, engine) if grid in _READS_ENGINE else grid(bound):
                 count += 1
                 if not ok:
                     failures.append(label)

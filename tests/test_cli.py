@@ -432,21 +432,50 @@ def test_selfcheck_counts_a_raising_route_as_one_failure(capsys, monkeypatch, er
     assert out.endswith("SELFCHECK FAILED\n")
 
 
-def test_zeta_laws_build_each_series_once(monkeypatch):
-    calls = []
-    real_zeta_series = arcspace.zeta_series
+def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
+    keys = []
+    real_stratify = arcspace.stratify
 
-    def counting_zeta_series(germ, selector, order):
-        calls.append((germ, selector))
-        return real_zeta_series(germ, selector, order)
+    def counting_stratify(germ, n, selector):
+        keys.append((germ.dim, germ.plus, germ.minus, n, selector))
+        return real_stratify(germ, n, selector)
 
-    monkeypatch.setattr(arcspace, "zeta_series", counting_zeta_series)
-    results = list(selfcheck._zeta_laws(3))
-    signatures = sum(1 for dim in (1, 2, 3) for _ in selfcheck.signature_pairs(dim))
-    assert all(ok for _, ok in results)
-    assert len(results) == 11 * signatures
-    # three series of the germ, three of the grown germ, one of the swapped one
-    assert len(calls) == 7 * signatures
+    monkeypatch.setattr(arcspace, "stratify", counting_stratify)
+    first = selfcheck.run_selfcheck(3)
+    assert first[1] is True
+    # the round-trip, two-path and law grids read 450 distinct keys at --max 3
+    assert len(keys) == len(set(keys)) == 450
+    keys.clear()
+    # a second run in the same process starts from an empty table
+    assert selfcheck.run_selfcheck(3) == first
+    assert len(keys) == len(set(keys)) == 450
+
+
+def test_a_faulty_stratify_key_fails_only_the_identities_that_read_it(capsys, monkeypatch):
+    real_stratify = arcspace.stratify
+
+    def faulty_stratify(germ, n, selector):
+        report = real_stratify(germ, n, selector)
+        if (germ.dim, germ.plus, germ.minus, n, selector) != (3, 1, 1, 4, arcspace.PLUS):
+            return report
+        return arcspace.ArcStratumReport(
+            report.n, report.selector, report.strata, report.betas,
+            report.total_beta + LaurentPolynomial.one(),
+        )
+
+    monkeypatch.setattr(arcspace, "stratify", faulty_stratify)
+    code, out = invoke(capsys, ["selfcheck", "--max", "3", "--json"])
+    assert code == 1
+    failures = {check["name"]: check["failures"] for check in json.loads(out)["checks"]}
+    assert failures.pop("zeta stratification/closed-form grid") == ["(d=3, s=1, t=1, n=4, plus)"]
+    # (3, 1, 1) is the germ of d=3 and the grown germ of d=2; the sign swap
+    # of (3, 1, 1) compares its plus series with the minus series of itself
+    assert failures.pop("zeta series law grid") == [
+        "stabilization (d=2, s=1, t=1, plus)",
+        "stabilization (d=3, s=1, t=1, plus)",
+        "sign swap (d=3, s=1, t=1)",
+    ]
+    assert all(grid_failures == [] for grid_failures in failures.values())
 
 
 def _nested_products(depth: int) -> str:

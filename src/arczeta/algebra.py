@@ -327,6 +327,12 @@ class LaurentPolynomial:
         """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
         return [[exp, number_text(self._terms[exp])] for exp in sorted(self._terms)]
 
+    def json_text(self) -> str:
+        """The text json.dumps(self.to_json()) gives, written without the list."""
+        terms = self._terms
+        parts = (f'[{exp}, "{number_text(terms[exp])}"]' for exp in sorted(terms))
+        return "[" + ", ".join(parts) + "]"
+
     @classmethod
     def from_json(cls, data) -> "LaurentPolynomial":
         if not isinstance(data, list):

@@ -187,8 +187,8 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
 
     rank = germ.rank
     free_z = n * (germ.dim - rank)
-    # the factors the strata share, built once: a repeated child object is
-    # evaluated once per run by beta_eval
+    # the factors the strata share, built once: beta_eval evaluates each of
+    # them once for the whole report, under the memo below
     cone = QuadricAffine(0, germ.plus, germ.minus)
     punctured_cone = Difference(cone, Point())
     hyperplane = AffineSpace(rank - 1)
@@ -219,7 +219,8 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
             )
         strata.append((description, Product((*factors, AffineSpace(rank * e), *z_block))))
 
-    betas = tuple(beta_eval(expression) for _, expression in strata)
+    memo: dict = {}  # dropped on return, while strata still holds every node
+    betas = tuple(beta_eval(expression, memo) for _, expression in strata)
     return ArcStratumReport(
         n=n, selector=selector, strata=tuple(strata), betas=betas, total_beta=sum(betas, ZERO)
     )

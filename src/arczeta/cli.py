@@ -99,22 +99,27 @@ def _strata_json(series, reports) -> str:
 
     The strata of one request share most of their nodes, so the expressions
     are written by scissor.expression_json_text with one memo for the whole
-    request; the wrappers below spell out the keys in sorted order.
+    request, and every polynomial by its own json_text; the wrappers below
+    spell out the keys in sorted order.
     """
     memo: dict = {}
     dumps = json.dumps
     texts = []
     for report in reports:
         strata = ", ".join(
-            f'{{"beta": {dumps(beta.to_json())}, "description": {dumps(description)}, '
+            f'{{"beta": {beta.json_text()}, "description": {dumps(description)}, '
             f'"expression": {scissor.expression_json_text(expression, memo)}}}'
             for (description, expression), beta in zip(report.strata, report.betas)
         )
         texts.append(
             f'{{"n": {report.n}, "selector": {dumps(report.selector)}, "strata": [{strata}], '
-            f'"total_beta": {dumps(report.total_beta.to_json())}}}'
+            f'"total_beta": {report.total_beta.json_text()}}}'
         )
-    return f'{{"series": {dumps(series.to_json(), sort_keys=True)}, "strata": [{", ".join(texts)}]}}'
+    terms = ", ".join(f"[{n}, {poly.json_text()}]" for n, poly in series.coefficients().items())
+    return (
+        f'{{"series": {{"order": {series.order}, "terms": [{terms}]}}, '
+        f'"strata": [{", ".join(texts)}]}}'
+    )
 
 
 def _cmd_zeta(args) -> int:

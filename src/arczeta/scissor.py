@@ -39,8 +39,15 @@ Two independent routes to beta of the affine quadrics are implemented.
 
 Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
-recompute identically, and expression_json_text fills only the memo its
-caller passes in.
+recompute identically.  beta_eval and expression_json_text each fill only
+a memo the caller passes in (beta_eval makes its own when given none), so
+each distinct node object is evaluated or written once per memo.  Both key
+nodes by identity (id; expression_json_text keys atoms by value).  That is
+sound only while every expression used with the memo stays alive, since a
+freed node's id can be reused: the caller makes the memo, uses it for one
+batch of expressions it holds (stratify: the strata of one report; the
+command line: one request), and drops it.  No memo outlives that batch,
+and none is kept at module level.
 """
 
 from __future__ import annotations
@@ -114,10 +121,15 @@ def _require_ints(node, *names):
 
 
 def _compose(node, *children):
-    """Check the children of a composite node and record its depth."""
-    for child in children:
+    """Check the children of a composite node and record its depth.
+
+    A child object repeated in the node (a run of one shared factor) is
+    checked once; the first offending child is still the one reported.
+    """
+    distinct = {id(child): child for child in children}.values()
+    for child in distinct:
         _node_type(child)
-    depth = 1 + max((getattr(child, "depth", 1) for child in children), default=0)
+    depth = 1 + max((getattr(child, "depth", 1) for child in distinct), default=0)
     if depth > MAX_EXPRESSION_DEPTH:
         raise MalformedExpression(_TOO_DEEP)
     set_field(node, "depth", depth)
@@ -396,43 +408,70 @@ def _beta_quadric(c: int, plus: int, minus: int) -> LaurentPolynomial:
     return beta_eval(quadric_reduce(c, plus, minus))
 
 
-def _beta_product(product: Product) -> LaurentPolynomial:
-    # a run of one repeated child object is evaluated once and raised to a power
-    total = ONE
+def _beta_product(product: Product, evaluate) -> LaurentPolynomial:
+    # Children with a one-term beta (affine spaces, points, the strata's
+    # hyperplanes and z-block) fold into one u^shift * scale, applied once at
+    # the end; only the others are multiplied, a run of one repeated child
+    # object as a power.
+    shift, scale, total = 0, 1, None
     for _, run in groupby(product.children, key=id):
         run = list(run)
-        total = total * beta_eval(run[0]) ** len(run)
+        value = evaluate(run[0])
+        terms = value._terms  # read in place: the package's own value type
+        if len(terms) == 1:
+            ((exp, coeff),) = terms.items()
+            shift += exp * len(run)
+            scale *= coeff ** len(run)
+        elif not terms:
+            return ZERO
+        else:
+            value = value ** len(run)
+            total = value if total is None else total * value
+    if total is None:
+        return LaurentPolynomial.monomial(shift, scale)
+    if shift or scale != 1:
+        total = total * LaurentPolynomial.monomial(shift, scale)
     return total
 
 
 # kind: the JSON key carrying the tag, "atom" or "op"; fields: an atom's
 # integer fields, or an op's child slots (() if variadic); beta: the node's
-# value from its fields.
+# value from its fields, given the evaluator that beta_eval uses for its
+# children.
 _Node = namedtuple("_Node", "kind tag fields beta")
 
 
 # The one table behind beta_eval, expression_to_json and expression_from_json.
 _NODES = {
-    AffineSpace: _Node("atom", "affine_space", ("k",), lambda x: LaurentPolynomial.monomial(x.k)),
-    PuncturedLine: _Node("atom", "punctured_line", (), lambda x: U - ONE),
-    Point: _Node("atom", "point", (), lambda x: ONE),
-    Sphere: _Node("atom", "sphere", ("dim",), lambda x: ONE + LaurentPolynomial.monomial(x.dim)),
-    ProjectiveSpace: _Node("atom", "projective_space", ("k",), lambda x: geometric_sum(x.k + 1)),
+    AffineSpace: _Node(
+        "atom", "affine_space", ("k",), lambda x, _: LaurentPolynomial.monomial(x.k)
+    ),
+    PuncturedLine: _Node("atom", "punctured_line", (), lambda x, _: U - ONE),
+    Point: _Node("atom", "point", (), lambda x, _: ONE),
+    Sphere: _Node(
+        "atom", "sphere", ("dim",), lambda x, _: ONE + LaurentPolynomial.monomial(x.dim)
+    ),
+    ProjectiveSpace: _Node(
+        "atom", "projective_space", ("k",), lambda x, _: geometric_sum(x.k + 1)
+    ),
     QuadricAffine: _Node(
-        "atom", "quadric_affine", ("c", "s", "t"), lambda x: _beta_quadric(x.c, x.s, x.t)
+        "atom", "quadric_affine", ("c", "s", "t"), lambda x, _: _beta_quadric(x.c, x.s, x.t)
     ),
     QuadricProjective: _Node(
-        "atom", "quadric_projective", ("m", "M"), lambda x: beta_projective_quadric(x.m, x.M)
+        "atom", "quadric_projective", ("m", "M"), lambda x, _: beta_projective_quadric(x.m, x.M)
     ),
     Product: _Node("op", "product", (), _beta_product),
     DisjointUnion: _Node(
-        "op", "disjoint_union", (), lambda x: reduce(add, map(beta_eval, x.children), ZERO)
+        "op",
+        "disjoint_union",
+        (),
+        lambda x, evaluate: reduce(add, map(evaluate, x.children), ZERO),
     ),
     Difference: _Node(
         "op",
         "difference",
         ("ambient", "closed_subset"),
-        lambda x: beta_eval(x.ambient) - beta_eval(x.closed_subset),
+        lambda x, evaluate: evaluate(x.ambient) - evaluate(x.closed_subset),
     ),
 }
 _BY_TAG = {(node.kind, node.tag): cls for cls, node in _NODES.items()}
@@ -445,9 +484,24 @@ def _node_type(expression) -> _Node:
         raise MalformedExpression(f"not a set expression: {brief_repr(expression)}") from None
 
 
-def beta_eval(expression: SetExpression) -> LaurentPolynomial:
-    """Evaluate beta on a set expression by additivity and multiplicativity."""
-    return _node_type(expression).beta(expression)
+def beta_eval(expression: SetExpression, memo: dict | None = None) -> LaurentPolynomial:
+    """Evaluate beta on a set expression by additivity and multiplicativity.
+
+    Each distinct node object is evaluated once per memo.  stratify passes
+    one memo for all the strata of a report, which share most of their
+    nodes; without one, the call makes its own.  The memo is keyed by id:
+    the module docstring says when that is sound.
+    """
+    memo = {} if memo is None else memo
+
+    def evaluate(node):
+        key = id(node)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _node_type(node).beta(node, evaluate)
+        return value
+
+    return evaluate(expression)
 
 
 def cone_relation_check(m: int, M: int) -> bool:

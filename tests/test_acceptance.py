@@ -36,7 +36,9 @@ from arczeta import (
     recover_minmax,
     recover_signature,
     split_jet,
+    scissor,
     verify_split,
+    zeta_closed_form,
     zeta_series,
 )
 from arczeta.cli import run
@@ -262,3 +264,22 @@ def test_criterion_10_plain_zeta_at_order_400():
     assert code == 0
     series = TruncatedSeries.from_json(json.loads(out.getvalue()))
     assert series.order == 400
+
+
+def test_criterion_11_largest_series_strata_request():
+    # the largest zeta --strata request shape of the benchmark's series pool,
+    # with a cold quadric cache: about 30 ms in process on a 2-vCPU VM
+    argv = [
+        "zeta", "--strata", "--json", "--dim", "16", "--plus", "5", "--minus", "6",
+        "--selector", "naive", "--order", "40",
+    ]
+    out = io.StringIO()
+    scissor._beta_quadric.cache_clear()
+    with _Timer("criterion 11: zeta --strata --order 40 on a rank-11 germ in R^16", 0.5):
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    germ = QuadraticGerm(dim=16, plus=5, minus=6)
+    assert TruncatedSeries.from_json(payload["series"]) == zeta_closed_form(germ, NAIVE, 40)
+    assert [report["n"] for report in payload["strata"]] == list(range(1, 41))

@@ -1,10 +1,12 @@
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from arczeta import LaurentPolynomial, TruncatedSeries, geometric_sum
-from arczeta.errors import OrderMismatch, PoleAtZero, ZeroPolynomial
+from arczeta.errors import OrderMismatch, PoleAtZero, ResultTooLarge, ZeroPolynomial
 from util import random_laurent
 
 U = LaurentPolynomial.monomial(1)
@@ -110,6 +112,28 @@ def test_json_round_trip():
         data = p.to_json()
         assert data == sorted(data)
         assert LaurentPolynomial.from_json(data) == p
+
+
+def test_json_text_is_the_dumped_json():
+    rng = random.Random(9)
+    cases = [
+        LaurentPolynomial.zero(),
+        LaurentPolynomial({0: -1}),
+        LaurentPolynomial({-3: -12, -1: 5, 0: 1, 4: -1}),
+        LaurentPolynomial({-40: 10**30, 2: -(10**30)}),
+    ] + [random_laurent(rng) for _ in range(100)]
+    for p in cases:
+        assert p.json_text() == json.dumps(p.to_json())
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_json_text_refuses_a_coefficient_over_the_digit_limit_as_to_json_does():
+    p = LaurentPolynomial({-1: 3, 2: -(10 ** sys.get_int_max_str_digits())})
+    for render in (p.to_json, p.json_text):
+        with pytest.raises(ResultTooLarge):
+            render()
 
 
 def test_json_reads_integer_and_decimal_string_coefficients():

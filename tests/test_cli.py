@@ -685,6 +685,63 @@ def test_zeta_strata_json_keeps_no_state_after_the_request(capsys):
     assert {module: _module_state(module) for module in (cli, scissor)} == before
 
 
+@pytest.mark.parametrize("germ", _strata_germs(), ids=lambda g: "-".join(map(str, g)))
+def test_stratify_memo_gives_each_stratum_its_own_beta(germ):
+    """One memo per report: every stratum's beta is what it is alone."""
+    quad = arcspace.QuadraticGerm(*germ)
+    for selector in arcspace.SELECTORS:
+        for n in range(1, 41):
+            report = arcspace.stratify(quad, n, selector)
+            for (_, expression), beta in zip(report.strata, report.betas):
+                assert beta == scissor.beta_eval(expression), (selector, n)
+                by_child = LaurentPolynomial.one()
+                for child in expression.children:
+                    by_child = by_child * scissor.beta_eval(child)
+                assert beta == by_child, (selector, n)
+
+
+def _distinct_nodes(expressions) -> dict:
+    """id -> node for every node object reachable from expressions."""
+    nodes, stack = {}, list(expressions)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            kind = scissor._node_type(node)
+            if kind.kind == "op":
+                stack.extend(scissor._children(kind, node))
+    return nodes
+
+
+@pytest.mark.parametrize("selector", arcspace.SELECTORS)
+def test_stratify_evaluates_each_distinct_node_once_per_call(monkeypatch, selector):
+    quad = arcspace.QuadraticGerm(16, 5, 6)
+    arcspace.stratify(quad, 40, selector)  # warms the quadric cache, which builds nodes of its own
+    evaluated = []
+    for cls, node in list(scissor._NODES.items()):
+
+        def counting(expression, evaluate, beta=node.beta):
+            evaluated.append(id(expression))
+            return beta(expression, evaluate)
+
+        monkeypatch.setitem(scissor._NODES, cls, node._replace(beta=counting))
+    before = {module: _module_state(module) for module in (arcspace, scissor)}
+    betas = []
+    for _ in range(2):
+        evaluated.clear()
+        report = arcspace.stratify(quad, 40, selector)
+        nodes = _distinct_nodes(expression for _, expression in report.strata)
+        assert sorted(evaluated) == sorted(nodes)
+        # the strata share nodes, so evaluating each alone would cost more
+        assert len(nodes) < sum(len(_distinct_nodes([e])) for _, e in report.strata)
+        betas.append(report.betas)
+        # freed here, so the next call may reuse these ids: a memo kept past
+        # the call would skip those nodes and answer with stale betas
+        del report, nodes
+    assert betas[0] == betas[1]
+    assert {module: _module_state(module) for module in (arcspace, scissor)} == before
+
+
 def test_split_json_renders_no_text(capsys, monkeypatch):
     def no_text(self):
         raise AssertionError("to_text called for --json output")

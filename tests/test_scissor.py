@@ -447,6 +447,18 @@ def test_repeated_children_are_shared_not_deepened():
     assert beta_eval(product) == mono(1000)
 
 
+def test_a_composite_reports_its_first_bad_child_among_repeated_ones():
+    line = AffineSpace(1)
+    deep = Product((Product((line,)),))
+    for build in (Product, DisjointUnion):
+        node = build((line, deep, line, deep, deep))
+        assert node.depth == 4
+        with pytest.raises(MalformedExpression, match="'first'"):
+            build((line, "first", "first", line, "second"))
+    with pytest.raises(MalformedExpression, match="'first'"):
+        Difference("first", "first")
+
+
 def test_depth_stays_out_of_equality_and_repr():
     shallow = Product((Point(),))
     assert shallow.depth == 2
@@ -527,8 +539,16 @@ def test_depth_is_no_field(wrap):
 
 def test_product_beta_matches_the_child_by_child_product():
     rng = random.Random(606)
-    atoms = [AffineSpace(2), PuncturedLine(), Sphere(3), QuadricAffine(0, 2, 1), Point()]
-    for _ in range(100):
+    minus_one = Difference(Point(), Sphere(0))  # beta = 1 - 2 = -1
+    # one-term betas, which the product folds into one shift and scale (a
+    # negative scale and the empty product among them; QuadricAffine(0, 2, 1)
+    # is the cone u^2), the zero EMPTY, and multi-term betas, which it
+    # multiplies, a run of one object as a power
+    atoms = [
+        AffineSpace(2), PuncturedLine(), Sphere(3), QuadricAffine(0, 2, 1), Point(),
+        EMPTY, minus_one, Product(()), ProjectiveSpace(3), QuadricAffine(1, 2, 1),
+    ]
+    for _ in range(300):
         children = []
         for _ in range(rng.randint(0, 8)):
             # runs of one shared object, and equal but distinct objects
@@ -540,6 +560,14 @@ def test_product_beta_matches_the_child_by_child_product():
         for child in children:
             expected = expected * beta_eval(child)
         assert beta_eval(Product(tuple(children))) == expected
+    assert beta_eval(Product((minus_one,) * 3)) == LaurentPolynomial.constant(-1)
+    assert beta_eval(Product((minus_one, AffineSpace(2), minus_one, Point()))) == mono(2)
+    assert beta_eval(Product((AffineSpace(1), EMPTY, ProjectiveSpace(3)))).is_zero()
+    assert beta_eval(Product((Product(()), Point()))) == ONE
+    assert beta_eval(Product((ProjectiveSpace(3),) * 3)) == geometric_sum(4) ** 3
+    assert beta_eval(Product((ProjectiveSpace(3), AffineSpace(1), QuadricAffine(1, 2, 1)))) == (
+        geometric_sum(4) * U * (mono(2) + U)
+    )
 
 
 def test_error_details_echo_a_bounded_input():

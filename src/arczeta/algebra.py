@@ -10,8 +10,6 @@ All values are immutable and hashable, and every operation is a pure
 function, so they can be shared freely between threads.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 from collections.abc import Iterable, Mapping
@@ -259,15 +257,18 @@ class LaurentPolynomial:
     def __repr__(self):
         return f"LaurentPolynomial({self.to_text()!r})"
 
-    _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<sym>[u^*+-]))")
+    # pattern strings: no command parses text, so they are compiled on first
+    # use, through re's own cache
+    _TOKEN = r"\s*(?:(?P<num>\d+)|(?P<sym>[u^*+-]))"
 
     @classmethod
     def from_text(cls, text: str) -> "LaurentPolynomial":
         """Parse the to_text format back into a polynomial."""
         tokens: list[tuple[str, str, int]] = []
+        token = re.compile(cls._TOKEN)
         pos = 0
         while pos < len(text):
-            match = cls._TOKEN.match(text, pos)
+            match = token.match(text, pos)
             if match is None:
                 if text[pos:].strip():
                     raise ValueError(f"unexpected character in polynomial: {text[pos:]!r}")
@@ -472,18 +473,19 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({self.to_text()!r})"
 
-    _TERM = re.compile(r"\(([^()]*)\)\*T\^(\d+)")
-    _TAIL = re.compile(r"\s*O\(T\^(\d+)\)\s*$")
+    # compiled on first use, like LaurentPolynomial._TOKEN
+    _TERM = r"\(([^()]*)\)\*T\^(\d+)"
+    _TAIL = r"\s*O\(T\^(\d+)\)\s*$"
 
     @classmethod
     def from_text(cls, text: str) -> "TruncatedSeries":
-        tail = cls._TAIL.search(text)
+        tail = re.search(cls._TAIL, text)
         if tail is None:
             raise ValueError("series text must end with O(T^N+1)")
         order = int(tail.group(1)) - 1
         coeffs = {
             int(n): LaurentPolynomial.from_text(body)
-            for body, n in cls._TERM.findall(text[: tail.start()])
+            for body, n in re.findall(cls._TERM, text[: tail.start()])
         }
         return cls(order, coeffs)
 

@@ -77,8 +77,6 @@ No arc is ever enumerated or sampled: everything is a constructible set.
 All functions are pure and coefficients for distinct n are independent.
 """
 
-from __future__ import annotations
-
 from ._record import Record, set_field, set_key
 from .algebra import ONE, U, ZERO, LaurentPolynomial, TruncatedSeries
 from .errors import InvalidGerm

@@ -8,21 +8,17 @@ accepted, "-" reads standard input.  All state lives in argv: there are
 no configuration files or environment variables.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 from collections import namedtuple
 from functools import partial
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from . import arcspace, germ as germs, scissor
 from .algebra import LaurentPolynomial
 from .errors import ArcZetaError, MalformedExpression
-from .selfcheck import run_selfcheck
 
-__all__ = ["run", "main", "run_selfcheck"]
+__all__ = ["run", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +207,8 @@ def _cmd_discriminate(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck  # imported by the one command that runs it
+
     checks, ok = run_selfcheck(args.max)
     if args.json:
         payload = {
@@ -244,7 +242,9 @@ def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            from argparse import ArgumentTypeError  # the usage error argparse reports
+
+            raise ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -320,8 +320,22 @@ _COMMANDS = MappingProxyType({
 })
 
 
+class _Namespace(SimpleNamespace):
+    """What _parse_canonical returns: equal to any namespace with the same attributes.
+
+    argparse.Namespace.__eq__ returns NotImplemented for a foreign type, so
+    the comparison holds from either side.
+    """
+
+    def __eq__(self, other):
+        try:
+            return vars(self) == vars(other)
+        except TypeError:  # other has no attributes to compare
+            return NotImplemented
+
+
 def _parse_canonical(argv: list[str]):
-    """The Namespace argparse gives argv, if argv is canonical; else None.
+    """A namespace equal to the one argparse gives argv, if argv is canonical; else None.
 
     Canonical is an exact command (and beta kind), then known long options,
     each at most once, as --opt value or --opt=value, with every required
@@ -353,7 +367,7 @@ def _parse_canonical(argv: list[str]):
             return None
         try:
             value = text if option.type is None else option.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except Exception:  # the fallback calls the type again: argparse reports or raises it
             return None
         if option.choices is not None and value not in option.choices:
             return None
@@ -361,7 +375,7 @@ def _parse_canonical(argv: list[str]):
     if any(option.required and option.dest not in values for option in command.options):
         return None
     defaults = {option.dest: option.default for option in command.options}
-    return argparse.Namespace(**names, **{**defaults, **values}, func=command.func)
+    return _Namespace(**names, **{**defaults, **values}, func=command.func)
 
 
 class _Deferred:
@@ -381,6 +395,8 @@ class _Deferred:
         self._kwargs = kwargs
 
     def parse_known_args(self, args=None, namespace=None):
+        import argparse
+
         parser = argparse.ArgumentParser(**self._kwargs)
         self._options(parser)
         return parser.parse_known_args(args, namespace)
@@ -412,7 +428,10 @@ def _add_options(command: _Command, parser) -> None:
     parser.set_defaults(func=command.func)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The fallback's parser; argparse is imported when one is built."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arczeta",
         description=(

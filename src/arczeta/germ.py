@@ -26,8 +26,6 @@ the two counts, and not even that on the max = min + 1 family, where it
 collapses to 1 - u^-1; recover_minmax reports that ambiguity as a value.
 """
 
-from __future__ import annotations
-
 import json as _json
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -422,7 +420,7 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
         while pos < size and text[pos].isspace():
             pos += 1
 
-    def read_int(expected: str) -> tuple[int, int]:
+    def read_int(expected: str) -> "tuple[int, int]":
         nonlocal pos
         start = pos
         while pos < size and text[pos] in _DIGITS:
@@ -604,17 +602,24 @@ def congruence_diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]
 _EXACT = (int, Fraction)
 
 
+def _exact_square(matrix) -> list[list]:
+    """The rows of a square matrix with each entry an int or a Fraction."""
+    n = len(matrix)
+    # an int or a Fraction already has the numerator and denominator read later
+    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return rows
+
+
 def _integer_symmetric(matrix) -> list[list[int]]:
     """A square symmetric matrix times the lcm of its denominators, as ints.
 
     The scale is positive, so every route that counts signs of eigenvalues
     or of pivots counts the same on the result.
     """
-    n = len(matrix)
-    # an int or a Fraction already has the numerator and denominator read below
-    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
+    rows = _exact_square(matrix)
+    n = len(rows)
     scale = 1
     for row in rows:  # row by row: lcm(*all) would build an n*n argument tuple
         scale = lcm(scale, *(x.denominator for x in row))
@@ -688,27 +693,37 @@ def congruence_inertia(matrix) -> tuple[int, int]:
 
 
 def determinant(matrix) -> Fraction:
-    """Exact determinant by fraction-based Gaussian elimination."""
-    n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    result = Fraction(1)
+    """Exact determinant by Bareiss's fraction-free elimination over the integers.
+
+    Each row is first scaled by the lcm of its denominators; the determinant
+    is that of the integer matrix over the product of the scales.  Each step
+    leaves a minor of the scaled matrix (Sylvester's identity) in every entry
+    still to be eliminated, so each division below is exact, and the last
+    pivot, signed by the row swaps, is the determinant.
+    """
+    scale = 1
+    A = []
+    for row in _exact_square(matrix):
+        row_scale = lcm(*(x.denominator for x in row))
+        scale *= row_scale
+        A.append([x.numerator * (row_scale // x.denominator) for x in row])
+    n = len(A)
+    sign = previous = 1
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        pivot = next((r for r in range(k, n) if A[r][k]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            result = -result
-        result *= rows[k][k]
-        inverse = 1 / rows[k][k]
-        for r in range(k + 1, n):
-            if rows[r][k]:
-                factor = rows[r][k] * inverse
-                for c in range(k, n):
-                    rows[r][c] -= factor * rows[k][c]
-    return result
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        pivot_row = A[k]
+        p = pivot_row[k]
+        for row in A[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - a * pivot_row[j]) // previous
+        previous = p
+    return Fraction(sign * previous, scale)
 
 
 def linear_part(change: Sequence[PolynomialGerm]) -> list[list[Fraction]]:

@@ -50,8 +50,6 @@ command line: one request), and drops it.  No memo outlives that batch,
 and none is kept at module level.
 """
 
-from __future__ import annotations
-
 import json
 from collections import namedtuple
 from functools import lru_cache, reduce
@@ -262,7 +260,7 @@ class Difference(Record):
     __slots__ = ("ambient", "closed_subset", "depth")
     _fields = ("ambient", "closed_subset")
 
-    def __init__(self, ambient: SetExpression, closed_subset: SetExpression):
+    def __init__(self, ambient: "SetExpression", closed_subset: "SetExpression"):
         set_field(self, "ambient", ambient)
         set_field(self, "closed_subset", closed_subset)
         set_key(self, (ambient, closed_subset))

@@ -13,8 +13,6 @@ The random generators below also feed the test suite, so the grids and the
 tests draw the same matrices and germs from the same seeds.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

@@ -1047,3 +1047,55 @@ def test_importing_and_running_the_cli_loads_neither_dataclasses_nor_inspect():
     completed = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == "[]\n[]\n"
+
+
+# One canonical request of every command but selfcheck (beta expr takes a
+# positional, so it always falls back to argparse).
+CANONICAL_REQUESTS = (
+    ["beta", "z", "--m", "2", "--M", "1", "--json"],
+    ["beta", "x1", "--s=2", "--t=1"],
+    ["zeta", "--dim", "3", "--plus", "2", "--minus", "1", "--order", "4", "--json"],
+    ["zeta", "--dim", "3", "--plus", "1", "--minus", "1", "--selector", "plus", "--strata"],
+    ["recover", "--plus-coeff", '[[-2, "1"], [-1, "1"]]',
+     "--minus-coeff", '[[-2, "-1"], [-1, "1"]]'],
+    ["recover-naive", "--coeff", '[[0, "1"], [-1, "-1"], [-2, "-1"], [-3, "1"]]', "--json"],
+    ["inertia", "--poly", "x1^2 - x2^2 + x3^3", "--json"],
+    ["split", "--poly", "x1^2 + 2*x1*x2^2", "--jet", "4"],
+    ["discriminate", "--f", "x1^2 + x2^2", "--g", "x1^2 - x2^2", "--json"],
+)
+
+
+def test_a_canonical_request_imports_neither_argparse_nor_selfcheck():
+    # argparse (with gettext) and arczeta.selfcheck are imported by the
+    # fallback parser and by the selfcheck command, when they run
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import arczeta, arczeta.cli\n"
+        "def loaded():\n"
+        "    return sorted({'argparse', 'gettext', 'arczeta.selfcheck'} & set(sys.modules))\n"
+        "def run(argv):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        code = arczeta.cli.run(argv)\n"
+        "    return code, err.getvalue()\n"
+        "print(json.dumps(loaded()))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert run(argv) == (0, ''), argv\n"
+        "print(json.dumps(loaded()))\n"
+        "print(json.dumps([run(['selfcheck', '--max', '2']), loaded()]))\n"
+        "usage_error = ['zeta', '--order', '0', '--dim', '2', '--plus', '1', '--minus', '1']\n"
+        "print(json.dumps([run(usage_error), loaded()]))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(CANONICAL_REQUESTS)],
+        capture_output=True, text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = [json.loads(line) for line in completed.stdout.splitlines()]
+    assert lines[0] == lines[1] == []
+    assert lines[2] == [[0, ""], ["arczeta.selfcheck"]]
+    (code, err), modules = lines[3]
+    assert code == 2
+    assert err.startswith("usage: arczeta zeta [-h]")
+    assert err.endswith("arczeta zeta: error: argument --order: must be at least 1, got 0\n")
+    assert modules == ["arczeta.selfcheck", "argparse", "gettext"]

@@ -492,8 +492,18 @@ def test_split_zero_quadratic_part():
 
 def test_determinant():
     assert determinant([[Fraction(2)]]) == 2
+    assert determinant([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+    assert determinant([[0]]) == 0
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[1, 2], [2, 4]]) == 0
+    # a zero first pivot: a row swap flips the sign
+    assert determinant([[0, 1], [1, 0]]) == -1
+    swapped = [[0, Fraction(1, 2), 3], [Fraction(2, 3), 1, 0], [1, 0, Fraction(-1, 5)]]
+    assert determinant(swapped) == Fraction(-44, 15)
+    assert type(determinant([[2, 1], [1, 1]])) is Fraction
+    for bad in ([[1, 2]], [[1, 2], [3]], [[]]):
+        with pytest.raises(ValueError, match="square"):
+            determinant(bad)
     rng = random.Random(5150)
     for _ in range(30):
         size = rng.randint(1, 5)

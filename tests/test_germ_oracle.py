@@ -1,4 +1,5 @@
-"""PolynomialGerm arithmetic against sympy, used here as an independent oracle.
+"""PolynomialGerm arithmetic and germ.determinant against sympy, used here as
+an independent oracle.
 
 Every operation is compared as a term map: the sympy side is expanded and,
 where a max_degree applies, truncated by total degree.  sympy is a test-only
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from arczeta import PolynomialGerm
+from arczeta.germ import determinant
 from util import linear_change, random_invertible, random_singular_germ
 
 sympy = pytest.importorskip("sympy")
@@ -131,3 +133,39 @@ def test_partial_substitute_with_linear_terms_and_high_changes_matches_sympy(see
     for size in range(1, f.nvars + 1):
         indices = rng.sample(range(f.nvars), size)
         _compare(f, {i: change[i] for i in indices}, xs)
+
+
+# ---------------------------------------------------------------------------
+# determinant
+# ---------------------------------------------------------------------------
+
+
+def _sympy_det(matrix):
+    entries = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+    det = sympy.Matrix(entries).det()
+    return Fraction(int(det.p), int(det.q))
+
+
+def _random_rational_matrix(rng, size):
+    # small entries with a few denominators, and many zeros, so that pivots
+    # vanish and rows swap
+    return [
+        [Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.choice([1, 2, 3, 7]))
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_determinant_matches_sympy(seed):
+    rng = random.Random(seed)
+    for size in range(1, 9):
+        matrix = _random_rational_matrix(rng, size)
+        assert determinant(matrix) == _sympy_det(matrix), matrix
+        if size > 1:
+            # a singular matrix: one row a rational combination of two others
+            i = rng.randrange(size)
+            j, k = rng.choices([r for r in range(size) if r != i], k=2)
+            a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 5)
+            matrix[i] = [a * x + b * y for x, y in zip(matrix[j], matrix[k])]
+            assert determinant(matrix) == 0 == _sympy_det(matrix), matrix

@@ -174,31 +174,95 @@ class ArcStratumReport(Record):
         set_key(self, (n, selector, strata, betas, total_beta))
 
 
-def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
+class _SharedStrata:
+    """The nodes that the strata of every order n share, for one (germ, selector).
+
+    These are the punctured cone, the forced hyperplane AffineSpace(rank-1),
+    the last condition, the level factor of e = n/2 and the AffineSpace(k)
+    atoms by k, built once and kept alive here.  betas maps the id of each
+    of them to its beta, filled after each report from that report's memo:
+    a factor is evaluated the first time a stratum uses it, and never again
+    for this germ and selector.  Every id in betas names a node that this
+    object holds, so a memo seeded with a copy of betas is sound for as long
+    as the object lives.  A plain slotted class with identity hash: the
+    benchmark's tracer keeps the arguments of every stratify call in a set.
+    """
+
+    __slots__ = (
+        "germ", "selector", "punctured_cone", "hyperplane", "last", "level",
+        "cone_depth", "level_depth", "betas", "_affine", "_pending",
+    )
+
+    def __init__(self, germ: QuadraticGerm, selector: str):
+        self.germ = germ
+        self.selector = selector
+        self.betas = {}
+        self._affine = {}
+        self._pending = set()  # the ids of the nodes whose beta is not known yet
+        rank = germ.rank
+        cone = QuadricAffine(0, germ.plus, germ.minus)
+        self.punctured_cone = self._own(Difference(cone, Point()))
+        self.hyperplane = self.affine(rank - 1)
+        if selector == NAIVE:
+            self.last = self._own(Difference(self.affine(rank), self.hyperplane))
+            self.level = self._own(Difference(self.affine(rank), cone))
+        else:
+            self.last = self.hyperplane
+            level = 1 if selector == PLUS else -1
+            self.level = self._own(QuadricAffine(level, germ.plus, germ.minus))
+        # the depths of the strata, whose other children are atoms
+        self.cone_depth = 1 + max(self.punctured_cone.depth, getattr(self.last, "depth", 1))
+        self.level_depth = 1 + getattr(self.level, "depth", 1)
+
+    def _own(self, node):
+        self._pending.add(id(node))
+        return node
+
+    def affine(self, k: int) -> AffineSpace:
+        """The one AffineSpace(k) of this set."""
+        node = self._affine.get(k)
+        if node is None:
+            node = self._affine[k] = self._own(AffineSpace(k))
+        return node
+
+    def learn(self, memo: dict) -> None:
+        """Keep the betas that a report's memo found for nodes of this set."""
+        for key in [key for key in self._pending if key in memo]:
+            self.betas[key] = memo[key]
+            self._pending.remove(key)
+
+
+def stratify(
+    germ: QuadraticGerm, n: int, selector: str, shared: _SharedStrata | None = None
+) -> ArcStratumReport:
     """Partition the order-n coefficient set by the order e of the w-block.
 
     Each stratum is an algebraic product of scissor atoms (see the module
     docstring for the derivation); beta of the whole set is the sum of
-    beta over the strata.
+    beta over the strata.  shared holds the factors that the strata of
+    every n share for this germ and selector; a caller that stratifies
+    several n passes one, and without it the call makes its own.
     """
     _check_arguments(germ, selector, n, "order n")
+    if shared is None:
+        shared = _SharedStrata(germ, selector)
+    elif shared.selector != selector or shared.germ != germ:
+        raise ValueError(
+            f"shared strata of {shared.germ}, {shared.selector!r} used for {germ}, {selector!r}"
+        )
 
     rank = germ.rank
     free_z = n * (germ.dim - rank)
-    # the factors the strata share, built once: beta_eval evaluates each of
-    # them once for the whole report, under the memo below
-    cone = QuadricAffine(0, germ.plus, germ.minus)
-    punctured_cone = Difference(cone, Point())
-    hyperplane = AffineSpace(rank - 1)
-    last = Difference(AffineSpace(rank), hyperplane) if selector == NAIVE else hyperplane
-    z_block = (AffineSpace(free_z),) if free_z else ()
+    z_block = (shared.affine(free_z),) if free_z else ()
+    punctured_cone, hyperplane, last = shared.punctured_cone, shared.hyperplane, shared.last
     strata = []
 
     for e in range(1, n // 2 + 1):
         if 2 * e < n:
             # leading w vector on the cone minus the origin
             forced = n - 2 * e - 1
-            factors = [punctured_cone, *(hyperplane,) * forced, last]
+            factors = (punctured_cone, *(hyperplane,) * forced, last)
+            depth = shared.cone_depth
             description = (
                 f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
                 f"{'nonvanishing' if selector == NAIVE else 'pinned'} last condition, "
@@ -206,19 +270,22 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
             )
         else:
             # n even, e = n/2: the leading vector carries the level condition
-            if selector == NAIVE:
-                factors = [Difference(AffineSpace(rank), cone)]
-            else:
-                factors = [QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus)]
+            factors = (shared.level,)
+            depth = shared.level_depth
             description = (
                 f"w-order e={e}: leading vector on the "
                 f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
                 f"{e} free w vector(s)"
             )
-        strata.append((description, Product((*factors, AffineSpace(rank * e), *z_block))))
+        # every child is a node of shared, so the product needs no check
+        product = Product._of((*factors, shared.affine(rank * e), *z_block), depth)
+        strata.append((description, product))
 
-    memo: dict = {}  # dropped on return, while strata still holds every node
+    # seeded with the betas of the shared nodes, and dropped on return while
+    # strata still holds every stratum product it keys
+    memo = dict(shared.betas)
     betas = tuple(beta_eval(expression, memo) for _, expression in strata)
+    shared.learn(memo)
     return ArcStratumReport(
         n=n, selector=selector, strata=tuple(strata), betas=betas, total_beta=sum(betas, ZERO)
     )
@@ -226,10 +293,11 @@ def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
 
 def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
     """The zeta series: T^n coefficient beta(coefficient set) * u^(-n*dim)."""
-    _check_selector(selector)
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {order!r}")
-    return series_from_reports(germ, [stratify(germ, n, selector) for n in range(1, order + 1)])
+    _check_arguments(germ, selector, order, "truncation order")
+    shared = _SharedStrata(germ, selector)
+    return series_from_reports(
+        germ, [stratify(germ, n, selector, shared) for n in range(1, order + 1)]
+    )
 
 
 def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:

@@ -90,8 +90,9 @@ def _cmd_beta_expr(args) -> int:
     return _emit(args, value.to_json(), value.to_text())
 
 
-def _strata_json(series, reports) -> str:
-    """The text json.dumps(..., sort_keys=True) gives for the zeta --strata payload.
+def _write_strata_json(series, reports, write) -> None:
+    """Write, in pieces, the text json.dumps(..., sort_keys=True) gives for the
+    zeta --strata payload: the series head, each report in turn, and the tail.
 
     The strata of one request share most of their nodes, so the expressions
     are written by scissor.expression_json_text with one memo for the whole
@@ -100,22 +101,21 @@ def _strata_json(series, reports) -> str:
     """
     memo: dict = {}
     dumps = json.dumps
-    texts = []
+    terms = ", ".join(f"[{n}, {poly.json_text()}]" for n, poly in series.coefficients().items())
+    write(f'{{"series": {{"order": {series.order}, "terms": [{terms}]}}, "strata": [')
+    separator = ""
     for report in reports:
         strata = ", ".join(
             f'{{"beta": {beta.json_text()}, "description": {dumps(description)}, '
             f'"expression": {scissor.expression_json_text(expression, memo)}}}'
             for (description, expression), beta in zip(report.strata, report.betas)
         )
-        texts.append(
-            f'{{"n": {report.n}, "selector": {dumps(report.selector)}, "strata": [{strata}], '
-            f'"total_beta": {report.total_beta.json_text()}}}'
+        write(
+            f'{separator}{{"n": {report.n}, "selector": {dumps(report.selector)}, '
+            f'"strata": [{strata}], "total_beta": {report.total_beta.json_text()}}}'
         )
-    terms = ", ".join(f"[{n}, {poly.json_text()}]" for n, poly in series.coefficients().items())
-    return (
-        f'{{"series": {{"order": {series.order}, "terms": [{terms}]}}, '
-        f'"strata": [{", ".join(texts)}]}}'
-    )
+        separator = ", "
+    write("]}\n")
 
 
 def _cmd_zeta(args) -> int:
@@ -124,11 +124,16 @@ def _cmd_zeta(args) -> int:
         # the series from its rational form; only --strata runs the engine
         series = arcspace.zeta_closed_form(germ, args.selector, args.order)
         return _emit(args, series.to_json(), series.to_text())
-    # one pass: the series and the dump both come from these reports
-    reports = [arcspace.stratify(germ, n, args.selector) for n in range(1, args.order + 1)]
+    # one pass: the series and the dump both come from these reports, every
+    # order stratified before anything is written, so an error prints only
+    # its envelope; the orders share one set of factor nodes
+    shared = arcspace._SharedStrata(germ, args.selector)
+    reports = [
+        arcspace.stratify(germ, n, args.selector, shared) for n in range(1, args.order + 1)
+    ]
     series = arcspace.series_from_reports(germ, reports)
     if args.json:
-        print(_strata_json(series, reports))
+        _write_strata_json(series, reports, sys.stdout.write)
         return 0
     # the text is built only when it is printed
     lines = [series.to_text()]

@@ -41,13 +41,17 @@ Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
 recompute identically.  beta_eval and expression_json_text each fill only
 a memo the caller passes in (beta_eval makes its own when given none), so
-each distinct node object is evaluated or written once per memo.  Both key
-nodes by identity (id; expression_json_text keys atoms by value).  That is
-sound only while every expression used with the memo stays alive, since a
-freed node's id can be reused: the caller makes the memo, uses it for one
-batch of expressions it holds (stratify: the strata of one report; the
-command line: one request), and drops it.  No memo outlives that batch,
-and none is kept at module level.
+each distinct node object is evaluated or written once per memo, and
+expression_json_text writes each run of one repeated child once per run
+length.  Both key nodes by identity (id), and runs by (id, length).  That
+is sound only while every node keyed in the memo stays alive, since a
+freed node's id can be reused.  So the caller makes the memo, uses it for
+one batch of expressions it holds, and drops it.  stratify seeds the memo
+of one report with a copy of the betas of the factor nodes that the
+orders share (arcspace._SharedStrata, which holds those nodes for as long
+as it lives) and adds the strata of that report; the command line writes
+one request under one memo.  No memo outlives its batch, and none is kept
+at module level.
 """
 
 import json
@@ -241,6 +245,16 @@ class Product(Record):
         set_field(self, "children", children)
         set_key(self, (children,))
         _compose(self, *children)
+
+    @classmethod
+    def _of(cls, children: tuple, depth: int) -> "Product":
+        """Wrap a tuple of set expressions whose depth the caller knows, making no
+        pass over them: stratify builds its strata from nodes it has checked once."""
+        result = object.__new__(cls)
+        set_field(result, "children", children)
+        set_key(result, (children,))
+        set_field(result, "depth", depth)
+        return result
 
 
 class DisjointUnion(Record):
@@ -486,9 +500,9 @@ def beta_eval(expression: SetExpression, memo: dict | None = None) -> LaurentPol
     """Evaluate beta on a set expression by additivity and multiplicativity.
 
     Each distinct node object is evaluated once per memo.  stratify passes
-    one memo for all the strata of a report, which share most of their
-    nodes; without one, the call makes its own.  The memo is keyed by id:
-    the module docstring says when that is sound.
+    one memo for all the strata of a report, seeded with the betas of the
+    factors they share; without one, the call makes its own.  The memo is
+    keyed by id: the module docstring says when that is sound.
     """
     memo = {} if memo is None else memo
 
@@ -541,32 +555,40 @@ def _children(node: _Node, expression) -> tuple:
 def expression_json_text(expression: SetExpression, memo: dict) -> str:
     """The text json.dumps(expression_to_json(expression), sort_keys=True) gives.
 
-    Each distinct node is turned into text once per memo, so an output that
-    repeats shared nodes (the strata of zeta --strata share most of theirs)
-    costs one rendering per node instead of one per occurrence.  The caller
-    makes the memo and drops it with the request: nothing is kept here.
-    Composites are keyed by id, which is sound only while every node
+    Each distinct node, and each run of one child object repeated in a
+    composite, is turned into text once per memo, so an output that
+    repeats shared nodes (the strata of zeta --strata share most of theirs,
+    and their runs of forced hyperplanes) costs one rendering per node and
+    per run length instead of one per occurrence.  The caller makes the
+    memo and drops it with the request: nothing is kept here.  Nodes are
+    keyed by id, runs by (id, length), which is sound only while every node
     rendered with the memo stays alive, so a memo must not outlive the
-    expressions it was used on.  Atoms are keyed by value, because equal
-    atoms are built again and again.
+    expressions it was used on.
     """
     return _json_text(expression, memo)
 
 
 def _json_text(expression, memo: dict) -> str:
-    node = _node_type(expression)
-    key = expression if node.kind == "atom" else id(expression)
+    key = id(expression)
     text = memo.get(key)
     if text is not None:
         return text
+    node = _node_type(expression)
     if node.kind == "atom":
         text = json.dumps(expression_to_json(expression), sort_keys=True)
     else:
-        # a run of one repeated child object is rendered once and repeated
         parts = []
-        for _, run in groupby(_children(node, expression), key=id):
+        for child_key, run in groupby(_children(node, expression), key=id):
             run = list(run)
-            parts += [_json_text(run[0], memo)] * len(run)
+            if len(run) == 1:
+                parts.append(_json_text(run[0], memo))
+                continue
+            # a run of one repeated child object is written once per length
+            run_key = (child_key, len(run))
+            part = memo.get(run_key)
+            if part is None:
+                part = memo[run_key] = ", ".join([_json_text(run[0], memo)] * len(run))
+            parts.append(part)
         text = '{"children": [' + ", ".join(parts) + '], "op": "' + node.tag + '"}'
     memo[key] = text
     return text

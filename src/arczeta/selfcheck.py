@@ -126,18 +126,24 @@ class _EngineCoefficients(dict):
     coefficients are kept, not the reports and their set expressions, and
     equal coefficients of different keys (a germ and its grown germ, say)
     share one object: a comparison of two entries reads the same either
-    way.  run_selfcheck makes one table per run, so nothing outlives it.
+    way.  The orders of one (germ, selector) share one set of factor nodes
+    (arcspace._SharedStrata), kept for the run.  run_selfcheck makes one
+    table per run, so nothing outlives it.
     """
 
-    __slots__ = ("_distinct",)
+    __slots__ = ("_distinct", "_shared")
 
     def __init__(self):
         super().__init__()
         self._distinct = {}
+        self._shared = {}
 
     def __missing__(self, key):
         germ, n, selector = key
-        value = arcspace.stratify(germ, n, selector).total_beta
+        shared = self._shared.get((germ, selector))
+        if shared is None:
+            shared = self._shared[germ, selector] = arcspace._SharedStrata(germ, selector)
+        value = arcspace.stratify(germ, n, selector, shared).total_beta
         value = value * LaurentPolynomial.monomial(-n * germ.dim)
         value = self[key] = self._distinct.setdefault(value, value)
         return value

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import random
@@ -293,9 +294,9 @@ def test_zeta_strata_stratifies_each_order_once(capsys, monkeypatch, extra):
     calls = []
     real_stratify = arcspace.stratify
 
-    def counting_stratify(germ, n, selector):
+    def counting_stratify(germ, n, selector, shared=None):
         calls.append(n)
-        return real_stratify(germ, n, selector)
+        return real_stratify(germ, n, selector, shared)
 
     monkeypatch.setattr(arcspace, "stratify", counting_stratify)
     code, _ = invoke(capsys, ZETA_STRATA + extra)
@@ -436,9 +437,9 @@ def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
     keys = []
     real_stratify = arcspace.stratify
 
-    def counting_stratify(germ, n, selector):
+    def counting_stratify(germ, n, selector, shared=None):
         keys.append((germ.dim, germ.plus, germ.minus, n, selector))
-        return real_stratify(germ, n, selector)
+        return real_stratify(germ, n, selector, shared)
 
     monkeypatch.setattr(arcspace, "stratify", counting_stratify)
     first = selfcheck.run_selfcheck(3)
@@ -454,8 +455,8 @@ def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
 def test_a_faulty_stratify_key_fails_only_the_identities_that_read_it(capsys, monkeypatch):
     real_stratify = arcspace.stratify
 
-    def faulty_stratify(germ, n, selector):
-        report = real_stratify(germ, n, selector)
+    def faulty_stratify(germ, n, selector, shared=None):
+        report = real_stratify(germ, n, selector, shared)
         if (germ.dim, germ.plus, germ.minus, n, selector) != (3, 1, 1, 4, arcspace.PLUS):
             return report
         return arcspace.ArcStratumReport(
@@ -698,6 +699,82 @@ def test_stratify_memo_gives_each_stratum_its_own_beta(germ):
                 for child in expression.children:
                     by_child = by_child * scissor.beta_eval(child)
                 assert beta == by_child, (selector, n)
+
+
+def _report_view(report) -> tuple:
+    """A report with the text of each stratum's expression, each under its own memo."""
+    texts = tuple(scissor.expression_json_text(e, {}) for _, e in report.strata)
+    return report, report.betas, report.total_beta, texts
+
+
+@pytest.mark.parametrize("germ", _strata_germs(), ids=lambda g: "-".join(map(str, g)))
+def test_reports_from_one_shared_set_equal_lone_reports(germ):
+    """Walked up and down, one shared set per (germ, selector) changes no report."""
+    quad = arcspace.QuadraticGerm(*germ)
+    for selector in arcspace.SELECTORS:
+        lone = {n: _report_view(arcspace.stratify(quad, n, selector)) for n in range(1, 41)}
+        for orders in (range(1, 41), range(40, 0, -1)):
+            shared = arcspace._SharedStrata(quad, selector)
+            for n in orders:
+                report = arcspace.stratify(quad, n, selector, shared)
+                assert _report_view(report) == lone[n], (selector, n)
+
+
+@pytest.mark.parametrize("selector", arcspace.SELECTORS)
+def test_a_shared_set_outlives_the_reports_built_from_it(selector):
+    """Each report is freed before the next, so the next may reuse its ids: a
+    stratum product's beta kept in the shared set would then be read for
+    another product.  Only the shared nodes' betas are kept, and those
+    nodes live as long as the set."""
+    for germ in [(16, 5, 6), (5, 1, 0), (3, 0, 3)]:
+        quad = arcspace.QuadraticGerm(*germ)
+        shared = arcspace._SharedStrata(quad, selector)
+        for n in [*range(1, 25), *range(24, 0, -3)]:
+            report = arcspace.stratify(quad, n, selector, shared)
+            view = _report_view(report)
+            del report
+            gc.collect()
+            assert view == _report_view(arcspace.stratify(quad, n, selector)), (germ, n)
+
+
+def test_stratify_refuses_a_shared_set_of_another_germ_or_selector():
+    quad = arcspace.QuadraticGerm(4, 2, 1)
+    for other, selector in [
+        (arcspace.QuadraticGerm(4, 1, 2), arcspace.PLUS),
+        (quad, arcspace.MINUS),
+    ]:
+        with pytest.raises(ValueError, match="shared strata"):
+            arcspace.stratify(quad, 5, arcspace.PLUS, arcspace._SharedStrata(other, selector))
+    # an equal germ object is the same germ
+    shared = arcspace._SharedStrata(arcspace.QuadraticGerm(4, 2, 1), arcspace.PLUS)
+    assert arcspace.stratify(quad, 5, arcspace.PLUS, shared) == arcspace.stratify(
+        quad, 5, arcspace.PLUS
+    )
+
+
+def test_zeta_strata_json_is_written_one_report_at_a_time(monkeypatch):
+    argv = _strata_argv(16, 9, 7, "plus", 12)
+    chunks = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=chunks.append))
+    assert run(argv) == 0
+    monkeypatch.undo()
+    # the series head, one chunk per report and the tail
+    assert len(chunks) == 12 + 2
+    assert "".join(chunks) == _reference_strata_output(16, 9, 7, "plus", 12)
+
+
+def test_zeta_strata_json_error_prints_only_the_envelope(capsys, monkeypatch):
+    real_stratify = arcspace.stratify
+
+    def failing_stratify(germ, n, selector, shared=None):
+        if n == 5:
+            raise InvariantViolation("stratum fault")
+        return real_stratify(germ, n, selector, shared)
+
+    monkeypatch.setattr(arcspace, "stratify", failing_stratify)
+    code, out = invoke(capsys, _strata_argv(4, 2, 1, "naive", 8))
+    assert code == 1
+    assert json.loads(out) == {"error": "InvariantViolation", "detail": "stratum fault"}
 
 
 def _distinct_nodes(expressions) -> dict:

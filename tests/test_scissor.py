@@ -260,6 +260,25 @@ def test_expression_depth_cap_does_not_follow_the_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_trusted_product_equals_the_validating_one():
+    hyperplane, cone = AffineSpace(3), Difference(QuadricAffine(0, 2, 2), Point())
+    for children, depth in [
+        ((), 1),
+        ((AffineSpace(0),), 2),
+        ((cone, *(hyperplane,) * 5, hyperplane, AffineSpace(8), AffineSpace(20)), 3),
+        ((Difference(AffineSpace(4), cone), AffineSpace(4)), 4),
+        ((Product((cone, Sphere(2))), hyperplane), 4),
+    ]:
+        built, trusted = Product(children), Product._of(children, depth)
+        assert trusted == built and built == trusted
+        assert hash(trusted) == hash(built)
+        assert repr(trusted) == repr(built)
+        assert trusted.depth == built.depth == depth
+        assert trusted.children is children
+        assert beta_eval(trusted) == beta_eval(built)
+        assert scissor.expression_json_text(trusted, {}) == scissor.expression_json_text(built, {})
+
+
 def test_nodes_validate_on_construction():
     constructions = [
         lambda: AffineSpace(-1),

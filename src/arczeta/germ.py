@@ -29,7 +29,7 @@ collapses to 1 - u^-1; recover_minmax reports that ambiguity as a value.
 import json as _json
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 from ._record import Record, set_field, set_key
@@ -854,17 +854,60 @@ def _square_root_part(value: int) -> int:
     return root
 
 
+def _shift(
+    germ: PolynomialGerm, pivot: int, m: tuple, ratio: Fraction, jet_order: int
+) -> PolynomialGerm:
+    """germ with x_pivot -> x_pivot + ratio * x^m, less its terms of degree > jet_order.
+
+    By the binomial theorem a term c * x^e with k = e[pivot] becomes the sum
+    over j = 0..k of C(k, j) * ratio^j * c * x^(e - j*u_pivot + j*m), of
+    degree deg e + j*(deg m - 1).  m has degree >= 2 (it may hold x_pivot),
+    so each j adds a degree and the sum stops at the first j past the jet;
+    the j = 0 parts are the terms themselves.  A germ without x_pivot comes
+    back as it is, terms above the jet included: split_jet's germs have none.
+    """
+    terms = germ._terms
+    if not any(exps[pivot] for exps in terms):
+        return germ
+    step = sum(m) - 1
+    delta = tuple(e - (i == pivot) for i, e in enumerate(m))
+    sums: dict[tuple, Fraction] = {}
+    moved = []
+    for exps, coeff in terms.items():
+        degree = sum(exps)
+        if degree <= jet_order:
+            sums[exps] = coeff
+            if exps[pivot]:
+                moved.append((exps, degree, coeff))
+    weights: dict[tuple, Fraction] = {}  # (k, j) -> C(k, j) * ratio^j
+    for key, degree, coeff in moved:
+        k = key[pivot]
+        for j in range(1, k + 1):
+            degree += step
+            if degree > jet_order:
+                break
+            key = tuple(map(add, key, delta))
+            weight = weights.get((k, j))
+            if weight is None:
+                weight = weights[k, j] = comb(k, j) * ratio**j
+            sums[key] = sums.get(key, 0) + weight * coeff
+    return PolynomialGerm._of(germ.nvars, sums)
+
+
 def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     """Split a singular germ into diagonal quadratic + higher-order remainder.
 
     Stage 1 diagonalizes the quadratic part by rational congruence, orders
     the variables as (positive squares, negative squares, kernel), and
-    strips rational square factors from the diagonal entries.  Stage 2
-    walks the degrees 3..jet_order and absorbs every term divisible by a
-    rank variable x_i (coefficient c, term c * x_i * m) through the
-    substitution x_i -> x_i - c/(2 l_i) * m, where l_i is the diagonal
-    coefficient; each substitution cancels its target and only creates
-    terms of strictly higher degree, so the sweep terminates.
+    strips rational square factors from the diagonal entries; this linear
+    change is composed by substitute.  Stage 2 walks the degrees
+    3..jet_order and absorbs every term divisible by a rank variable x_i
+    (coefficient c, term c * x_i * m) through the shift
+    x_i -> x_i - c/(2 l_i) * m, where l_i is the diagonal coefficient,
+    applied by _shift to the germ and to each component of the change;
+    each shift cancels its target and only creates terms of strictly
+    higher degree, so the sweep terminates.  verify_split re-expands the
+    result through substitute, which shares no code with _shift.
     """
     if not isinstance(jet_order, int) or jet_order < 3:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
@@ -911,11 +954,9 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
                 continue
             rest = list(exps)
             rest[pivot] -= 1
-            # x_p - c/(2 l_p) * m: two distinct terms, as m has degree >= 2
-            terms = {units[pivot]: Fraction(1), tuple(rest): -coeff / (2 * diagonal_coeff[pivot])}
-            replacement = {pivot: PolynomialGerm._of(nv, terms)}
-            current = current.substitute(replacement, jet_order)
-            change = [component.substitute(replacement, jet_order) for component in change]
+            m, ratio = tuple(rest), -coeff / (2 * diagonal_coeff[pivot])
+            current = _shift(current, pivot, m, ratio, jet_order)
+            change = [_shift(component, pivot, m, ratio, jet_order) for component in change]
 
     quadratic_part = PolynomialGerm._of(nv, current.terms_of_degree(2))
     remainder = current - quadratic_part

@@ -283,3 +283,13 @@ def test_criterion_11_largest_series_strata_request():
     germ = QuadraticGerm(dim=16, plus=5, minus=6)
     assert TruncatedSeries.from_json(payload["series"]) == zeta_closed_form(germ, NAIVE, 40)
     assert [report["n"] for report in payload["strata"]] == list(range(1, 41))
+
+
+def test_criterion_12_split_at_jet_10_and_its_verification():
+    # a jet-10 split with cross terms in every variable: about 0.4 s with
+    # its verify_split in process on a 2-vCPU VM
+    germ = parse_germ("x1*x2 - x3^2 + x1^3 + x2^2*x3 + x3^4 + x1*x2*x3")
+    with _Timer("criterion 12: split_jet at jet 10 with verify_split", 1.2):
+        result = split_jet(germ, 10)
+        assert verify_split(germ, result)
+    assert (result.inertia.plus, result.inertia.minus, result.inertia.corank) == (1, 2, 0)

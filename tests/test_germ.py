@@ -39,7 +39,7 @@ from arczeta.errors import (
     NotAGerm,
     NotSingularAtOrigin,
 )
-from arczeta.germ import SplitResult, _require_singular, _square_root_part
+from arczeta.germ import SplitResult, _require_singular, _shift, _square_root_part
 from util import (
     assert_dataclass_semantics,
     linear_change,
@@ -721,6 +721,87 @@ def test_one_pass_split_matches_the_rescanning_reference():
         assert split_jet(germ, jet_order).to_json() == expected, (germ.to_text(), jet_order)
         crossed += any(max(exps) == 1 for exps in germ.terms_of_degree(2))
     assert len(cases) == 162 and crossed > 20
+
+
+def _random_shift_case(rng):
+    """A germ with x_pivot up to the 4th power and terms up to degree 10, a shift, a jet."""
+    nvars = rng.randint(1, 4)
+    pivot = rng.randrange(nvars)
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        exps = [rng.randint(0, 2) for _ in range(nvars)]
+        exps[pivot] = rng.randint(0, 4)
+        if not any(exps):
+            exps[pivot] = 1
+        terms[tuple(exps)] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+    m = [0] * nvars
+    for _ in range(rng.randint(2, 3)):
+        m[rng.randrange(nvars)] += 1
+    ratio = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return PolynomialGerm(nvars, terms), pivot, tuple(m), ratio, rng.randint(3, 8)
+
+
+def test_shift_matches_the_general_substitution():
+    rng = random.Random(1800)
+    seen = {"m holds the pivot": 0, "pivot power 4": 0, "jet cuts a binomial": 0,
+            "terms above the jet": 0, "no pivot": 0}
+    for _ in range(400):
+        germ, pivot, m, ratio, jet = _random_shift_case(rng)
+        nv = germ.nvars
+        shifted = _shift(germ, pivot, m, ratio, jet)
+        if not any(exps[pivot] for exps in germ.terms()):
+            assert shifted is germ
+            seen["no pivot"] += 1
+            continue
+        replacement = PolynomialGerm.variable(nv, pivot) + PolynomialGerm(nv, {m: ratio})
+        assert shifted == germ.substitute({pivot: replacement}, jet), (germ, pivot, m, ratio, jet)
+        step = sum(m) - 1
+        seen["m holds the pivot"] += m[pivot] > 0
+        seen["pivot power 4"] += any(exps[pivot] == 4 for exps in germ.terms())
+        seen["jet cuts a binomial"] += any(
+            sum(exps) + step <= jet < sum(exps) + exps[pivot] * step for exps in germ.terms()
+        )
+        seen["terms above the jet"] += germ.degree() > jet
+    assert min(seen.values()) >= 5, seen
+
+
+def test_shift_drops_the_sums_that_cancel():
+    # x1 -> x1 + 2*x2^2 turns x1*x2 into x1*x2 + 2*x2^3, which cancels -2*x2^3
+    germ = parse_germ("x1*x2 - 2*x2^3 + x1^2")
+    shifted = _shift(germ, 0, (0, 2), Fraction(2), 5)
+    assert shifted == parse_germ("x1*x2 + x1^2 + 4*x1*x2^2 + 4*x2^4")
+    assert 0 not in shifted.terms().values() and (0, 3) not in shifted.terms()
+    assert shifted == germ.substitute({0: parse_germ("x1 + 2*x2^2")}, 5)
+    # a germ without the pivot is shared, not copied: germs are immutable
+    kernel = parse_germ("x2^3 + x2^7", nvars=2)
+    assert _shift(kernel, 0, (1, 1), Fraction(-1, 2), 4) is kernel
+
+
+def test_split_composes_through_substitute_once_and_verify_split_never_shifts(monkeypatch):
+    calls = {"substitute": 0, "shift": 0}
+    substitute, shift = PolynomialGerm.substitute, germs._shift
+
+    def counting_substitute(self, *args, **kwargs):
+        calls["substitute"] += 1
+        return substitute(self, *args, **kwargs)
+
+    def counting_shift(*args):
+        calls["shift"] += 1
+        return shift(*args)
+
+    monkeypatch.setattr(PolynomialGerm, "substitute", counting_substitute)
+    monkeypatch.setattr(germs, "_shift", counting_shift)
+    shifted = 0
+    for germ, jet_order in [*_selfcheck_split_corpus(), *_random_split_corpus()]:
+        calls.update(substitute=0, shift=0)
+        result = split_jet(germ, jet_order)
+        # Stage 1 is the one substitution; Stage 2 goes through _shift alone
+        assert calls["substitute"] == 1, (germ.to_text(), jet_order)
+        shifted += calls["shift"] > 0
+        calls.update(substitute=0, shift=0)
+        assert verify_split(germ, result)
+        assert calls == {"substitute": 1, "shift": 0}
+    assert shifted > 50
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ The zeta series attaches u^(-n*dim) to the beta of the order-n set as its
 T^n coefficient; in particular it is unchanged under adding unused ambient
 coordinates.  stratify builds the strata as set expressions and evaluates
 them through the decomposition engine, which is an independent code path
-against the rational form below.
+against the rational form below; stratify_series builds the reports of
+n = 1..order in one pass, whose strata share one set of factor nodes.
 
 The rational form.  Summed over n, the zeta series is one rational
 function of T:
@@ -99,6 +100,7 @@ __all__ = [
     "QuadraticGerm",
     "ArcStratumReport",
     "stratify",
+    "stratify_series",
     "zeta_series",
     "series_from_reports",
     "zeta_closed_form",
@@ -122,7 +124,7 @@ def _check_arguments(germ, selector: str, count, what: str):
     if not isinstance(germ, QuadraticGerm):
         raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
     _check_selector(selector)
-    if not isinstance(count, int) or count < 1:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"{what} must be a positive integer, got {count!r}")
 
 
@@ -174,130 +176,105 @@ class ArcStratumReport(Record):
         set_key(self, (n, selector, strata, betas, total_beta))
 
 
-class _SharedStrata:
-    """The nodes that the strata of every order n share, for one (germ, selector).
+def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStratumReport]:
+    """The reports of the given orders n, whose strata share one set of factor nodes.
 
-    These are the punctured cone, the forced hyperplane AffineSpace(rank-1),
-    the last condition, the level factor of e = n/2 and the AffineSpace(k)
-    atoms by k, built once and kept alive here.  betas maps the id of each
-    of them to its beta, filled after each report from that report's memo:
-    a factor is evaluated the first time a stratum uses it, and never again
-    for this germ and selector.  Every id in betas names a node that this
-    object holds, so a memo seeded with a copy of betas is sound for as long
-    as the object lives.  A plain slotted class with identity hash: the
-    benchmark's tracer keeps the arguments of every stratify call in a set.
+    The factors that the strata of every n share (the punctured cone, the
+    forced hyperplane AffineSpace(rank-1), the last condition, the level
+    factor of e = n/2 and one AffineSpace(k) atom per k) are made here, each
+    evaluated once when it is made into betas, keyed by id.  Every id in
+    betas names a node that this call holds until it returns, so each
+    report is evaluated under its own memo seeded with a copy of betas;
+    the stratum products are keyed only in that memo.
     """
+    rank = germ.rank
+    betas = {}
+    affine = {}
 
-    __slots__ = (
-        "germ", "selector", "punctured_cone", "hyperplane", "last", "level",
-        "cone_depth", "level_depth", "betas", "_affine", "_pending",
-    )
-
-    def __init__(self, germ: QuadraticGerm, selector: str):
-        self.germ = germ
-        self.selector = selector
-        self.betas = {}
-        self._affine = {}
-        self._pending = set()  # the ids of the nodes whose beta is not known yet
-        rank = germ.rank
-        cone = QuadricAffine(0, germ.plus, germ.minus)
-        self.punctured_cone = self._own(Difference(cone, Point()))
-        self.hyperplane = self.affine(rank - 1)
-        if selector == NAIVE:
-            self.last = self._own(Difference(self.affine(rank), self.hyperplane))
-            self.level = self._own(Difference(self.affine(rank), cone))
-        else:
-            self.last = self.hyperplane
-            level = 1 if selector == PLUS else -1
-            self.level = self._own(QuadricAffine(level, germ.plus, germ.minus))
-        # the depths of the strata, whose other children are atoms
-        self.cone_depth = 1 + max(self.punctured_cone.depth, getattr(self.last, "depth", 1))
-        self.level_depth = 1 + getattr(self.level, "depth", 1)
-
-    def _own(self, node):
-        self._pending.add(id(node))
+    def shared(node):
+        beta_eval(node, betas)
         return node
 
-    def affine(self, k: int) -> AffineSpace:
-        """The one AffineSpace(k) of this set."""
-        node = self._affine.get(k)
+    def affine_space(k: int) -> AffineSpace:
+        node = affine.get(k)
         if node is None:
-            node = self._affine[k] = self._own(AffineSpace(k))
+            node = affine[k] = shared(AffineSpace(k))
         return node
 
-    def learn(self, memo: dict) -> None:
-        """Keep the betas that a report's memo found for nodes of this set."""
-        for key in [key for key in self._pending if key in memo]:
-            self.betas[key] = memo[key]
-            self._pending.remove(key)
+    cone = QuadricAffine(0, germ.plus, germ.minus)
+    punctured_cone = shared(Difference(cone, Point()))
+    hyperplane = affine_space(rank - 1)
+    if selector == NAIVE:
+        last = shared(Difference(affine_space(rank), hyperplane))
+        level = shared(Difference(affine_space(rank), cone))
+    else:
+        last = hyperplane
+        level = shared(QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus))
+    # the depths of the strata, whose other children are atoms
+    cone_depth = 1 + max(punctured_cone.depth, getattr(last, "depth", 1))
+    level_depth = 1 + getattr(level, "depth", 1)
+
+    reports = []
+    for n in orders:
+        free_z = n * (germ.dim - rank)
+        # n = 1 has no strata, so no z-block
+        z_block = (affine_space(free_z),) if free_z and n > 1 else ()
+        strata = []
+        for e in range(1, n // 2 + 1):
+            if 2 * e < n:
+                # leading w vector on the cone minus the origin
+                forced = n - 2 * e - 1
+                factors = (punctured_cone, *(hyperplane,) * forced, last)
+                depth = cone_depth
+                description = (
+                    f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
+                    f"{'nonvanishing' if selector == NAIVE else 'pinned'} last condition, "
+                    f"{e} free w vector(s)"
+                )
+            else:
+                # n even, e = n/2: the leading vector carries the level condition
+                factors = (level,)
+                depth = level_depth
+                description = (
+                    f"w-order e={e}: leading vector on the "
+                    f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
+                    f"{e} free w vector(s)"
+                )
+            # every child is a shared node, so the product needs no check
+            product = Product._of((*factors, affine_space(rank * e), *z_block), depth)
+            strata.append((description, product))
+        memo = dict(betas)
+        report_betas = tuple(beta_eval(expression, memo) for _, expression in strata)
+        reports.append(ArcStratumReport(
+            n=n, selector=selector, strata=tuple(strata), betas=report_betas,
+            total_beta=sum(report_betas, ZERO),
+        ))
+    return reports
 
 
-def stratify(
-    germ: QuadraticGerm, n: int, selector: str, shared: _SharedStrata | None = None
-) -> ArcStratumReport:
+def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
     """Partition the order-n coefficient set by the order e of the w-block.
 
     Each stratum is an algebraic product of scissor atoms (see the module
     docstring for the derivation); beta of the whole set is the sum of
-    beta over the strata.  shared holds the factors that the strata of
-    every n share for this germ and selector; a caller that stratifies
-    several n passes one, and without it the call makes its own.
+    beta over the strata.
     """
     _check_arguments(germ, selector, n, "order n")
-    if shared is None:
-        shared = _SharedStrata(germ, selector)
-    elif shared.selector != selector or shared.germ != germ:
-        raise ValueError(
-            f"shared strata of {shared.germ}, {shared.selector!r} used for {germ}, {selector!r}"
-        )
+    return _stratify_orders(germ, selector, (n,))[0]
 
-    rank = germ.rank
-    free_z = n * (germ.dim - rank)
-    z_block = (shared.affine(free_z),) if free_z else ()
-    punctured_cone, hyperplane, last = shared.punctured_cone, shared.hyperplane, shared.last
-    strata = []
 
-    for e in range(1, n // 2 + 1):
-        if 2 * e < n:
-            # leading w vector on the cone minus the origin
-            forced = n - 2 * e - 1
-            factors = (punctured_cone, *(hyperplane,) * forced, last)
-            depth = shared.cone_depth
-            description = (
-                f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
-                f"{'nonvanishing' if selector == NAIVE else 'pinned'} last condition, "
-                f"{e} free w vector(s)"
-            )
-        else:
-            # n even, e = n/2: the leading vector carries the level condition
-            factors = (shared.level,)
-            depth = shared.level_depth
-            description = (
-                f"w-order e={e}: leading vector on the "
-                f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
-                f"{e} free w vector(s)"
-            )
-        # every child is a node of shared, so the product needs no check
-        product = Product._of((*factors, shared.affine(rank * e), *z_block), depth)
-        strata.append((description, product))
+def stratify_series(germ: QuadraticGerm, selector: str, order: int) -> list[ArcStratumReport]:
+    """The reports stratify(germ, n, selector) of n = 1..order, in one pass.
 
-    # seeded with the betas of the shared nodes, and dropped on return while
-    # strata still holds every stratum product it keys
-    memo = dict(shared.betas)
-    betas = tuple(beta_eval(expression, memo) for _, expression in strata)
-    shared.learn(memo)
-    return ArcStratumReport(
-        n=n, selector=selector, strata=tuple(strata), betas=betas, total_beta=sum(betas, ZERO)
-    )
+    The orders share one set of factor nodes, each evaluated once per call.
+    """
+    _check_arguments(germ, selector, order, "truncation order")
+    return _stratify_orders(germ, selector, range(1, order + 1))
 
 
 def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
     """The zeta series: T^n coefficient beta(coefficient set) * u^(-n*dim)."""
-    _check_arguments(germ, selector, order, "truncation order")
-    shared = _SharedStrata(germ, selector)
-    return series_from_reports(
-        germ, [stratify(germ, n, selector, shared) for n in range(1, order + 1)]
-    )
+    return series_from_reports(germ, stratify_series(germ, selector, order))
 
 
 def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:

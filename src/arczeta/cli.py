@@ -11,7 +11,6 @@ no configuration files or environment variables.
 import json
 import sys
 from collections import namedtuple
-from functools import partial
 from types import MappingProxyType, SimpleNamespace
 
 from . import arcspace, germ as germs, scissor
@@ -126,11 +125,8 @@ def _cmd_zeta(args) -> int:
         return _emit(args, series.to_json(), series.to_text())
     # one pass: the series and the dump both come from these reports, every
     # order stratified before anything is written, so an error prints only
-    # its envelope; the orders share one set of factor nodes
-    shared = arcspace._SharedStrata(germ, args.selector)
-    reports = [
-        arcspace.stratify(germ, n, args.selector, shared) for n in range(1, args.order + 1)
-    ]
+    # its envelope
+    reports = arcspace.stratify_series(germ, args.selector, args.order)
     series = arcspace.series_from_reports(germ, reports)
     if args.json:
         _write_strata_json(series, reports, sys.stdout.write)
@@ -383,34 +379,10 @@ def _parse_canonical(argv: list[str]):
     return _Namespace(**names, **{**defaults, **values}, func=command.func)
 
 
-class _Deferred:
-    """A command's parser, built only when argparse hands it the rest of argv.
-
-    cli.run reads a canonical argv from _COMMANDS alone; argparse parses the
-    rest (help, usage errors, any form it might read another way).  Its
-    top-level usage, --help and unknown-command error read only the names
-    and help lines given to add_parser, so such a request builds the
-    top-level parser and that of its own command, not all fourteen.  This
-    is the parser_class of every add_subparsers below: add_parser passes it
-    its options= keyword, a function that adds the command's options.
-    """
-
-    def __init__(self, options, **kwargs):
-        self._options = options
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        import argparse
-
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._options(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def _add_commands(parser, dest: str, commands) -> None:
-    subparsers = parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+    subparsers = parser.add_subparsers(dest=dest, required=True)
     for name, command in commands.items():
-        subparsers.add_parser(name, options=partial(_add_options, command), help=command.help)
+        _add_options(command, subparsers.add_parser(name, help=command.help))
 
 
 def _add_options(command: _Command, parser) -> None:

@@ -1185,7 +1185,7 @@ def discriminate(f: PolynomialGerm, g: PolynomialGerm, order: int = 6) -> Discri
     Both germs are reduced to their diagonal quadratic parts via Hessian
     inertia; any coefficient mismatch yields a (selector, n) witness.
     """
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if f.nvars != g.nvars:
         raise DimensionMismatch(f"germs live in {f.nvars} and {g.nvars} variables")

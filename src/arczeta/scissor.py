@@ -46,12 +46,11 @@ expression_json_text writes each run of one repeated child once per run
 length.  Both key nodes by identity (id), and runs by (id, length).  That
 is sound only while every node keyed in the memo stays alive, since a
 freed node's id can be reused.  So the caller makes the memo, uses it for
-one batch of expressions it holds, and drops it.  stratify seeds the memo
-of one report with a copy of the betas of the factor nodes that the
-orders share (arcspace._SharedStrata, which holds those nodes for as long
-as it lives) and adds the strata of that report; the command line writes
-one request under one memo.  No memo outlives its batch, and none is kept
-at module level.
+one batch of expressions it holds, and drops it.  arcspace.stratify_series
+seeds the memo of each report with a copy of the betas of the factor nodes
+that the orders share, which it holds until it returns, and adds the
+strata of that report; the command line writes one request under one
+memo.  No memo outlives its batch, and none is kept at module level.
 """
 
 import json
@@ -249,7 +248,7 @@ class Product(Record):
     @classmethod
     def _of(cls, children: tuple, depth: int) -> "Product":
         """Wrap a tuple of set expressions whose depth the caller knows, making no
-        pass over them: stratify builds its strata from nodes it has checked once."""
+        pass over them: stratify_series builds its strata from nodes it has checked once."""
         result = object.__new__(cls)
         set_field(result, "children", children)
         set_key(result, (children,))
@@ -499,10 +498,10 @@ def _node_type(expression) -> _Node:
 def beta_eval(expression: SetExpression, memo: dict | None = None) -> LaurentPolynomial:
     """Evaluate beta on a set expression by additivity and multiplicativity.
 
-    Each distinct node object is evaluated once per memo.  stratify passes
-    one memo for all the strata of a report, seeded with the betas of the
-    factors they share; without one, the call makes its own.  The memo is
-    keyed by id: the module docstring says when that is sound.
+    Each distinct node object is evaluated once per memo.  stratify_series
+    passes one memo for all the strata of a report, seeded with the betas
+    of the factors they share; without one, the call makes its own.  The
+    memo is keyed by id: the module docstring says when that is sound.
     """
     memo = {} if memo is None else memo
 

@@ -6,8 +6,8 @@ route that raises ends its grid there: the exception counts as one more
 failed identity, labelled with its type and detail, and the next grid runs.
 The grids call the closed forms through the scissor module attribute, so
 a patched closed form is what they see.  The three grids that read the
-engine's zeta coefficients share one table per run (_EngineCoefficients),
-which calls stratify through the arcspace module attribute once per key.
+engine's zeta series share one dict per run, local to run_selfcheck, which
+calls arcspace.zeta_series once per (germ, selector, order).
 
 The random generators below also feed the test suite, so the grids and the
 tests draw the same matrices and germs from the same seeds.
@@ -116,49 +116,12 @@ def _degree_bound(bound):
                     yield f"(c={c}, s={s}, t={t})", degree == s + t - 1
 
 
-class _EngineCoefficients(dict):
-    """The engine route's normalized zeta coefficients, stratified once per key.
-
-    Maps (germ, n, selector), the germ standing for its (dim, plus, minus),
-    to stratify(germ, n, selector).total_beta * u^(-n*dim): the T^n
-    coefficient of zeta_series.  A key is filled on first use; a stratify
-    that raises fills nothing, so the next read raises again.  Only the
-    coefficients are kept, not the reports and their set expressions, and
-    equal coefficients of different keys (a germ and its grown germ, say)
-    share one object: a comparison of two entries reads the same either
-    way.  The orders of one (germ, selector) share one set of factor nodes
-    (arcspace._SharedStrata), kept for the run.  run_selfcheck makes one
-    table per run, so nothing outlives it.
-    """
-
-    __slots__ = ("_distinct", "_shared")
-
-    def __init__(self):
-        super().__init__()
-        self._distinct = {}
-        self._shared = {}
-
-    def __missing__(self, key):
-        germ, n, selector = key
-        shared = self._shared.get((germ, selector))
-        if shared is None:
-            shared = self._shared[germ, selector] = arcspace._SharedStrata(germ, selector)
-        value = arcspace.stratify(germ, n, selector, shared).total_beta
-        value = value * LaurentPolynomial.monomial(-n * germ.dim)
-        value = self[key] = self._distinct.setdefault(value, value)
-        return value
-
-    def series(self, germ, selector: str, order: int) -> TruncatedSeries:
-        """zeta_series(germ, selector, order), read from the table."""
-        return TruncatedSeries(order, {n: self[germ, n, selector] for n in range(1, order + 1)})
-
-
 def _round_trip(bound, engine):
     for dim in range(1, min(8, max(bound, 2)) + 1):
         for plus, minus in signature_pairs(dim):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-            c_plus = engine.series(quad, arcspace.PLUS, 2).coefficient(2)
-            c_minus = engine.series(quad, arcspace.MINUS, 2).coefficient(2)
+            c_plus = engine(quad, arcspace.PLUS, 2).coefficient(2)
+            c_minus = engine(quad, arcspace.MINUS, 2).coefficient(2)
             try:
                 recovered = germs.recover_signature(c_plus, c_minus)
             except NotSignatureForm:
@@ -171,8 +134,9 @@ def _zeta_two_paths(bound, engine):
         for plus, minus in signature_pairs(dim):
             quad = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
             for selector in arcspace.SELECTORS:
+                series = engine(quad, selector, 6)
                 for n in range(1, 7):
-                    stratified = engine[quad, n, selector]
+                    stratified = series.coefficient(n)
                     closed = arcspace.coefficient_closed_form(quad, n, selector)
                     label = f"(d={dim}, s={plus}, t={minus}, n={n}, {selector})"
                     yield label, stratified == closed
@@ -187,9 +151,9 @@ def _zeta_laws(bound, engine):
             grown = arcspace.QuadraticGerm(dim=dim + 1, plus=plus, minus=minus)
             swapped = arcspace.QuadraticGerm(dim=dim, plus=minus, minus=plus)
             # built once per selector and shared by every law below
-            series_of = {sel: engine.series(quad, sel, order) for sel in arcspace.SELECTORS}
+            series_of = {sel: engine(quad, sel, order) for sel in arcspace.SELECTORS}
             for selector, series in series_of.items():
-                stable = series == engine.series(grown, selector, order)
+                stable = series == engine(grown, selector, order)
                 yield f"stabilization ({where}, {selector})", stable
                 yield f"T^1 ({where}, {selector})", series.coefficient(1).is_zero()
                 yield f"degree bound ({where}, {selector})", not any(
@@ -203,7 +167,7 @@ def _zeta_laws(bound, engine):
                 plus_series.coefficient(n) == minus_series.coefficient(n)
                 for n in range(1, order + 1, 2)
             )
-            swap = plus_series == engine.series(swapped, arcspace.MINUS, order)
+            swap = plus_series == engine(swapped, arcspace.MINUS, order)
             yield f"sign swap ({where})", swap
 
 
@@ -258,7 +222,7 @@ GRIDS = (
     ("splitting residual grid", _split_residuals),
 )
 
-# the grids that take the run's _EngineCoefficients as a second argument
+# the grids that take the run's engine series as a second argument
 _READS_ENGINE = (_round_trip, _zeta_two_paths, _zeta_laws)
 
 
@@ -266,7 +230,15 @@ def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
     """Run every identity grid up to the bound; returns (reports, all_ok)."""
     if bound < 2:
         raise ValueError("selfcheck bound must be at least 2")
-    engine = _EngineCoefficients()
+    series = {}
+
+    def engine(germ, selector: str, order: int) -> TruncatedSeries:
+        """zeta_series(germ, selector, order), computed once per run."""
+        key = (germ, selector, order)
+        if key not in series:
+            series[key] = arcspace.zeta_series(germ, selector, order)
+        return series[key]
+
     reports = []
     for name, grid in GRIDS:
         count, failures = 0, []

@@ -14,6 +14,7 @@ from arczeta import (
     naive_t2_coefficient,
     signed_t2_coefficient,
     stratify,
+    stratify_series,
     zeta_closed_form,
     zeta_series,
 )
@@ -74,6 +75,27 @@ def test_stratify_rejects_bad_input():
         stratify(germ, 2, "sideways")
     with pytest.raises(InvalidGerm):
         stratify("not a germ", 2, PLUS)
+
+
+# each public count of the engine, with the arguments that pass it
+COUNTED = [
+    (stratify, "order n", lambda germ, count: (germ, count, PLUS)),
+    (stratify_series, "truncation order", lambda germ, count: (germ, PLUS, count)),
+    (zeta_series, "truncation order", lambda germ, count: (germ, PLUS, count)),
+    (coefficient_closed_form, "order n", lambda germ, count: (germ, count, PLUS)),
+    (zeta_closed_form, "truncation order", lambda germ, count: (germ, PLUS, count)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, what, arguments", COUNTED, ids=[function.__name__ for function, _, _ in COUNTED]
+)
+@pytest.mark.parametrize("count", [True, False, 0, 2.0])
+def test_counts_are_positive_integers_not_booleans(function, what, arguments, count):
+    germ = QuadraticGerm(dim=2, plus=1, minus=1)
+    with pytest.raises(ValueError, match=f"{what} must be a positive integer"):
+        function(*arguments(germ, count))
+    assert function(*arguments(germ, 1)) is not None
 
 
 def test_zeta_of_one_variable_square():

@@ -1,4 +1,3 @@
-import argparse
 import gc
 import io
 import json
@@ -292,16 +291,21 @@ ZETA_STRATA = ["zeta", "--dim", "4", "--plus", "2", "--minus", "1", "--order", "
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_zeta_strata_stratifies_each_order_once(capsys, monkeypatch, extra):
     calls = []
-    real_stratify = arcspace.stratify
+    real_stratify_series = arcspace.stratify_series
 
-    def counting_stratify(germ, n, selector, shared=None):
-        calls.append(n)
-        return real_stratify(germ, n, selector, shared)
+    def counting_stratify_series(germ, selector, order):
+        reports = real_stratify_series(germ, selector, order)
+        calls.append([report.n for report in reports])
+        return reports
 
-    monkeypatch.setattr(arcspace, "stratify", counting_stratify)
+    def no_stratify(*args):
+        raise AssertionError("zeta --strata stratified an order on its own")
+
+    monkeypatch.setattr(arcspace, "stratify_series", counting_stratify_series)
+    monkeypatch.setattr(arcspace, "stratify", no_stratify)
     code, _ = invoke(capsys, ZETA_STRATA + extra)
     assert code == 0
-    assert calls == list(range(1, 8))
+    assert calls == [list(range(1, 8))]
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
@@ -326,6 +330,7 @@ def test_plain_zeta_answers_from_the_rational_form(capsys, monkeypatch, extra):
     for module in (arcspace, scissor):  # arcspace holds its own name for beta_eval
         monkeypatch.setattr(module, "beta_eval", no_engine)
     monkeypatch.setattr(arcspace, "stratify", no_engine)
+    monkeypatch.setattr(arcspace, "stratify_series", no_engine)
     assert invoke(capsys, ZETA_STRATA[:-1] + extra) == (0, expected + "\n")
 
 
@@ -435,36 +440,45 @@ def test_selfcheck_counts_a_raising_route_as_one_failure(capsys, monkeypatch, er
 
 def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
     keys = []
-    real_stratify = arcspace.stratify
+    real_stratify_series = arcspace.stratify_series
 
-    def counting_stratify(germ, n, selector, shared=None):
-        keys.append((germ.dim, germ.plus, germ.minus, n, selector))
-        return real_stratify(germ, n, selector, shared)
+    def counting_stratify_series(germ, selector, order):
+        keys.append((germ.dim, germ.plus, germ.minus, selector, order))
+        return real_stratify_series(germ, selector, order)
 
-    monkeypatch.setattr(arcspace, "stratify", counting_stratify)
+    def no_stratify(*args):
+        raise AssertionError("selfcheck stratified an order on its own")
+
+    monkeypatch.setattr(arcspace, "stratify_series", counting_stratify_series)
+    monkeypatch.setattr(arcspace, "stratify", no_stratify)
     first = selfcheck.run_selfcheck(3)
     assert first[1] is True
-    # the round-trip, two-path and law grids read 450 distinct keys at --max 3
-    assert len(keys) == len(set(keys)) == 450
+    # the round-trip grid reads 32 (germ, selector) pairs at order 2, and the
+    # two-path and law grids 75 at order 6, at --max 3
+    assert len(keys) == len(set(keys)) == 107
+    assert sum(order == 2 for *_, order in keys) == 32
     keys.clear()
     # a second run in the same process starts from an empty table
     assert selfcheck.run_selfcheck(3) == first
-    assert len(keys) == len(set(keys)) == 450
+    assert len(keys) == len(set(keys)) == 107
 
 
 def test_a_faulty_stratify_key_fails_only_the_identities_that_read_it(capsys, monkeypatch):
-    real_stratify = arcspace.stratify
+    real_stratify_series = arcspace.stratify_series
 
-    def faulty_stratify(germ, n, selector, shared=None):
-        report = real_stratify(germ, n, selector, shared)
-        if (germ.dim, germ.plus, germ.minus, n, selector) != (3, 1, 1, 4, arcspace.PLUS):
-            return report
-        return arcspace.ArcStratumReport(
-            report.n, report.selector, report.strata, report.betas,
-            report.total_beta + LaurentPolynomial.one(),
-        )
+    def faulty_stratify_series(germ, selector, order):
+        reports = real_stratify_series(germ, selector, order)
+        if (germ.dim, germ.plus, germ.minus, selector) != (3, 1, 1, arcspace.PLUS):
+            return reports
+        return [
+            report if report.n != 4 else arcspace.ArcStratumReport(
+                report.n, report.selector, report.strata, report.betas,
+                report.total_beta + LaurentPolynomial.one(),
+            )
+            for report in reports
+        ]
 
-    monkeypatch.setattr(arcspace, "stratify", faulty_stratify)
+    monkeypatch.setattr(arcspace, "stratify_series", faulty_stratify_series)
     code, out = invoke(capsys, ["selfcheck", "--max", "3", "--json"])
     assert code == 1
     failures = {check["name"]: check["failures"] for check in json.loads(out)["checks"]}
@@ -709,47 +723,23 @@ def _report_view(report) -> tuple:
 
 @pytest.mark.parametrize("germ", _strata_germs(), ids=lambda g: "-".join(map(str, g)))
 def test_reports_from_one_shared_set_equal_lone_reports(germ):
-    """Walked up and down, one shared set per (germ, selector) changes no report."""
+    """The reports of one stratify_series call, whose strata share one set of
+    factor nodes, equal the reports of lone stratify calls.  Each call's
+    reports are freed (and collected, between the two kinds of call) before
+    the next call, so the next may reuse their ids: a beta kept past a call
+    would be read for another node."""
     quad = arcspace.QuadraticGerm(*germ)
     for selector in arcspace.SELECTORS:
-        lone = {n: _report_view(arcspace.stratify(quad, n, selector)) for n in range(1, 41)}
-        for orders in (range(1, 41), range(40, 0, -1)):
-            shared = arcspace._SharedStrata(quad, selector)
-            for n in orders:
-                report = arcspace.stratify(quad, n, selector, shared)
-                assert _report_view(report) == lone[n], (selector, n)
-
-
-@pytest.mark.parametrize("selector", arcspace.SELECTORS)
-def test_a_shared_set_outlives_the_reports_built_from_it(selector):
-    """Each report is freed before the next, so the next may reuse its ids: a
-    stratum product's beta kept in the shared set would then be read for
-    another product.  Only the shared nodes' betas are kept, and those
-    nodes live as long as the set."""
-    for germ in [(16, 5, 6), (5, 1, 0), (3, 0, 3)]:
-        quad = arcspace.QuadraticGerm(*germ)
-        shared = arcspace._SharedStrata(quad, selector)
-        for n in [*range(1, 25), *range(24, 0, -3)]:
-            report = arcspace.stratify(quad, n, selector, shared)
-            view = _report_view(report)
-            del report
-            gc.collect()
-            assert view == _report_view(arcspace.stratify(quad, n, selector)), (germ, n)
-
-
-def test_stratify_refuses_a_shared_set_of_another_germ_or_selector():
-    quad = arcspace.QuadraticGerm(4, 2, 1)
-    for other, selector in [
-        (arcspace.QuadraticGerm(4, 1, 2), arcspace.PLUS),
-        (quad, arcspace.MINUS),
-    ]:
-        with pytest.raises(ValueError, match="shared strata"):
-            arcspace.stratify(quad, 5, arcspace.PLUS, arcspace._SharedStrata(other, selector))
-    # an equal germ object is the same germ
-    shared = arcspace._SharedStrata(arcspace.QuadraticGerm(4, 2, 1), arcspace.PLUS)
-    assert arcspace.stratify(quad, 5, arcspace.PLUS, shared) == arcspace.stratify(
-        quad, 5, arcspace.PLUS
-    )
+        series = [_report_view(report) for report in arcspace.stratify_series(quad, selector, 40)]
+        assert [view[0].n for view in series] == list(range(1, 41))
+        gc.collect()
+        for n in range(40, 0, -1):
+            lone = arcspace.stratify(quad, n, selector)
+            assert _report_view(lone) == series[n - 1], (selector, n)
+            del lone
+        gc.collect()
+        again = [_report_view(report) for report in arcspace.stratify_series(quad, selector, 40)]
+        assert again == series, selector
 
 
 def test_zeta_strata_json_is_written_one_report_at_a_time(monkeypatch):
@@ -764,14 +754,15 @@ def test_zeta_strata_json_is_written_one_report_at_a_time(monkeypatch):
 
 
 def test_zeta_strata_json_error_prints_only_the_envelope(capsys, monkeypatch):
-    real_stratify = arcspace.stratify
+    real_report = arcspace.ArcStratumReport
 
-    def failing_stratify(germ, n, selector, shared=None):
-        if n == 5:
+    def failing_report(**fields):
+        if fields["n"] == 5:
             raise InvariantViolation("stratum fault")
-        return real_stratify(germ, n, selector, shared)
+        return real_report(**fields)
 
-    monkeypatch.setattr(arcspace, "stratify", failing_stratify)
+    # the reports of n < 5 are built before the fault
+    monkeypatch.setattr(arcspace, "ArcStratumReport", failing_report)
     code, out = invoke(capsys, _strata_argv(4, 2, 1, "naive", 8))
     assert code == 1
     assert json.loads(out) == {"error": "InvariantViolation", "detail": "stratum fault"}
@@ -793,7 +784,8 @@ def _distinct_nodes(expressions) -> dict:
 @pytest.mark.parametrize("selector", arcspace.SELECTORS)
 def test_stratify_evaluates_each_distinct_node_once_per_call(monkeypatch, selector):
     quad = arcspace.QuadraticGerm(16, 5, 6)
-    arcspace.stratify(quad, 40, selector)  # warms the quadric cache, which builds nodes of its own
+    # warms the quadric cache, which builds nodes of its own
+    arcspace.stratify_series(quad, selector, 40)
     evaluated = []
     for cls, node in list(scissor._NODES.items()):
 
@@ -806,15 +798,19 @@ def test_stratify_evaluates_each_distinct_node_once_per_call(monkeypatch, select
     betas = []
     for _ in range(2):
         evaluated.clear()
-        report = arcspace.stratify(quad, 40, selector)
-        nodes = _distinct_nodes(expression for _, expression in report.strata)
+        reports = arcspace.stratify_series(quad, selector, 40)
+        expressions = [expression for report in reports for _, expression in report.strata]
+        nodes = _distinct_nodes(expressions)
         assert sorted(evaluated) == sorted(nodes)
-        # the strata share nodes, so evaluating each alone would cost more
-        assert len(nodes) < sum(len(_distinct_nodes([e])) for _, e in report.strata)
-        betas.append(report.betas)
+        # the strata share nodes, within a report and across the orders, so
+        # evaluating each report alone would cost more
+        assert len(nodes) < sum(
+            len(_distinct_nodes([e for _, e in report.strata])) for report in reports
+        )
+        betas.append([report.betas for report in reports])
         # freed here, so the next call may reuse these ids: a memo kept past
         # the call would skip those nodes and answer with stale betas
-        del report, nodes
+        del reports, expressions, nodes
     assert betas[0] == betas[1]
     assert {module: _module_state(module) for module in (arcspace, scissor)} == before
 
@@ -967,8 +963,8 @@ def test_a_digit_limit_failure_outside_rendering_is_no_result_too_large(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the parser: a canonical argv builds no argparse parser, any other argv the
-# top level and its own command only
+# the parser: a canonical argv builds no argparse parser, any other argv
+# goes to the argparse parser built from the same table
 # ---------------------------------------------------------------------------
 
 # Each argv that sets an option is next to the same command without it.
@@ -1012,57 +1008,6 @@ def _outcome(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _counting_parser_builds(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    return built
-
-
-@pytest.mark.parametrize(
-    "argv, progs",
-    [
-        (["inertia", "--poly", "x1^2"], []),
-        (["split", "--help"], ["arczeta", "arczeta split"]),
-        (["beta", "x0", "--m", "2", "--M", "2"], []),
-        (["beta", "nope"], ["arczeta", "arczeta beta"]),
-        (["--help"], ["arczeta"]),
-        (["nonsense"], ["arczeta"]),
-        (["beta", "x0", "--m", "2", "--M", "-2"], ["arczeta", "arczeta beta", "arczeta beta x0"]),
-        (["beta", "expr", '{"atom": "point"}'], ["arczeta", "arczeta beta", "arczeta beta expr"]),
-    ],
-)
-def test_a_request_builds_only_the_parser_of_its_command(capsys, monkeypatch, argv, progs):
-    built = _counting_parser_builds(monkeypatch)
-    run(argv)
-    capsys.readouterr()
-    assert built == progs
-
-
-def test_deferred_parsers_behave_as_parsers_built_up_front(capsys, monkeypatch):
-    deferred = [_outcome(capsys, argv) for argv in PARSER_ARGVS]
-
-    def built_up_front(options, **kwargs):
-        parser = argparse.ArgumentParser(**kwargs)
-        options(parser)
-        return parser
-
-    monkeypatch.setattr(cli, "_Deferred", built_up_front)
-    built = _counting_parser_builds(monkeypatch)
-    assert [_outcome(capsys, argv) for argv in PARSER_ARGVS] == deferred
-    assert built[:15] == [
-        "arczeta", "arczeta beta", "arczeta beta x0", "arczeta beta x1", "arczeta beta xneg1",
-        "arczeta beta z", "arczeta beta expr", "arczeta zeta", "arczeta recover",
-        "arczeta recover-naive", "arczeta inertia", "arczeta split", "arczeta discriminate",
-        "arczeta selfcheck", "arczeta",
-    ]
 
 
 def test_options_do_not_carry_into_the_next_call(capsys):

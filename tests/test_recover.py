@@ -169,6 +169,13 @@ def test_discriminate_keeps_equal_inertia_together():
     assert discriminate(f, f, 4).distinguished is False
 
 
+@pytest.mark.parametrize("order", [True, False, 0, 2.0])
+def test_discriminate_refuses_an_order_that_is_no_positive_integer(order):
+    f = parse_germ("x1^2 + x2^2")
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        discriminate(f, f, order)
+
+
 def test_discriminate_flags_higher_order_inputs():
     f = parse_germ("x1^2 + x2^3")
     g = parse_germ("x1^2", nvars=2)

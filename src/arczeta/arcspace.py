@@ -185,7 +185,8 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
     evaluated once when it is made into betas, keyed by id.  Every id in
     betas names a node that this call holds until it returns, so each
     report is evaluated under its own memo seeded with a copy of betas;
-    the stratum products are keyed only in that memo.
+    the stratum products are keyed only in that memo.  Each product is
+    given its runs of one repeated child, which are laid out here.
     """
     rank = germ.rank
     betas = {}
@@ -214,17 +215,39 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
     cone_depth = 1 + max(punctured_cone.depth, getattr(last, "depth", 1))
     level_depth = 1 + getattr(level, "depth", 1)
 
+    # the leading factors of an e < n/2 stratum with `forced` hyperplanes, by
+    # forced = 0..max(orders)-3, and their runs: a signed last condition is
+    # the hyperplane itself, so it closes the hyperplanes' run
+    heads, head_runs = [], []
+    for forced in range(max(orders) - 2):
+        heads.append((punctured_cone, *(hyperplane,) * forced, last))
+        if last is hyperplane:
+            head_runs.append(((punctured_cone, 1), (hyperplane, forced + 1)))
+        elif forced:
+            head_runs.append(((punctured_cone, 1), (hyperplane, forced), (last, 1)))
+        else:
+            head_runs.append(((punctured_cone, 1), (last, 1)))
+
     reports = []
     for n in orders:
         free_z = n * (germ.dim - rank)
         # n = 1 has no strata, so no z-block
-        z_block = (affine_space(free_z),) if free_z and n > 1 else ()
+        z_block = affine_space(free_z) if free_z and n > 1 else None
         strata = []
         for e in range(1, n // 2 + 1):
+            # the w block AffineSpace(rank*e) is never the hyperplane, but it
+            # is the z-block when rank*e = free_z
+            block = affine_space(rank * e)
+            if z_block is None:
+                tail, tail_runs = (block,), ((block, 1),)
+            elif z_block is block:
+                tail, tail_runs = (block, block), ((block, 2),)
+            else:
+                tail, tail_runs = (block, z_block), ((block, 1), (z_block, 1))
             if 2 * e < n:
                 # leading w vector on the cone minus the origin
                 forced = n - 2 * e - 1
-                factors = (punctured_cone, *(hyperplane,) * forced, last)
+                children, runs = heads[forced] + tail, head_runs[forced] + tail_runs
                 depth = cone_depth
                 description = (
                     f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
@@ -233,7 +256,7 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
                 )
             else:
                 # n even, e = n/2: the leading vector carries the level condition
-                factors = (level,)
+                children, runs = (level, *tail), ((level, 1), *tail_runs)
                 depth = level_depth
                 description = (
                     f"w-order e={e}: leading vector on the "
@@ -241,7 +264,7 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
                     f"{e} free w vector(s)"
                 )
             # every child is a shared node, so the product needs no check
-            product = Product._of((*factors, affine_space(rank * e), *z_block), depth)
+            product = Product._of(children, depth, runs)
             strata.append((description, product))
         memo = dict(betas)
         report_betas = tuple(beta_eval(expression, memo) for _, expression in strata)

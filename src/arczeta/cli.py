@@ -439,7 +439,19 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # flushed here, so that a closed pipe is met inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`arczeta ... | head`): what is left of the
+        # output goes to devnull, so the flush at exit fails no more, and the
+        # exit is 1 with nothing on stderr
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

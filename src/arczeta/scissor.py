@@ -39,18 +39,23 @@ Two independent routes to beta of the affine quadrics are implemented.
 
 Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
-recompute identically.  beta_eval and expression_json_text each fill only
-a memo the caller passes in (beta_eval makes its own when given none), so
-each distinct node object is evaluated or written once per memo, and
-expression_json_text writes each run of one repeated child once per run
-length.  Both key nodes by identity (id), and runs by (id, length).  That
-is sound only while every node keyed in the memo stays alive, since a
-freed node's id can be reused.  So the caller makes the memo, uses it for
-one batch of expressions it holds, and drops it.  arcspace.stratify_series
-seeds the memo of each report with a copy of the betas of the factor nodes
-that the orders share, which it holds until it returns, and adds the
-strata of that report; the command line writes one request under one
-memo.  No memo outlives its batch, and none is kept at module level.
+recompute identically.  A Product holds its maximal runs (child, count) of
+one repeated child object in its runs slot, worked out once when it is
+built, and both walkers below visit a product once per run, not once per
+child.  beta_eval and expression_json_text each fill only a memo the
+caller passes in (beta_eval makes its own when given none), so each
+distinct node object is evaluated or written once per memo: beta_eval
+hands that memo down through the private _evaluate, and a product raises
+each run to its power, while expression_json_text writes each run of
+length two or more once per length.  Both key nodes by identity (id), and
+runs by (id, length).  That is sound only while every node keyed in the
+memo stays alive, since a freed node's id can be reused.  So the caller
+makes the memo, uses it for one batch of expressions it holds, and drops
+it.  arcspace.stratify_series seeds the memo of each report with a copy of
+the betas of the factor nodes that the orders share, which it holds until
+it returns, and adds the strata of that report; the command line writes
+one request under one memo.  No memo outlives its batch, and none is kept
+at module level.
 """
 
 import json
@@ -231,12 +236,21 @@ class QuadricProjective(Record):
             )
 
 
-# depth, set by _compose, is a slot outside _fields: it takes no part in
-# ==, hash or repr.
+# depth, set by _compose, and a product's runs are slots outside _fields:
+# they take no part in ==, hash or repr.
+
+
+def _runs(children: tuple) -> tuple:
+    """The maximal runs (child, count) of one child object repeated in children."""
+    return tuple((next(run), 1 + sum(1 for _ in run)) for _, run in groupby(children, key=id))
 
 
 class Product(Record):
-    __slots__ = ("children", "depth")
+    """The product of children.  runs holds their maximal runs (child, count)
+    of one child object, in order: beta_eval and the JSON writer walk the runs,
+    so a run of n equal factors costs them one step, not n."""
+
+    __slots__ = ("children", "depth", "runs")
     _fields = ("children",)
 
     def __init__(self, children: tuple):
@@ -244,15 +258,19 @@ class Product(Record):
         set_field(self, "children", children)
         set_key(self, (children,))
         _compose(self, *children)
+        set_field(self, "runs", _runs(children))
 
     @classmethod
-    def _of(cls, children: tuple, depth: int) -> "Product":
-        """Wrap a tuple of set expressions whose depth the caller knows, making no
-        pass over them: stratify_series builds its strata from nodes it has checked once."""
+    def _of(cls, children: tuple, depth: int, runs: tuple) -> "Product":
+        """Wrap a tuple of set expressions whose depth and runs the caller knows,
+        making no pass over them: stratify_series builds its strata from nodes it
+        has checked once, in runs it lays out itself.  runs must be what
+        Product(children).runs would hold."""
         result = object.__new__(cls)
         set_field(result, "children", children)
         set_key(result, (children,))
         set_field(result, "depth", depth)
+        set_field(result, "runs", runs)
         return result
 
 
@@ -419,36 +437,38 @@ def _beta_quadric(c: int, plus: int, minus: int) -> LaurentPolynomial:
     return beta_eval(quadric_reduce(c, plus, minus))
 
 
-def _beta_product(product: Product, evaluate) -> LaurentPolynomial:
+def _beta_product(product: Product, memo: dict) -> LaurentPolynomial:
     # Children with a one-term beta (affine spaces, points, the strata's
     # hyperplanes and z-block) fold into one u^shift * scale, applied once at
-    # the end; only the others are multiplied, a run of one repeated child
-    # object as a power.
+    # the end; only the others are multiplied, each run as a power.
     shift, scale, total = 0, 1, None
-    for _, run in groupby(product.children, key=id):
-        run = list(run)
-        value = evaluate(run[0])
+    for child, count in product.runs:
+        value = memo.get(id(child))
+        if value is None:
+            value = _evaluate(child, memo)
         terms = value._terms  # read in place: the package's own value type
         if len(terms) == 1:
             ((exp, coeff),) = terms.items()
-            shift += exp * len(run)
-            scale *= coeff ** len(run)
+            shift += exp * count
+            scale *= coeff ** count
         elif not terms:
             return ZERO
         else:
-            value = value ** len(run)
+            value = value ** count
             total = value if total is None else total * value
     if total is None:
         return LaurentPolynomial.monomial(shift, scale)
     if shift or scale != 1:
-        total = total * LaurentPolynomial.monomial(shift, scale)
+        # scale is a product of nonzero coefficients, so no term vanishes
+        total = LaurentPolynomial._of(
+            {exp + shift: coeff * scale for exp, coeff in total._terms.items()}
+        )
     return total
 
 
 # kind: the JSON key carrying the tag, "atom" or "op"; fields: an atom's
 # integer fields, or an op's child slots (() if variadic); beta: the node's
-# value from its fields, given the evaluator that beta_eval uses for its
-# children.
+# value from its fields, given the memo that its children are evaluated under.
 _Node = namedtuple("_Node", "kind tag fields beta")
 
 
@@ -476,13 +496,13 @@ _NODES = {
         "op",
         "disjoint_union",
         (),
-        lambda x, evaluate: reduce(add, map(evaluate, x.children), ZERO),
+        lambda x, memo: reduce(add, (_evaluate(child, memo) for child in x.children), ZERO),
     ),
     Difference: _Node(
         "op",
         "difference",
         ("ambient", "closed_subset"),
-        lambda x, evaluate: evaluate(x.ambient) - evaluate(x.closed_subset),
+        lambda x, memo: _evaluate(x.ambient, memo) - _evaluate(x.closed_subset, memo),
     ),
 }
 _BY_TAG = {(node.kind, node.tag): cls for cls, node in _NODES.items()}
@@ -498,21 +518,21 @@ def _node_type(expression) -> _Node:
 def beta_eval(expression: SetExpression, memo: dict | None = None) -> LaurentPolynomial:
     """Evaluate beta on a set expression by additivity and multiplicativity.
 
-    Each distinct node object is evaluated once per memo.  stratify_series
-    passes one memo for all the strata of a report, seeded with the betas
-    of the factors they share; without one, the call makes its own.  The
-    memo is keyed by id: the module docstring says when that is sound.
+    Each distinct node object is evaluated once per memo, by _evaluate, and
+    a product's children once per run.  stratify_series passes one memo for
+    all the strata of a report, seeded with the betas of the factors they
+    share; without one, the call makes its own.  The memo is keyed by id:
+    the module docstring says when that is sound.
     """
-    memo = {} if memo is None else memo
+    return _evaluate(expression, {} if memo is None else memo)
 
-    def evaluate(node):
-        key = id(node)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _node_type(node).beta(node, evaluate)
-        return value
 
-    return evaluate(expression)
+def _evaluate(node, memo: dict) -> LaurentPolynomial:
+    key = id(node)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _node_type(node).beta(node, memo)
+    return value
 
 
 def cone_relation_check(m: int, M: int) -> bool:
@@ -558,11 +578,13 @@ def expression_json_text(expression: SetExpression, memo: dict) -> str:
     composite, is turned into text once per memo, so an output that
     repeats shared nodes (the strata of zeta --strata share most of theirs,
     and their runs of forced hyperplanes) costs one rendering per node and
-    per run length instead of one per occurrence.  The caller makes the
-    memo and drops it with the request: nothing is kept here.  Nodes are
-    keyed by id, runs by (id, length), which is sound only while every node
-    rendered with the memo stays alive, so a memo must not outlive the
-    expressions it was used on.
+    per run length instead of one per occurrence.  A product's runs are read
+    from its runs slot, so writing one costs a step per run, not per child;
+    the children of a union or difference are grouped here.  The caller
+    makes the memo and drops it with the request: nothing is kept here.
+    Nodes are keyed by id, runs by (id, length), which is sound only while
+    every node rendered with the memo stays alive, so a memo must not
+    outlive the expressions it was used on.
     """
     return _json_text(expression, memo)
 
@@ -576,17 +598,17 @@ def _json_text(expression, memo: dict) -> str:
     if node.kind == "atom":
         text = json.dumps(expression_to_json(expression), sort_keys=True)
     else:
+        if type(expression) is Product:
+            runs = expression.runs
+        else:
+            runs = _runs(_children(node, expression))
         parts = []
-        for child_key, run in groupby(_children(node, expression), key=id):
-            run = list(run)
-            if len(run) == 1:
-                parts.append(_json_text(run[0], memo))
-                continue
-            # a run of one repeated child object is written once per length
-            run_key = (child_key, len(run))
-            part = memo.get(run_key)
-            if part is None:
-                part = memo[run_key] = ", ".join([_json_text(run[0], memo)] * len(run))
+        for child, count in runs:
+            part = memo.get(id(child)) or _json_text(child, memo)
+            if count > 1:
+                # a run of one repeated child object is written once per length
+                run_key = (id(child), count)
+                part = memo.get(run_key) or memo.setdefault(run_key, ", ".join([part] * count))
             parts.append(part)
         text = '{"children": [' + ", ".join(parts) + '], "op": "' + node.tag + '"}'
     memo[key] = text

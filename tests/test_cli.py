@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import random
@@ -588,6 +589,44 @@ def test_module_entry_point_subprocess():
     )
     assert completed.returncode == 0
     assert completed.stdout.strip() == "u^3 + u^2 - u"
+
+
+# SHA-256 of the zeta --strata --json output at order 40, past the golden
+# corpus (which stops at order 12), captured before products kept their runs
+STRATA_ORDER_40_DIGESTS = {
+    ("16", "5", "6", "naive"): "c9008b71091a78f0363ddfd87c54e55170819b062d89ff9d2b80fa700b07bfcf",
+    ("16", "5", "6", "plus"): "9c68136a32289288fafe379e7e10b1a2c7f6fe07670495c1ab3a245055361325",
+    ("16", "5", "6", "minus"): "d4d76262e3225a4c65756bb04b8214853c25e7e5e0b6c5994e4af97d7f4de010",
+    ("5", "1", "0", "naive"): "d9d5683a4d07ff0555facdf9b189f2afad1cbb961968c0e7a76a67e47beb1eae",
+    ("5", "1", "0", "plus"): "534cf8bd15a0ddf2dc3d54bd56e7fbb549566ed9636059e4b8cffd4f372c2907",
+    ("5", "1", "0", "minus"): "9b36a778f2dc02f2040f653ac548564402ad2d488bdcbaa14e422713c42014ab",
+}
+
+
+@pytest.mark.parametrize("key", STRATA_ORDER_40_DIGESTS, ids="-".join)
+def test_zeta_strata_json_at_order_40_keeps_its_bytes(capsys, key):
+    dim, plus, minus, selector = key
+    argv = ["zeta", "--strata", "--json", "--dim", dim, "--plus", plus, "--minus", minus]
+    code, out = invoke(capsys, argv + ["--order", "40", "--selector", selector])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STRATA_ORDER_40_DIGESTS[key]
+
+
+@pytest.mark.parametrize("output", [["--json"], []], ids=["json", "text"])
+def test_a_closed_pipe_exits_1_with_nothing_on_stderr(output):
+    argv = ["zeta", "--strata", "--dim", "16", "--plus", "8", "--minus", "8", "--order", "40"]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "arczeta", *argv, *output],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # the answer is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader goes away
+    assert len(process.stdout.read(50)) == 50
+    process.stdout.close()
+    stderr = process.stderr.read()
+    assert process.wait() == 1
+    assert stderr == b""
 
 
 def test_zeta_strata_json_renders_no_text(capsys, monkeypatch):

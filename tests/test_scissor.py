@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import sys
 from dataclasses import fields, make_dataclass
@@ -18,6 +19,8 @@ from arczeta import (
     PuncturedLine,
     QuadricAffine,
     QuadricProjective,
+    SELECTORS,
+    QuadraticGerm,
     Sphere,
     beta_cone,
     beta_eval,
@@ -30,6 +33,7 @@ from arczeta import (
     geometric_sum,
     quadric_base_case,
     quadric_reduce,
+    stratify_series,
 )
 from arczeta.errors import (
     EmptyProjectiveQuadric,
@@ -269,14 +273,86 @@ def test_trusted_product_equals_the_validating_one():
         ((Difference(AffineSpace(4), cone), AffineSpace(4)), 4),
         ((Product((cone, Sphere(2))), hyperplane), 4),
     ]:
-        built, trusted = Product(children), Product._of(children, depth)
+        runs = tuple((run[0], len(run)) for run in _split_runs(children))
+        built, trusted = Product(children), Product._of(children, depth, runs)
         assert trusted == built and built == trusted
         assert hash(trusted) == hash(built)
         assert repr(trusted) == repr(built)
         assert trusted.depth == built.depth == depth
         assert trusted.children is children
+        assert trusted.runs is runs
+        assert [(id(child), count) for child, count in built.runs] == [
+            (id(child), count) for child, count in runs
+        ]
         assert beta_eval(trusted) == beta_eval(built)
         assert scissor.expression_json_text(trusted, {}) == scissor.expression_json_text(built, {})
+
+
+def _split_runs(children):
+    """The maximal runs of one child object, each as a list."""
+    runs = []
+    for child in children:
+        if runs and runs[-1][0] is child:
+            runs[-1].append(child)
+        else:
+            runs.append([child])
+    return runs
+
+
+def _assert_runs_expand_to_children(product):
+    expanded = [child for child, count in product.runs for _ in range(count)]
+    assert len(expanded) == len(product.children)
+    assert all(a is b for a, b in zip(expanded, product.children))
+    assert all(count >= 1 for _, count in product.runs)
+    assert all(a is not b for (a, _), (b, _) in zip(product.runs, product.runs[1:]))
+
+
+def _products(expression):
+    """Every Product node reachable from expression."""
+    kind = scissor._node_type(expression)
+    if kind.kind == "atom":
+        return []
+    found = [expression] if isinstance(expression, Product) else []
+    for child in scissor._children(kind, expression):
+        found += _products(child)
+    return found
+
+
+def test_product_runs_expand_to_its_children_and_are_maximal():
+    hyperplane, cone = AffineSpace(3), Difference(QuadricAffine(0, 2, 2), Point())
+    products = [
+        Product(()),
+        Product((hyperplane,) * 4),
+        Product([cone, hyperplane, hyperplane, AffineSpace(3), cone, cone, hyperplane]),
+        expression_from_json(
+            {"op": "product", "children": [{"atom": "point"}] * 3 + [{"atom": "sphere", "dim": 1}]}
+        ),
+    ]
+    for c, s, t in [(0, 1, 1), (1, 3, 2), (-1, 2, 4)]:
+        products += _products(quadric_reduce(c, s, t))
+    # a pickled product is rebuilt by Product(children); pickle keeps shared objects shared
+    products.append(pickle.loads(pickle.dumps(products[2])))
+    for product in products:
+        _assert_runs_expand_to_children(product)
+    # equal children that are distinct objects are runs of their own
+    assert [count for _, count in products[2].runs] == [1, 2, 1, 2, 1]
+    assert [count for _, count in products[-1].runs] == [1, 2, 1, 2, 1]
+    # every stratum of the engine, the z-blocks of dim <= 6 and one larger germ
+    germs = [
+        QuadraticGerm(dim, plus, rank - plus)
+        for dim in range(1, 7)
+        for rank in range(1, dim + 1)
+        for plus in range(rank + 1)
+    ]
+    merged_blocks = 0
+    for germ in germs + [QuadraticGerm(16, 5, 6)]:
+        for selector in SELECTORS:
+            for report in stratify_series(germ, selector, 12):
+                for _, product in report.strata:
+                    _assert_runs_expand_to_children(product)
+                    # a w block that is the z-block's object too: one run of two
+                    merged_blocks += product.runs[-1][1] == 2
+    assert merged_blocks
 
 
 def test_nodes_validate_on_construction():

@@ -331,8 +331,14 @@ class LaurentPolynomial:
     def json_text(self) -> str:
         """The text json.dumps(self.to_json()) gives, written without the list."""
         terms = self._terms
-        parts = (f'[{exp}, "{number_text(terms[exp])}"]' for exp in sorted(terms))
-        return "[" + ", ".join(parts) + "]"
+        try:
+            return "[" + ", ".join([f'[{exp}, "{terms[exp]}"]' for exp in sorted(terms)]) + "]"
+        except ValueError:
+            # an integer over the interpreter's digit limit: refused as
+            # number_text refuses it, which is what to_json does
+            for coeff in terms.values():
+                number_text(coeff)
+            raise
 
     @classmethod
     def from_json(cls, data) -> "LaurentPolynomial":

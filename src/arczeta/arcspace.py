@@ -79,7 +79,7 @@ All functions are pure and coefficients for distinct n are independent.
 """
 
 from ._record import Record, set_field, set_key
-from .algebra import ONE, U, ZERO, LaurentPolynomial, TruncatedSeries
+from .algebra import ONE, U, LaurentPolynomial, TruncatedSeries
 from .errors import InvalidGerm
 from .scissor import (
     AffineSpace,
@@ -267,10 +267,22 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
             product = Product._of(children, depth, runs)
             strata.append((description, product))
         memo = dict(betas)
-        report_betas = tuple(beta_eval(expression, memo) for _, expression in strata)
+        report_betas = []
+        # summed into one term map: a coefficient that cancels is deleted here,
+        # so the map has no zero coefficient and is wrapped as it stands
+        total = {}
+        for _, expression in strata:
+            beta = beta_eval(expression, memo)
+            report_betas.append(beta)
+            for exp, coeff in beta._terms.items():  # the package's own value type
+                coeff += total.get(exp, 0)
+                if coeff:
+                    total[exp] = coeff
+                else:
+                    del total[exp]
         reports.append(ArcStratumReport(
-            n=n, selector=selector, strata=tuple(strata), betas=report_betas,
-            total_beta=sum(report_betas, ZERO),
+            n=n, selector=selector, strata=tuple(strata), betas=tuple(report_betas),
+            total_beta=LaurentPolynomial._of(total),
         ))
     return reports
 

@@ -96,21 +96,23 @@ def _write_strata_json(series, reports, write) -> None:
     The strata of one request share most of their nodes, so the expressions
     are written by scissor.expression_json_text with one memo for the whole
     request, and every polynomial by its own json_text; the wrappers below
-    spell out the keys in sorted order.
+    spell out the keys in sorted order.  A str is written by
+    encode_basestring_ascii, which is what json.dumps runs on one under its
+    default settings.
     """
     memo: dict = {}
-    dumps = json.dumps
+    quote = json.encoder.encode_basestring_ascii
     terms = ", ".join(f"[{n}, {poly.json_text()}]" for n, poly in series.coefficients().items())
     write(f'{{"series": {{"order": {series.order}, "terms": [{terms}]}}, "strata": [')
     separator = ""
     for report in reports:
         strata = ", ".join(
-            f'{{"beta": {beta.json_text()}, "description": {dumps(description)}, '
+            f'{{"beta": {beta.json_text()}, "description": {quote(description)}, '
             f'"expression": {scissor.expression_json_text(expression, memo)}}}'
             for (description, expression), beta in zip(report.strata, report.betas)
         )
         write(
-            f'{separator}{{"n": {report.n}, "selector": {dumps(report.selector)}, '
+            f'{separator}{{"n": {report.n}, "selector": {quote(report.selector)}, '
             f'"strata": [{strata}], "total_beta": {report.total_beta.json_text()}}}'
         )
         separator = ", "

@@ -267,11 +267,18 @@ class Product(Record):
         has checked once, in runs it lays out itself.  runs must be what
         Product(children).runs would hold."""
         result = object.__new__(cls)
-        set_field(result, "children", children)
+        _set_children(result, children)
         set_key(result, (children,))
-        set_field(result, "depth", depth)
-        set_field(result, "runs", runs)
+        _set_depth(result, depth)
+        _set_runs(result, runs)
         return result
+
+
+# The slots' own setters, which write past __setattr__ as set_key does, at
+# about half the cost of set_field: Product._of makes every stratum.
+_set_children = Product.children.__set__
+_set_depth = Product.depth.__set__
+_set_runs = Product.runs.__set__
 
 
 class DisjointUnion(Record):
@@ -454,7 +461,8 @@ def _beta_product(product: Product, memo: dict) -> LaurentPolynomial:
         elif not terms:
             return ZERO
         else:
-            value = value ** count
+            if count > 1:
+                value = value ** count
             total = value if total is None else total * value
     if total is None:
         return LaurentPolynomial.monomial(shift, scale)
@@ -594,24 +602,24 @@ def _json_text(expression, memo: dict) -> str:
     text = memo.get(key)
     if text is not None:
         return text
-    node = _node_type(expression)
-    if node.kind == "atom":
-        text = json.dumps(expression_to_json(expression), sort_keys=True)
+    # products first: every stratum is one
+    if type(expression) is Product:
+        tag, runs = _NODES[Product].tag, expression.runs
     else:
-        if type(expression) is Product:
-            runs = expression.runs
-        else:
-            runs = _runs(_children(node, expression))
-        parts = []
-        for child, count in runs:
-            part = memo.get(id(child)) or _json_text(child, memo)
-            if count > 1:
-                # a run of one repeated child object is written once per length
-                run_key = (id(child), count)
-                part = memo.get(run_key) or memo.setdefault(run_key, ", ".join([part] * count))
-            parts.append(part)
-        text = '{"children": [' + ", ".join(parts) + '], "op": "' + node.tag + '"}'
-    memo[key] = text
+        node = _node_type(expression)
+        if node.kind == "atom":
+            text = memo[key] = json.dumps(expression_to_json(expression), sort_keys=True)
+            return text
+        tag, runs = node.tag, _runs(_children(node, expression))
+    parts = []
+    for child, count in runs:
+        part = memo.get(id(child)) or _json_text(child, memo)
+        if count > 1:
+            # a run of one repeated child object is written once per length
+            run_key = (id(child), count)
+            part = memo.get(run_key) or memo.setdefault(run_key, ", ".join([part] * count))
+        parts.append(part)
+    text = memo[key] = '{"children": [' + ", ".join(parts) + '], "op": "' + tag + '"}'
     return text
 
 

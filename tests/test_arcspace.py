@@ -5,6 +5,7 @@ from arczeta import (
     NAIVE,
     PLUS,
     SELECTORS,
+    ZERO,
     LaurentPolynomial,
     QuadraticGerm,
     QuadricAffine,
@@ -65,6 +66,28 @@ def test_stratify_report_invariants():
                     assert total == report.total_beta
                     if not report.total_beta.is_zero():
                         assert report.total_beta.degree() <= n * dim
+
+
+def test_total_beta_is_the_sum_of_the_betas_with_no_zero_coefficient():
+    # the builder sums each report's betas into one term map, deleting a
+    # coefficient that cancels; the grid must reach that deletion
+    cancellations = 0
+    for dim in range(1, 7):
+        for plus, minus in signature_pairs(dim):
+            germ = QuadraticGerm(dim=dim, plus=plus, minus=minus)
+            for selector in SELECTORS:
+                for report in stratify_series(germ, selector, 12):
+                    where = (dim, plus, minus, selector, report.n)
+                    assert report.total_beta == sum(report.betas, ZERO), where
+                    assert 0 not in report.total_beta.terms().values(), where
+                    partial = ZERO
+                    for beta in report.betas:
+                        grown = partial + beta
+                        cancellations += sum(
+                            grown.coefficient(exp) == 0 for exp in partial.terms()
+                        )
+                        partial = grown
+    assert cancellations > 0
 
 
 def test_stratify_rejects_bad_input():

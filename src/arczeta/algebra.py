@@ -1,21 +1,18 @@
-"""Exact arithmetic in Z[u, 1/u] and in truncated power series over it.
+"""Exact arithmetic in Z[u, 1/u], and truncated power series over it.
 
 Virtual Poincare polynomials live in Z[u]; zeta-function coefficients pick
 up negative powers of u through the normalizing factor u^(-n*dim), and the
 zeta functions themselves are formal series in T carried with an explicit
-truncation order.  Both rings are implemented exactly over Python's
-arbitrary-precision integers: there is no floating point anywhere.
+truncation order.  Coefficients are Python's arbitrary-precision integers:
+there is no floating point anywhere.
 
 All values are immutable and hashable, and every operation is a pure
 function, so they can be shared freely between threads.
 """
 
-import operator
-import re
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
-from .errors import OrderMismatch, PoleAtZero, ZeroPolynomial, brief_repr, number_text
+from .errors import ZeroPolynomial, brief_repr, number_text
 
 __all__ = [
     "LaurentPolynomial",
@@ -61,18 +58,6 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls.monomial(0)
-
-    @classmethod
-    def constant(cls, value: int) -> "LaurentPolynomial":
-        return cls.monomial(0, value)
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
         # the hot constructor: one term needs no merging, only the zero check
         if not isinstance(exponent, int) or not isinstance(coefficient, int):
@@ -93,12 +78,6 @@ class LaurentPolynomial:
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no degree")
         return max(self._terms)
-
-    def valuation(self) -> int:
-        """Smallest exponent present; the zero polynomial has none."""
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no valuation")
-        return min(self._terms)
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
@@ -183,7 +162,7 @@ class LaurentPolynomial:
             n >>= 1
             if n:
                 base = base * base
-        return LaurentPolynomial.one() if result is None else result
+        return ONE if result is None else result
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -216,21 +195,6 @@ class LaurentPolynomial:
             {exp - shift: coeff for exp, coeff in self._terms.items()}
         )
 
-    def evaluate(self, value) -> Fraction:
-        """Exact evaluation at a rational point.
-
-        Evaluation at 0 is allowed only when no negative exponents occur.
-        """
-        point = Fraction(value)
-        if point == 0:
-            if self._terms and min(self._terms) < 0:
-                raise PoleAtZero("evaluation at 0 with negative exponents present")
-            return Fraction(self._terms.get(0, 0))
-        total = Fraction(0)
-        for exp, coeff in self._terms.items():
-            total += coeff * point**exp
-        return total
-
     # -- rendering ----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -244,7 +208,7 @@ class LaurentPolynomial:
             if exp == 0:
                 body = number_text(mag)
             else:
-                upart = "u" if exp == 1 else f"u^{exp}"
+                upart = "u" if exp == 1 else f"u^{number_text(exp)}"
                 body = upart if mag == 1 else f"{number_text(mag)}*{upart}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
@@ -257,76 +221,18 @@ class LaurentPolynomial:
     def __repr__(self):
         return f"LaurentPolynomial({self.to_text()!r})"
 
-    # pattern strings: no command parses text, so they are compiled on first
-    # use, through re's own cache
-    _TOKEN = r"\s*(?:(?P<num>\d+)|(?P<sym>[u^*+-]))"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentPolynomial":
-        """Parse the to_text format back into a polynomial."""
-        tokens: list[tuple[str, str, int]] = []
-        token = re.compile(cls._TOKEN)
-        pos = 0
-        while pos < len(text):
-            match = token.match(text, pos)
-            if match is None:
-                if text[pos:].strip():
-                    raise ValueError(f"unexpected character in polynomial: {text[pos:]!r}")
-                break
-            pos = match.end()
-            if match.group("num") is not None:
-                tokens.append(("num", match.group("num"), match.start()))
-            else:
-                tokens.append((match.group("sym"), match.group("sym"), match.start()))
-
-        terms: dict[int, int] = {}
-        i = 0
-
-        def peek(kind):
-            return i < len(tokens) and tokens[i][0] == kind
-
-        if not tokens:
-            raise ValueError("empty polynomial text")
-        while i < len(tokens):
-            sign = 1
-            if peek("+") or peek("-"):
-                sign = -1 if tokens[i][0] == "-" else 1
-                i += 1
-            coeff = 1
-            has_coeff = False
-            if peek("num"):
-                coeff = int(tokens[i][1])
-                has_coeff = True
-                i += 1
-            if peek("*"):
-                i += 1
-                if not peek("u"):
-                    raise ValueError("expected u after '*'")
-            if peek("u"):
-                i += 1
-                exp = 1
-                if peek("^"):
-                    i += 1
-                    esign = 1
-                    if peek("-"):
-                        esign = -1
-                        i += 1
-                    if not peek("num"):
-                        raise ValueError("expected digits after '^'")
-                    exp = esign * int(tokens[i][1])
-                    i += 1
-            else:
-                if not has_coeff:
-                    raise ValueError("expected a coefficient or u")
-                exp = 0
-            terms[exp] = terms.get(exp, 0) + sign * coeff
-        return cls(terms)
-
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> list[list]:
-        """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent."""
-        return [[exp, number_text(self._terms[exp])] for exp in sorted(self._terms)]
+        """[[exponent, coefficient-as-decimal-string], ...] sorted by exponent.
+
+        The exponents stay ints, but the two widest go through number_text,
+        so json.dumps meets no exponent it cannot print.
+        """
+        exps = sorted(self._terms)
+        for exp in exps[:1] + exps[-1:]:
+            number_text(exp)
+        return [[exp, number_text(self._terms[exp])] for exp in exps]
 
     def json_text(self) -> str:
         """The text json.dumps(self.to_json()) gives, written without the list."""
@@ -336,8 +242,8 @@ class LaurentPolynomial:
         except ValueError:
             # an integer over the interpreter's digit limit: refused as
             # number_text refuses it, which is what to_json does
-            for coeff in terms.values():
-                number_text(coeff)
+            for value in (*terms, *terms.values()):
+                number_text(value)
             raise
 
     @classmethod
@@ -358,8 +264,8 @@ class LaurentPolynomial:
         return cls(terms)
 
 
-ZERO = LaurentPolynomial.zero()
-ONE = LaurentPolynomial.one()
+ZERO = LaurentPolynomial._of({})
+ONE = LaurentPolynomial._of({0: 1})
 U = LaurentPolynomial.monomial(1)
 
 
@@ -374,8 +280,8 @@ class TruncatedSeries:
     """Formal power series in T with LaurentPolynomial coefficients.
 
     A series carries a truncation order N: coefficients are kept for
-    1 <= n <= N only, and arithmetic never reports anything beyond T^N.
-    Index 0 does not exist; all series here vanish at T = 0.
+    1 <= n <= N only.  Index 0 does not exist; all series here vanish at
+    T = 0.
     """
 
     __slots__ = ("_order", "_coeffs")
@@ -397,18 +303,6 @@ class TruncatedSeries:
         self._order = order
         self._coeffs = clean
 
-    @classmethod
-    def _of(cls, order: int, coefficients: dict[int, LaurentPolynomial]) -> "TruncatedSeries":
-        """Wrap coefficients the class's own arithmetic built: zeros drop, nothing is checked."""
-        series = object.__new__(cls)
-        series._order = order
-        series._coeffs = {n: poly for n, poly in coefficients.items() if poly}
-        return series
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
     @property
     def order(self) -> int:
         return self._order
@@ -421,43 +315,6 @@ class TruncatedSeries:
     def coefficients(self) -> dict[int, LaurentPolynomial]:
         """The nonzero coefficients, as a {n: polynomial} copy."""
         return dict(sorted(self._coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def _check_order(self, other: "TruncatedSeries"):
-        if self._order != other._order:
-            raise OrderMismatch(
-                f"series orders differ: {self._order} != {other._order}"
-            )
-
-    def _merge(self, other, combine):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        merged = dict(self._coeffs)
-        for n, poly in other._coeffs.items():
-            merged[n] = combine(merged.get(n, ZERO), poly)
-        return TruncatedSeries._of(self._order, merged)
-
-    def __add__(self, other):
-        return self._merge(other, operator.add)
-
-    def __sub__(self, other):
-        return self._merge(other, operator.sub)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        product: dict[int, LaurentPolynomial] = {}
-        for i, pi in self._coeffs.items():
-            for j, pj in other._coeffs.items():
-                n = i + j
-                if n > self._order:
-                    continue
-                product[n] = product.get(n, ZERO) + pi * pj
-        return TruncatedSeries._of(self._order, product)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -479,38 +336,8 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({self.to_text()!r})"
 
-    # compiled on first use, like LaurentPolynomial._TOKEN
-    _TERM = r"\(([^()]*)\)\*T\^(\d+)"
-    _TAIL = r"\s*O\(T\^(\d+)\)\s*$"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TruncatedSeries":
-        tail = re.search(cls._TAIL, text)
-        if tail is None:
-            raise ValueError("series text must end with O(T^N+1)")
-        order = int(tail.group(1)) - 1
-        coeffs = {
-            int(n): LaurentPolynomial.from_text(body)
-            for body, n in re.findall(cls._TERM, text[: tail.start()])
-        }
-        return cls(order, coeffs)
-
     def to_json(self) -> dict:
         return {
             "order": self._order,
             "terms": [[n, self._coeffs[n].to_json()] for n in sorted(self._coeffs)],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "TruncatedSeries":
-        if not isinstance(data, dict) or "order" not in data:
-            raise ValueError("series JSON must be an object with 'order' and 'terms'")
-        coeffs: dict[int, LaurentPolynomial] = {}
-        for entry in data.get("terms", []):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError(f"bad series term {brief_repr(entry)}")
-            n, poly = entry
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"series index must be an integer, got {brief_repr(n)}")
-            coeffs[n] = coeffs.get(n, ZERO) + LaurentPolynomial.from_json(poly)
-        return cls(data["order"], coeffs)

@@ -9,8 +9,6 @@ import sys
 __all__ = [
     "ArcZetaError",
     "ZeroPolynomial",
-    "PoleAtZero",
-    "OrderMismatch",
     "EmptyProjectiveQuadric",
     "NotReducible",
     "MalformedExpression",
@@ -62,14 +60,6 @@ class ArcZetaError(Exception):
 
 class ZeroPolynomial(ArcZetaError):
     """An operation that needs a nonzero polynomial received zero."""
-
-
-class PoleAtZero(ArcZetaError):
-    """Evaluation at 0 of a polynomial with negative exponents."""
-
-
-class OrderMismatch(ArcZetaError):
-    """Arithmetic between series with different truncation orders."""
 
 
 class EmptyProjectiveQuadric(ArcZetaError):

@@ -88,7 +88,6 @@ __all__ = [
     "quadric_base_case",
     "beta_eval",
     "cone_relation_check",
-    "euler_characteristic",
     "expression_to_json",
     "expression_json_text",
     "expression_from_json",
@@ -551,12 +550,6 @@ def cone_relation_check(m: int, M: int) -> bool:
     expresses.
     """
     return beta_cone(m, M) == ONE + (U - ONE) * beta_projective_quadric(m, M)
-
-
-def euler_characteristic(expression: SetExpression) -> int:
-    """The specialization u = -1 of beta, as an integer."""
-    value = beta_eval(expression).evaluate(-1)
-    return int(value)
 
 
 # ---------------------------------------------------------------------------

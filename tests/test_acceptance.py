@@ -15,8 +15,10 @@ from fractions import Fraction
 from arczeta import (
     MINUS,
     NAIVE,
+    ONE,
     PLUS,
     SELECTORS,
+    ZERO,
     LaurentPolynomial,
     QuadraticGerm,
     QuadricAffine,
@@ -45,7 +47,6 @@ from arczeta.cli import run
 from util import random_singular_germ, random_symmetric, signature_pairs
 
 U = LaurentPolynomial.monomial(1)
-ONE = LaurentPolynomial.one()
 
 
 def mono(exp, coeff=1):
@@ -83,7 +84,7 @@ def test_criterion_1_closed_form_beta_values():
         for s in range(13):
             for t in range(13):
                 if s == 0:
-                    plus_expected = LaurentPolynomial.zero()
+                    plus_expected = ZERO
                 elif t == 0:
                     plus_expected = ONE + mono(s - 1)  # the sphere S^(s-1)
                 elif s <= t:
@@ -92,7 +93,7 @@ def test_criterion_1_closed_form_beta_values():
                     plus_expected = mono(t) * (mono(s - 1) + 1)
                 assert beta_level(s, t, 1) == plus_expected, (s, t)
                 if t == 0:
-                    minus_expected = LaurentPolynomial.zero()
+                    minus_expected = ZERO
                 elif s == 0:
                     minus_expected = ONE + mono(t - 1)
                 elif t <= s:
@@ -180,7 +181,7 @@ def test_criterion_6_worked_series_for_one_square():
         assert zeta_series(germ, PLUS, 6) == TruncatedSeries(
             6, {2: mono(-1, 2), 4: mono(-2, 2), 6: mono(-3, 2)}
         )
-        assert zeta_series(germ, MINUS, 6).is_zero()
+        assert zeta_series(germ, MINUS, 6) == TruncatedSeries(6)
 
 
 def test_criterion_7_t2_separation_at_desk_scale():
@@ -262,8 +263,9 @@ def test_criterion_10_plain_zeta_at_order_400():
         with contextlib.redirect_stdout(out):
             code = run(argv)
     assert code == 0
-    series = TruncatedSeries.from_json(json.loads(out.getvalue()))
-    assert series.order == 400
+    payload = json.loads(out.getvalue())
+    assert payload["order"] == 400
+    assert payload == zeta_closed_form(QuadraticGerm(dim=3, plus=1, minus=1), NAIVE, 400).to_json()
 
 
 def test_criterion_11_largest_series_strata_request():
@@ -281,7 +283,7 @@ def test_criterion_11_largest_series_strata_request():
     assert code == 0
     payload = json.loads(out.getvalue())
     germ = QuadraticGerm(dim=16, plus=5, minus=6)
-    assert TruncatedSeries.from_json(payload["series"]) == zeta_closed_form(germ, NAIVE, 40)
+    assert payload["series"] == zeta_closed_form(germ, NAIVE, 40).to_json()
     assert [report["n"] for report in payload["strata"]] == list(range(1, 41))
 
 

@@ -5,18 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta import LaurentPolynomial, TruncatedSeries, geometric_sum
-from arczeta.errors import OrderMismatch, PoleAtZero, ResultTooLarge, ZeroPolynomial
+from arczeta import ONE, ZERO, LaurentPolynomial, TruncatedSeries, U, geometric_sum
+from arczeta.errors import ResultTooLarge, ZeroPolynomial
 from util import random_laurent
-
-U = LaurentPolynomial.monomial(1)
-ONE = LaurentPolynomial.one()
 
 
 def test_arithmetic_examples():
     assert (U - 1) * (U + 1) == LaurentPolynomial({2: 1, 0: -1})
     p = LaurentPolynomial({3: 1, 2: 1, 1: -1})
-    assert p + LaurentPolynomial.zero() == p
+    assert p + ZERO == p
     assert LaurentPolynomial({-1: 1, -2: 1}) * LaurentPolynomial.monomial(2) == U + 1
 
 
@@ -30,12 +27,9 @@ def test_canonical_form_prunes_zeros():
 def test_factor_monomial_examples():
     assert LaurentPolynomial({5: 1, 4: 1}).factor_monomial() == (4, U + 1)
     assert LaurentPolynomial({-1: 1, -2: -1}).factor_monomial() == (-2, U - 1)
-    assert LaurentPolynomial.constant(2).factor_monomial() == (
-        0,
-        LaurentPolynomial.constant(2),
-    )
+    assert LaurentPolynomial({0: 2}).factor_monomial() == (0, 2)
     with pytest.raises(ZeroPolynomial):
-        LaurentPolynomial.zero().factor_monomial()
+        ZERO.factor_monomial()
 
 
 def test_factor_monomial_round_trip():
@@ -51,15 +45,6 @@ def test_factor_monomial_round_trip():
         assert reduced.coefficient(0) != 0
 
 
-def test_evaluation():
-    assert LaurentPolynomial({3: 1, 2: 1, 1: -1}).evaluate(-1) == 1
-    assert (ONE + U).evaluate(-1) == 0
-    assert LaurentPolynomial.monomial(-1).evaluate(2) == Fraction(1, 2)
-    assert (U + 1).evaluate(0) == 1
-    with pytest.raises(PoleAtZero):
-        LaurentPolynomial.monomial(-1).evaluate(0)
-
-
 def test_ring_axioms_randomized():
     rng = random.Random(2024)
     for _ in range(300):
@@ -69,7 +54,7 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        assert a - a == LaurentPolynomial.zero()
+        assert a - a == ZERO
         assert a * ONE == a
         assert a + 0 == a
 
@@ -79,11 +64,11 @@ def test_coefficients_are_arbitrary_precision():
 
     power = (ONE + U) ** 64
     assert power.coefficient(32) == math.comb(64, 32)  # far beyond 64 bits
-    assert power.evaluate(1) == 2**64
+    assert sum(power.terms().values()) == 2**64
 
 
 def test_integer_interop():
-    assert LaurentPolynomial.constant(5) == 5
+    assert LaurentPolynomial({0: 5}) == 5
     assert U - 1 == U + (-1)
     assert 2 * U == LaurentPolynomial({1: 2})
     assert geometric_sum(3) == ONE + U + LaurentPolynomial.monomial(2)
@@ -94,15 +79,8 @@ def test_text_rendering():
     assert LaurentPolynomial({5: 1, 4: 1}).to_text() == "u^5 + u^4"
     assert LaurentPolynomial({-1: 2}).to_text() == "2*u^-1"
     assert LaurentPolynomial({3: 1, 2: 1, 1: -1}).to_text() == "u^3 + u^2 - u"
-    assert LaurentPolynomial.zero().to_text() == "0"
+    assert ZERO.to_text() == "0"
     assert LaurentPolynomial({0: -3, 1: 1}).to_text() == "u - 3"
-
-
-def test_text_round_trip():
-    rng = random.Random(7)
-    for _ in range(200):
-        p = random_laurent(rng)
-        assert LaurentPolynomial.from_text(p.to_text()) == p
 
 
 def test_json_round_trip():
@@ -117,7 +95,7 @@ def test_json_round_trip():
 def test_json_text_is_the_dumped_json():
     rng = random.Random(9)
     cases = [
-        LaurentPolynomial.zero(),
+        ZERO,
         LaurentPolynomial({0: -1}),
         LaurentPolynomial({-3: -12, -1: 5, 0: 1, 4: -1}),
         LaurentPolynomial({-40: 10**30, 2: -(10**30)}),
@@ -132,6 +110,17 @@ def test_json_text_is_the_dumped_json():
 def test_json_text_refuses_a_coefficient_over_the_digit_limit_as_to_json_does():
     p = LaurentPolynomial({-1: 3, 2: -(10 ** sys.get_int_max_str_digits())})
     for render in (p.to_json, p.json_text):
+        with pytest.raises(ResultTooLarge):
+            render()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_renderer_refuses_an_exponent_over_the_digit_limit(sign):
+    p = LaurentPolynomial({0: 1, sign * 10 ** sys.get_int_max_str_digits(): 2})
+    for render in (p.to_text, p.to_json, p.json_text):
         with pytest.raises(ResultTooLarge):
             render()
 
@@ -164,77 +153,12 @@ def test_json_refuses_coefficients_it_would_truncate(data, detail):
     assert str(caught.value) == detail
 
 
-def test_series_examples():
-    t2 = TruncatedSeries(4, {2: ONE})
-    assert t2 + t2 == TruncatedSeries(4, {2: LaurentPolynomial.constant(2)})
-    t3 = TruncatedSeries(4, {3: ONE})
-    assert (t2 * t3).is_zero()
-    ut = TruncatedSeries(4, {1: U})
-    assert ut * ut == TruncatedSeries(4, {2: LaurentPolynomial.monomial(2)})
-
-
-def test_series_order_mismatch():
-    with pytest.raises(OrderMismatch):
-        TruncatedSeries(4, {2: ONE}) + TruncatedSeries(5, {2: ONE})
-    with pytest.raises(OrderMismatch):
-        TruncatedSeries(4, {2: ONE}) * TruncatedSeries(3, {2: ONE})
-
-
 def test_series_never_beyond_order():
     series = TruncatedSeries(3, {1: U, 2: ONE, 3: ONE})
-    product = series * series
-    assert max(product.coefficients()) <= 3
     with pytest.raises(ValueError):
         TruncatedSeries(3, {4: ONE})
     with pytest.raises(ValueError):
         series.coefficient(4)
-
-
-def test_series_multiplication_matches_direct_convolution():
-    rng = random.Random(99)
-    for _ in range(60):
-        order = rng.randint(1, 8)
-        a = TruncatedSeries(
-            order, {n: random_laurent(rng, 3) for n in range(1, order + 1)}
-        )
-        b = TruncatedSeries(
-            order, {n: random_laurent(rng, 3) for n in range(1, order + 1)}
-        )
-        product = a * b
-        for n in range(1, order + 1):
-            direct = LaurentPolynomial.zero()
-            for i in range(1, n):
-                direct = direct + a.coefficient(i) * b.coefficient(n - i)
-            assert product.coefficient(n) == direct
-
-
-def test_series_text_and_json_round_trip():
-    rng = random.Random(55)
-    for _ in range(60):
-        order = rng.randint(1, 6)
-        series = TruncatedSeries(
-            order, {n: random_laurent(rng, 3) for n in range(1, order + 1)}
-        )
-        assert TruncatedSeries.from_text(series.to_text()) == series
-        assert TruncatedSeries.from_json(series.to_json()) == series
-
-
-@pytest.mark.parametrize(
-    "data, detail",
-    [
-        ({"order": 3, "terms": [[1.9, [[0, "1"]]]]}, "series index must be an integer, got 1.9"),
-        ({"order": 3, "terms": [[2.0, [[0, "1"]]]]}, "series index must be an integer, got 2.0"),
-        ({"order": 3, "terms": [["2", [[0, "1"]]]]}, "series index must be an integer, got '2'"),
-        ({"order": 3, "terms": [[True, [[0, "1"]]]]}, "series index must be an integer, got True"),
-        ({"order": 3, "terms": [[1]]}, "bad series term [1]"),
-        ({"order": True, "terms": []}, "truncation order must be a positive integer"),
-        ({"order": 3, "terms": [[4, [[0, "1"]]]]}, "series index 4 outside 1..3"),
-    ],
-)
-def test_series_json_refuses_what_it_would_truncate_or_reinterpret(data, detail):
-    with pytest.raises(ValueError) as caught:
-        TruncatedSeries.from_json(data)
-    assert str(caught.value) == detail
 
 
 def test_series_refuses_a_bool_order_or_index():
@@ -242,14 +166,6 @@ def test_series_refuses_a_bool_order_or_index():
         TruncatedSeries(True)
     with pytest.raises(ValueError, match="series index True outside 1..3"):
         TruncatedSeries(3, {True: ONE})
-
-
-def test_series_json_adds_the_coefficients_of_a_repeated_index():
-    data = {"order": 3, "terms": [[1, [[0, "1"]]], [2, [[1, "1"]]], [1, [[0, "2"], [1, "-1"]]]]}
-    expected = TruncatedSeries(3, {1: LaurentPolynomial({0: 3, 1: -1}), 2: U})
-    assert TruncatedSeries.from_json(data) == expected
-    cancelled = {"order": 3, "terms": [[2, [[0, "1"]]], [2, [[0, "-1"]]]]}
-    assert TruncatedSeries.from_json(cancelled).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +190,9 @@ def _random_monomial(rng):
 def test_monomial_with_zero_coefficient_is_zero():
     for exponent in (-3, 0, 5):
         zero = LaurentPolynomial.monomial(exponent, 0)
-        assert zero == LaurentPolynomial.zero()
+        assert zero == ZERO
         assert zero.terms() == {} and zero.is_zero()
-        assert hash(zero) == hash(LaurentPolynomial.zero())
+        assert hash(zero) == hash(ZERO)
 
 
 @pytest.mark.parametrize("args", [(1.0,), (1, 2.0), ("1",), (None,), (0, Fraction(1))])
@@ -302,7 +218,7 @@ def test_integer_factors_match_the_generic_product():
     for _ in range(100):
         poly = random_laurent(rng)
         scale = rng.randint(-5, 5)
-        expected = _generic_product(LaurentPolynomial.constant(scale), poly)
+        expected = _generic_product(LaurentPolynomial({0: scale}), poly)
         assert poly * scale == expected
         assert scale * poly == expected
 
@@ -316,8 +232,8 @@ def test_powers_match_repeated_generic_products():
                 assert base**n == expected
                 assert (base**n).terms() == expected.terms()
                 expected = _generic_product(expected, base)
-    assert LaurentPolynomial.zero() ** 0 == ONE
-    assert LaurentPolynomial.zero() ** 3 == LaurentPolynomial.zero()
+    assert ZERO**0 == ONE
+    assert ZERO**3 == ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +255,13 @@ def test_arithmetic_results_skip_the_validating_constructors(monkeypatch):
     pairs = [(random_laurent(rng, 8), random_laurent(rng, 8)) for _ in range(60)]
     pairs += [(_random_monomial(rng), random_laurent(rng, 8)) for _ in range(20)]
     pairs += [(LaurentPolynomial({3: 2, -1: 1}), LaurentPolynomial({3: -2, -1: -1}))]
-    order = 5
-    series = [
-        TruncatedSeries(order, {n: random_laurent(rng, 3) for n in range(1, order + 1)})
-        for _ in range(20)
-    ]
-    longer = TruncatedSeries(order + 1, {1: ONE})
 
     monkeypatch.setattr(LaurentPolynomial, "__init__", _refuse)
-    monkeypatch.setattr(TruncatedSeries, "__init__", _refuse)
     laurent = [
         (a + b, a - b, a * b, -a, a**3, 2 * a - 1, a.factor_monomial() if a else None)
         for a, b in pairs
     ]
     sums = [geometric_sum(length) for length in range(6)]
-    series_results = [(a + b, a - b, a * b, a - a) for a, b in zip(series, series[1:])]
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        with pytest.raises(OrderMismatch):
-            op(series[0], longer)
     monkeypatch.undo()
 
     for (a, b), (add, sub, mul, neg, cube, affine, factored) in zip(pairs, laurent):
@@ -374,15 +279,3 @@ def test_arithmetic_results_skip_the_validating_constructors(monkeypatch):
             assert 0 not in result.terms().values()
     for length, value in enumerate(sums):
         assert value == _validated((k, 1) for k in range(length))
-    for (a, b), (add, sub, mul, zero) in zip(zip(series, series[1:]), series_results):
-        for n in range(1, order + 1):
-            assert add.coefficient(n) == a.coefficient(n) + b.coefficient(n)
-            assert sub.coefficient(n) == a.coefficient(n) - b.coefficient(n)
-            convolution = sum(
-                (a.coefficient(i) * b.coefficient(n - i) for i in range(1, n)),
-                LaurentPolynomial.zero(),
-            )
-            assert mul.coefficient(n) == convolution
-        for result in (add, sub, mul):
-            assert all(result.coefficients().values())
-        assert zero.is_zero() and zero.coefficients() == {}

@@ -12,7 +12,7 @@ import pytest
 
 import arczeta.cli as cli
 from arczeta import (
-    ZERO, LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck,
+    ONE, ZERO, LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck,
 )
 from arczeta import germ as germs
 from arczeta.cli import run
@@ -90,7 +90,7 @@ def test_zeta_strata_output(capsys):
     assert len(payload["strata"]) == 3
     for report in payload["strata"]:
         total = LaurentPolynomial.from_json(report["total_beta"])
-        summed = LaurentPolynomial.zero()
+        summed = ZERO
         for stratum in report["strata"]:
             summed = summed + LaurentPolynomial.from_json(stratum["beta"])
         assert summed == total
@@ -368,15 +368,15 @@ def test_json_output_is_byte_stable(capsys):
 def test_text_and_json_agree(capsys):
     _, text = invoke(capsys, ["beta", "x0", "--m", "3", "--M", "2"])
     _, machine = invoke(capsys, ["beta", "x0", "--m", "3", "--M", "2", "--json"])
-    assert LaurentPolynomial.from_text(text.strip()) == LaurentPolynomial.from_json(
-        json.loads(machine)
-    )
+    assert text == LaurentPolynomial.from_json(json.loads(machine)).to_text() + "\n"
     argv = ["zeta", "--dim", "3", "--plus", "1", "--minus", "2", "--order", "5"]
     _, text = invoke(capsys, argv)
     _, machine = invoke(capsys, argv + ["--json"])
-    assert TruncatedSeries.from_text(text.strip()) == TruncatedSeries.from_json(
-        json.loads(machine)
+    payload = json.loads(machine)
+    series = TruncatedSeries(
+        payload["order"], {n: LaurentPolynomial.from_json(c) for n, c in payload["terms"]}
     )
+    assert series.coefficients() and text == series.to_text() + "\n"
 
 
 def test_selfcheck_small(capsys):
@@ -392,7 +392,7 @@ def test_selfcheck_reports_corruption(capsys, monkeypatch):
     def corrupted(plus, minus):
         value = true_cone(plus, minus)
         if (plus, minus) == (2, 2):
-            return value + LaurentPolynomial.one()
+            return value + ONE
         return value
 
     monkeypatch.setattr(scissor, "beta_cone", corrupted)
@@ -476,7 +476,7 @@ def test_a_faulty_stratify_key_fails_only_the_identities_that_read_it(capsys, mo
         return [
             report if report.n != 4 else arcspace.ArcStratumReport(
                 report.n, report.selector, report.strata, report.betas,
-                report.total_beta + LaurentPolynomial.one(),
+                report.total_beta + ONE,
             )
             for report in reports
         ]
@@ -751,7 +751,7 @@ def test_stratify_memo_gives_each_stratum_its_own_beta(germ):
             report = arcspace.stratify(quad, n, selector)
             for (_, expression), beta in zip(report.strata, report.betas):
                 assert beta == scissor.beta_eval(expression), (selector, n)
-                by_child = LaurentPolynomial.one()
+                by_child = ONE
                 for child in expression.children:
                     by_child = by_child * scissor.beta_eval(child)
                 assert beta == by_child, (selector, n)
@@ -972,6 +972,26 @@ def test_an_answer_too_long_to_print_ends_in_the_envelope(capsys, extra):
     assert captured.err == ""
     # the inertia of the same germ prints no such number
     assert invoke(capsys, ["inertia"] + _BIG_SPLIT[1:] + extra)[0] == 0
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_an_exponent_too_long_to_print_ends_in_the_envelope(tmp_path, extra):
+    # each k is at the digit limit, so it reads; their sum is one digit over
+    nines = int("9" * sys.get_int_max_str_digits())
+    source = tmp_path / "big.json"
+    atom = {"atom": "affine_space", "k": nines}
+    source.write_text(json.dumps({"op": "product", "children": [atom] * 10}), encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, "-m", "arczeta", "beta", "expr", str(source), *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 1
+    assert json.loads(completed.stdout)["error"] == "ResultTooLarge"
+    assert completed.stderr == ""
 
 
 @pytest.mark.skipif(

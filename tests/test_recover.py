@@ -7,6 +7,7 @@ from arczeta import (
     MINUS,
     NAIVE,
     PLUS,
+    ZERO,
     LaurentPolynomial,
     PolynomialGerm,
     QuadraticGerm,
@@ -39,15 +40,15 @@ def mono(exp, coeff=1):
 
 def test_recover_signature_examples():
     assert recover_signature(mono(-1) + mono(-2), mono(-1) - mono(-2)) == (2, 1)
-    assert recover_signature(LaurentPolynomial.zero(), mono(-1) + mono(-2)) == (0, 2)
+    assert recover_signature(ZERO, mono(-1) + mono(-2)) == (0, 2)
     with pytest.raises(NotSignatureForm):
         recover_signature(
-            LaurentPolynomial({2: 1, 1: 1, 0: 1}), LaurentPolynomial.zero()
+            LaurentPolynomial({2: 1, 1: 1, 0: 1}), ZERO
         )
     with pytest.raises(NotSignatureForm):
-        recover_signature(LaurentPolynomial.zero(), LaurentPolynomial({0: 3}))
-    assert recover_signature(LaurentPolynomial.zero(), LaurentPolynomial.zero()) == (0, 0)
-    assert recover_signature(LaurentPolynomial.zero(), mono(-4) + mono(-1)) == (0, 4)
+        recover_signature(ZERO, LaurentPolynomial({0: 3}))
+    assert recover_signature(ZERO, ZERO) == (0, 0)
+    assert recover_signature(ZERO, mono(-4) + mono(-1)) == (0, 4)
 
 
 def test_recover_signature_rejects_what_no_signature_produces():
@@ -58,7 +59,7 @@ def test_recover_signature_rejects_what_no_signature_produces():
     with pytest.raises(NotSignatureForm):
         recover_signature(mono(0, 2), mono(0, 2))
     with pytest.raises(NotSignatureForm):
-        recover_signature(LaurentPolynomial.zero(), mono(-3) + mono(0))
+        recover_signature(ZERO, mono(-3) + mono(0))
 
 
 def test_recover_signature_rejects_every_shifted_coefficient():
@@ -232,7 +233,7 @@ def _diagonal_germ(nvars: int, plus: int, minus: int) -> PolynomialGerm:
 def _reference_series(nvars: int, plus: int, minus: int) -> dict:
     """The naive, plus and minus series of the quadratic part, by stratification."""
     if plus + minus == 0:
-        return {sel: TruncatedSeries.zero(REFERENCE_ORDER) for sel in (NAIVE, PLUS, MINUS)}
+        return {sel: TruncatedSeries(REFERENCE_ORDER) for sel in (NAIVE, PLUS, MINUS)}
     quad = QuadraticGerm(dim=nvars, plus=plus, minus=minus)
     return {sel: zeta_series(quad, sel, REFERENCE_ORDER) for sel in (NAIVE, PLUS, MINUS)}
 

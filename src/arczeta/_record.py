@@ -1,12 +1,15 @@
 """Immutable value records: equality, hash and repr over a class's fields.
 
-A subclass declares __slots__ and a _fields tuple.  Its __init__ sets each
-field through set_field and then _key, the tuple of the field values in
-_fields order, through set_key.  Records of one class are equal when their
-keys are; a record never equals one of another class.  The hash is that of
-the key, which is the hash of the tuple of fields, and the repr reads
-`Name(field=value, ...)`.  A slot left out of the key (a cached depth, say)
-takes no part in any of the three.
+A subclass declares a _fields tuple and __slots__ for whatever else it
+stores (a cached depth, say), or () when that is nothing.  Its __init__
+sets _key, the tuple of the field values in _fields order, through
+set_key: the key is the only place a field is stored, and each name in
+_fields reads its position in the key through a property made here,
+unless the class defines that name itself.  Records of one class are
+equal when their keys are; a record never equals one of another class.
+The hash is that of the key, which is the hash of the tuple of fields,
+and the repr reads `Name(field=value, ...)`.  A slot outside the key takes
+no part in any of the three.
 """
 
 # The one way to write a slot of a record; assignment otherwise raises.
@@ -16,6 +19,12 @@ set_field = object.__setattr__
 class Record:
     __slots__ = ("_key",)
     _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            if name not in cls.__dict__:
+                setattr(cls, name, property(lambda self, index=index: self._key[index]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -78,7 +78,7 @@ No arc is ever enumerated or sampled: everything is a constructible set.
 All functions are pure and coefficients for distinct n are independent.
 """
 
-from ._record import Record, set_field, set_key
+from ._record import Record, set_key
 from .algebra import ONE, U, LaurentPolynomial, TruncatedSeries
 from .errors import InvalidGerm
 from .scissor import (
@@ -131,12 +131,10 @@ def _check_arguments(germ, selector: str, count, what: str):
 class QuadraticGerm(Record):
     """The germ sum of plus squares minus `minus` squares on R^dim."""
 
-    __slots__ = _fields = ("dim", "plus", "minus")
+    __slots__ = ()
+    _fields = ("dim", "plus", "minus")
 
     def __init__(self, dim: int, plus: int, minus: int):
-        set_field(self, "dim", dim)
-        set_field(self, "plus", plus)
-        set_field(self, "minus", minus)
         set_key(self, (dim, plus, minus))
         for name in ("dim", "plus", "minus"):
             value = getattr(self, name)
@@ -163,16 +161,12 @@ class ArcStratumReport(Record):
     beta of each stratum, in the order of strata.
     """
 
-    __slots__ = _fields = ("n", "selector", "strata", "betas", "total_beta")
+    __slots__ = ()
+    _fields = ("n", "selector", "strata", "betas", "total_beta")
 
     def __init__(
         self, n: int, selector: str, strata: tuple, betas: tuple, total_beta: LaurentPolynomial
     ):
-        set_field(self, "n", n)
-        set_field(self, "selector", selector)
-        set_field(self, "strata", strata)
-        set_field(self, "betas", betas)
-        set_field(self, "total_beta", total_beta)
         set_key(self, (n, selector, strata, betas, total_beta))
 
 
@@ -186,7 +180,7 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
     betas names a node that this call holds until it returns, so each
     report is evaluated under its own memo seeded with a copy of betas;
     the stratum products are keyed only in that memo.  Each product is
-    given its runs of one repeated child, which are laid out here.
+    made of its runs of one repeated child, which are laid out here.
     """
     rank = germ.rank
     betas = {}
@@ -215,12 +209,11 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
     cone_depth = 1 + max(punctured_cone.depth, getattr(last, "depth", 1))
     level_depth = 1 + getattr(level, "depth", 1)
 
-    # the leading factors of an e < n/2 stratum with `forced` hyperplanes, by
-    # forced = 0..max(orders)-3, and their runs: a signed last condition is
+    # the runs of the leading factors of an e < n/2 stratum with `forced`
+    # hyperplanes, by forced = 0..max(orders)-3: a signed last condition is
     # the hyperplane itself, so it closes the hyperplanes' run
-    heads, head_runs = [], []
+    head_runs = []
     for forced in range(max(orders) - 2):
-        heads.append((punctured_cone, *(hyperplane,) * forced, last))
         if last is hyperplane:
             head_runs.append(((punctured_cone, 1), (hyperplane, forced + 1)))
         elif forced:
@@ -239,16 +232,15 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
             # is the z-block when rank*e = free_z
             block = affine_space(rank * e)
             if z_block is None:
-                tail, tail_runs = (block,), ((block, 1),)
+                tail_runs = ((block, 1),)
             elif z_block is block:
-                tail, tail_runs = (block, block), ((block, 2),)
+                tail_runs = ((block, 2),)
             else:
-                tail, tail_runs = (block, z_block), ((block, 1), (z_block, 1))
+                tail_runs = ((block, 1), (z_block, 1))
             if 2 * e < n:
                 # leading w vector on the cone minus the origin
                 forced = n - 2 * e - 1
-                children, runs = heads[forced] + tail, head_runs[forced] + tail_runs
-                depth = cone_depth
+                runs, depth = head_runs[forced] + tail_runs, cone_depth
                 description = (
                     f"w-order e={e}: cone leading vector, {forced} forced hyperplane(s), "
                     f"{'nonvanishing' if selector == NAIVE else 'pinned'} last condition, "
@@ -256,15 +248,14 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
                 )
             else:
                 # n even, e = n/2: the leading vector carries the level condition
-                children, runs = (level, *tail), ((level, 1), *tail_runs)
-                depth = level_depth
+                runs, depth = ((level, 1), *tail_runs), level_depth
                 description = (
                     f"w-order e={e}: leading vector on the "
                     f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
                     f"{e} free w vector(s)"
                 )
             # every child is a shared node, so the product needs no check
-            product = Product._of(children, depth, runs)
+            product = Product._of(runs, depth)
             strata.append((description, product))
         memo = dict(betas)
         report_betas = []

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
-from ._record import Record, set_field, set_key
+from ._record import Record, set_key
 from .algebra import ZERO, LaurentPolynomial
 from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
 from .errors import (
@@ -523,12 +523,10 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
 class Inertia(Record):
     """Sylvester inertia of a quadratic form: plus/minus square counts."""
 
-    __slots__ = _fields = ("plus", "minus", "corank")
+    __slots__ = ()
+    _fields = ("plus", "minus", "corank")
 
     def __init__(self, plus: int, minus: int, corank: int):
-        set_field(self, "plus", plus)
-        set_field(self, "minus", minus)
-        set_field(self, "corank", corank)
         set_key(self, (plus, minus, corank))
 
     @property
@@ -814,7 +812,8 @@ class SplitResult(Record):
     degree <= jet_order.
     """
 
-    __slots__ = _fields = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
+    __slots__ = ()
+    _fields = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
 
     def __init__(
         self,
@@ -824,11 +823,6 @@ class SplitResult(Record):
         inertia: Inertia,
         jet_order: int,
     ):
-        set_field(self, "change", change)
-        set_field(self, "quadratic_part", quadratic_part)
-        set_field(self, "remainder", remainder)
-        set_field(self, "inertia", inertia)
-        set_field(self, "jet_order", jet_order)
         set_key(self, (change, quadratic_part, remainder, inertia, jet_order))
 
     def to_json(self) -> dict:
@@ -1070,16 +1064,13 @@ class NaiveRecovery(Record):
     to the same coefficient for every min.
     """
 
-    __slots__ = _fields = ("status", "m", "M", "reason")
+    __slots__ = ()
+    _fields = ("status", "m", "M", "reason")
 
     def __init__(
         self, status: str, m: int | None = None, M: int | None = None, reason: str | None = None
     ):
         # status is "determined" or "ambiguous"
-        set_field(self, "status", status)
-        set_field(self, "m", m)
-        set_field(self, "M", M)
-        set_field(self, "reason", reason)
         set_key(self, (status, m, M, reason))
 
     def to_json(self) -> dict:
@@ -1142,7 +1133,8 @@ class DiscriminationResult(Record):
     conditional on the reduction to the quadratic part.
     """
 
-    __slots__ = _fields = (
+    __slots__ = ()
+    _fields = (
         "distinguished", "selector", "n", "order", "conditional", "inertia_f", "inertia_g"
     )
 
@@ -1156,13 +1148,6 @@ class DiscriminationResult(Record):
         inertia_f: Inertia,
         inertia_g: Inertia,
     ):
-        set_field(self, "distinguished", distinguished)
-        set_field(self, "selector", selector)
-        set_field(self, "n", n)
-        set_field(self, "order", order)
-        set_field(self, "conditional", conditional)
-        set_field(self, "inertia_f", inertia_f)
-        set_field(self, "inertia_g", inertia_g)
         set_key(self, (distinguished, selector, n, order, conditional, inertia_f, inertia_g))
 
     def to_json(self) -> dict:

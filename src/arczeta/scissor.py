@@ -39,29 +39,31 @@ Two independent routes to beta of the affine quadrics are implemented.
 
 Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
-recompute identically.  A Product holds its maximal runs (child, count) of
-one repeated child object in its runs slot, worked out once when it is
-built, and both walkers below visit a product once per run, not once per
-child.  beta_eval and expression_json_text each fill only a memo the
-caller passes in (beta_eval makes its own when given none), so each
-distinct node object is evaluated or written once per memo: beta_eval
-hands that memo down through the private _evaluate, and a product raises
-each run to its power, while expression_json_text writes each run of
-length two or more once per length.  Both key nodes by identity (id), and
-runs by (id, length).  That is sound only while every node keyed in the
-memo stays alive, since a freed node's id can be reused.  So the caller
-makes the memo, uses it for one batch of expressions it holds, and drops
-it.  arcspace.stratify_series seeds the memo of each report with a copy of
-the betas of the factor nodes that the orders share, which it holds until
-it returns, and adds the strata of that report; the command line writes
-one request under one memo.  No memo outlives its batch, and none is kept
-at module level.
+recompute identically.  A Product stores only its maximal runs (child,
+count) of one repeated child object, worked out once when it is built; its
+children are expanded from them when read, and both walkers below visit a
+product once per run, not once per child.  beta_eval and
+expression_json_text each fill only a memo the caller passes in (beta_eval
+makes its own when given none), so each distinct node object is evaluated
+or written once per memo: beta_eval hands that memo down through the
+private _evaluate, and a product raises each run to its power, while
+expression_json_text writes each run of length two or more once per length
+and keeps no text of the expression it was given.  Both key nodes by
+identity (id), and runs by (id, length).  That is sound only while every
+node keyed in the memo stays alive, since a freed node's id can be reused.
+So the caller makes the memo, uses it for one batch of expressions it
+holds, and drops it.  arcspace.stratify_series seeds the memo of each
+report with a copy of the betas of the factor nodes that the orders share,
+which it holds until it returns, and adds the strata of that report; the
+command line writes one request under one memo, which keeps the texts of
+the nodes and runs its strata share.  No memo outlives its batch, and
+none is kept at module level.
 """
 
 import json
 from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from operator import add
 
 from ._record import Record, set_field, set_key
@@ -141,10 +143,10 @@ def _compose(node, *children):
 
 
 class AffineSpace(Record):
-    __slots__ = _fields = ("k",)
+    __slots__ = ()
+    _fields = ("k",)
 
     def __init__(self, k: int):
-        set_field(self, "k", k)
         set_key(self, (k,))
         _require_ints(self, "k")
         if self.k < 0:
@@ -168,10 +170,10 @@ class Point(Record):
 
 
 class Sphere(Record):
-    __slots__ = _fields = ("dim",)
+    __slots__ = ()
+    _fields = ("dim",)
 
     def __init__(self, dim: int):
-        set_field(self, "dim", dim)
         set_key(self, (dim,))
         _require_ints(self, "dim")
         if self.dim < 0:
@@ -179,10 +181,10 @@ class Sphere(Record):
 
 
 class ProjectiveSpace(Record):
-    __slots__ = _fields = ("k",)
+    __slots__ = ()
+    _fields = ("k",)
 
     def __init__(self, k: int):
-        set_field(self, "k", k)
         set_key(self, (k,))
         _require_ints(self, "k")
         if self.k < 0:
@@ -199,12 +201,10 @@ class QuadricAffine(Record):
     (0, 0, 0) is the single point of R^0.
     """
 
-    __slots__ = _fields = ("c", "s", "t")
+    __slots__ = ()
+    _fields = ("c", "s", "t")
 
     def __init__(self, c: int, s: int, t: int):
-        set_field(self, "c", c)
-        set_field(self, "s", s)
-        set_field(self, "t", t)
         set_key(self, (c, s, t))
         _require_ints(self, "c", "s", "t")
         if self.c not in (-1, 0, 1):
@@ -221,11 +221,10 @@ class QuadricAffine(Record):
 class QuadricProjective(Record):
     """The same equation read in P^(m+M-1)(R); needs m, M >= 1 to be nonempty."""
 
-    __slots__ = _fields = ("m", "M")
+    __slots__ = ()
+    _fields = ("m", "M")
 
     def __init__(self, m: int, M: int):
-        set_field(self, "m", m)
-        set_field(self, "M", M)
         set_key(self, (m, M))
         _require_ints(self, "m", "M")
         if self.m < 1 or self.M < 1:
@@ -245,48 +244,46 @@ def _runs(children: tuple) -> tuple:
 
 
 class Product(Record):
-    """The product of children.  runs holds their maximal runs (child, count)
-    of one child object, in order: beta_eval and the JSON writer walk the runs,
-    so a run of n equal factors costs them one step, not n."""
+    """The product of children, stored as their maximal runs (child, count) of
+    one child object, in order: a run of n equal factors is held as one pair
+    and costs beta_eval and the JSON writer one step.  The key of ==, hash,
+    repr and pickle, and with it children, is expanded from the runs."""
 
-    __slots__ = ("children", "depth", "runs")
+    __slots__ = ("depth", "runs")
     _fields = ("children",)
 
     def __init__(self, children: tuple):
         children = tuple(children)
-        set_field(self, "children", children)
-        set_key(self, (children,))
         _compose(self, *children)
         set_field(self, "runs", _runs(children))
 
+    @property
+    def _key(self) -> tuple:
+        return (tuple(chain.from_iterable(repeat(child, count) for child, count in self.runs)),)
+
     @classmethod
-    def _of(cls, children: tuple, depth: int, runs: tuple) -> "Product":
-        """Wrap a tuple of set expressions whose depth and runs the caller knows,
-        making no pass over them: stratify_series builds its strata from nodes it
-        has checked once, in runs it lays out itself.  runs must be what
-        Product(children).runs would hold."""
+    def _of(cls, runs: tuple, depth: int) -> "Product":
+        """The product of runs (child, count) of the given depth, making no pass
+        over its children: stratify_series lays out the runs of each stratum
+        from nodes it has checked once."""
         result = object.__new__(cls)
-        _set_children(result, children)
-        set_key(result, (children,))
-        _set_depth(result, depth)
         _set_runs(result, runs)
+        _set_depth(result, depth)
         return result
 
 
 # The slots' own setters, which write past __setattr__ as set_key does, at
 # about half the cost of set_field: Product._of makes every stratum.
-_set_children = Product.children.__set__
 _set_depth = Product.depth.__set__
 _set_runs = Product.runs.__set__
 
 
 class DisjointUnion(Record):
-    __slots__ = ("children", "depth")
+    __slots__ = ("depth",)
     _fields = ("children",)
 
     def __init__(self, children: tuple):
         children = tuple(children)
-        set_field(self, "children", children)
         set_key(self, (children,))
         _compose(self, *children)
 
@@ -294,14 +291,12 @@ class DisjointUnion(Record):
 class Difference(Record):
     """ambient minus a closed algebraic subset of it (additivity hypothesis)."""
 
-    __slots__ = ("ambient", "closed_subset", "depth")
+    __slots__ = ("depth",)
     _fields = ("ambient", "closed_subset")
 
     def __init__(self, ambient: "SetExpression", closed_subset: "SetExpression"):
-        set_field(self, "ambient", ambient)
-        set_field(self, "closed_subset", closed_subset)
         set_key(self, (ambient, closed_subset))
-        _compose(self, self.ambient, self.closed_subset)
+        _compose(self, ambient, closed_subset)
 
 
 SetExpression = (
@@ -585,9 +580,13 @@ def expression_json_text(expression: SetExpression, memo: dict) -> str:
     makes the memo and drops it with the request: nothing is kept here.
     Nodes are keyed by id, runs by (id, length), which is sound only while
     every node rendered with the memo stays alive, so a memo must not
-    outlive the expressions it was used on.
+    outlive the expressions it was used on.  The expression's own text is
+    dropped from the memo once written: a stratum is written once, and
+    kept, the strata of a high order would hold a text of every one.
     """
-    return _json_text(expression, memo)
+    text = _json_text(expression, memo)
+    del memo[id(expression)]
+    return text
 
 
 def _json_text(expression, memo: dict) -> str:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from arczeta import (
@@ -89,6 +92,28 @@ def test_total_beta_is_the_sum_of_the_betas_with_no_zero_coefficient():
                         )
                         partial = grown
     assert cancellations > 0
+
+
+def _bytes_held_by_reports(germ, selector, order):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = stratify_series(germ, selector, order)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(reports) == order
+        return held
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_reports_hold_memory_growing_slower_than_the_cube_of_the_order():
+    # order n has about n/2 strata of up to n factors: held as runs, a
+    # stratum costs O(1) and the reports of n = 1..N grow like N^2, a
+    # quadrupled N by 16; holding every child would grow like N^3, by 64
+    germ = QuadraticGerm(5, 1, 0)
+    ratio = _bytes_held_by_reports(germ, NAIVE, 240) / _bytes_held_by_reports(germ, NAIVE, 60)
+    assert ratio < 20, ratio
 
 
 def test_stratify_rejects_bad_input():

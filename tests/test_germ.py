@@ -32,6 +32,7 @@ from arczeta import (
     verify_split,
 )
 from arczeta import germ as germs, selfcheck
+from arczeta._record import Record
 from arczeta.errors import (
     GermSyntaxError,
     InvalidGerm,
@@ -840,6 +841,15 @@ def test_result_records_keep_the_semantics_of_frozen_dataclasses():
     records += [NaiveRecovery("ambiguous"), NaiveRecovery("ambiguous", reason="why")]
     assert {type(record) for record in records} == set(RECORD_TWINS)
     assert_dataclass_semantics(records, RECORD_TWINS)
+
+
+def test_every_record_stores_its_fields_only_in_its_key():
+    # a field held in a slot as well could disagree with the key
+    records = Record.__subclasses__()
+    assert set(RECORD_TWINS) <= set(records) and len(records) == 16
+    for cls in records:
+        assert not set(cls._fields) & set(cls.__slots__), cls
+        assert all(isinstance(getattr(cls, name), property) for name in cls._fields), cls
 
 
 def test_result_records_of_equal_fields_but_different_classes_differ():

@@ -260,24 +260,31 @@ def test_expression_depth_cap_does_not_follow_the_recursion_limit():
 
 def test_trusted_product_equals_the_validating_one():
     hyperplane, cone = AffineSpace(3), Difference(QuadricAffine(0, 2, 2), Point())
-    for children, depth in [
-        ((), 1),
-        ((AffineSpace(0),), 2),
-        ((cone, *(hyperplane,) * 5, hyperplane, AffineSpace(8), AffineSpace(20)), 3),
-        ((Difference(AffineSpace(4), cone), AffineSpace(4)), 4),
-        ((Product((cone, Sphere(2))), hyperplane), 4),
-    ]:
-        runs = tuple((run[0], len(run)) for run in _split_runs(children))
-        built, trusted = Product(children), Product._of(children, depth, runs)
+    cases = [
+        (children, depth, tuple((run[0], len(run)) for run in _split_runs(children)))
+        for children, depth in [
+            ((), 1),
+            ((AffineSpace(0),), 2),
+            ((cone, *(hyperplane,) * 5, hyperplane, AffineSpace(8), AffineSpace(20)), 3),
+            ((Difference(AffineSpace(4), cone), AffineSpace(4)), 4),
+            ((Product((cone, Sphere(2))), hyperplane), 4),
+        ]
+    ]
+    # equal children that are distinct objects: three runs when built, one trusted
+    cases.append(((AffineSpace(3), AffineSpace(3), AffineSpace(3)), 2, ((hyperplane, 3),)))
+    for children, depth, runs in cases:
+        built, trusted = Product(children), Product._of(runs, depth)
         assert trusted == built and built == trusted
         assert hash(trusted) == hash(built)
         assert repr(trusted) == repr(built)
         assert trusted.depth == built.depth == depth
-        assert trusted.children is children
+        assert trusted.children == children
         assert trusted.runs is runs
         assert [(id(child), count) for child, count in built.runs] == [
-            (id(child), count) for child, count in runs
+            (id(run[0]), len(run)) for run in _split_runs(children)
         ]
+        rebuilt = pickle.loads(pickle.dumps(trusted))
+        assert rebuilt == built and repr(rebuilt) == repr(built)
         assert beta_eval(trusted) == beta_eval(built)
         assert scissor.expression_json_text(trusted, {}) == scissor.expression_json_text(built, {})
 
@@ -500,6 +507,20 @@ def test_expression_json_text_is_the_sorted_dumps_of_expression_to_json():
         assert text == json.dumps(expression_to_json(expression), sort_keys=True)
         assert scissor.expression_json_text(expression, {}) == text
     assert scissor.expression_json_text(EMPTY, memo) == '{"children": [], "op": "disjoint_union"}'
+
+
+def test_expression_json_text_keeps_only_the_shared_texts_in_the_memo():
+    hyperplane = AffineSpace(3)
+    cone = Difference(QuadricAffine(0, 2, 2), Point())
+    root = Product((cone, hyperplane, hyperplane, Product((hyperplane,))))
+    memo = {}
+    text = scissor.expression_json_text(root, memo)
+    # a stratum is written once: its own text is not kept, what it shares is
+    assert id(root) not in memo
+    assert {id(cone), id(hyperplane), (id(hyperplane), 2)} <= memo.keys()
+    assert scissor.expression_json_text(root, memo) == text
+    assert text == json.dumps(expression_to_json(root), sort_keys=True)
+    assert id(root) not in memo
 
 
 # ---------------------------------------------------------------------------

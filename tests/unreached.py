@@ -57,6 +57,10 @@ ALLOWED = {
     "germ.PolynomialGerm.truncate": _RING,
     "germ.PolynomialGerm.variable": _RING,
     "germ.PolynomialGerm.degree": _RING,
+    "scissor.Product._key": (
+        "the key of ==, hash, repr and pickle, expanded from the runs; "
+        "no command compares a Product"
+    ),
     "_record.Record.__reduce__": _PICKLE,
     "_record.Record.__setattr__": _FROZEN,
     "_record.Record.__delattr__": _FROZEN,

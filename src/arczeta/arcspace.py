@@ -45,10 +45,9 @@ Within the stratum of a fixed e:
 
 The zeta series attaches u^(-n*dim) to the beta of the order-n set as its
 T^n coefficient; in particular it is unchanged under adding unused ambient
-coordinates.  stratify builds the strata as set expressions and evaluates
-them through the decomposition engine, which is an independent code path
-against the rational form below; stratify_series builds the reports of
-n = 1..order in one pass, whose strata share one set of factor nodes.
+coordinates.  stratify_series builds the strata of n = 1..order as set
+expressions and evaluates them through the decomposition engine, which is
+an independent code path against the rational form below.
 
 The rational form.  Summed over n, the zeta series is one rational
 function of T:
@@ -99,7 +98,6 @@ __all__ = [
     "SELECTORS",
     "QuadraticGerm",
     "ArcStratumReport",
-    "stratify",
     "stratify_series",
     "zeta_series",
     "series_from_reports",
@@ -115,15 +113,11 @@ MINUS = "minus"
 SELECTORS = (NAIVE, PLUS, MINUS)
 
 
-def _check_selector(selector: str):
-    if selector not in SELECTORS:
-        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
-
-
 def _check_arguments(germ, selector: str, count, what: str):
     if not isinstance(germ, QuadraticGerm):
         raise InvalidGerm(f"expected a QuadraticGerm, got {germ!r}")
-    _check_selector(selector)
+    if selector not in SELECTORS:
+        raise ValueError(f"selector must be one of {SELECTORS}, got {selector!r}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"{what} must be a positive integer, got {count!r}")
 
@@ -170,50 +164,46 @@ class ArcStratumReport(Record):
         set_key(self, (n, selector, strata, betas, total_beta))
 
 
-def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStratumReport]:
-    """The reports of the given orders n, whose strata share one set of factor nodes.
+def stratify_series(germ: QuadraticGerm, selector: str, order: int) -> list[ArcStratumReport]:
+    """The reports of n = 1..order: each order-n coefficient set cut by the
+    order e of the w-block into strata that are algebraic products of
+    scissor atoms (see the module docstring), whose betas sum to its beta.
 
-    The factors that the strata of every n share (the punctured cone, the
-    forced hyperplane AffineSpace(rank-1), the last condition, the level
-    factor of e = n/2 and one AffineSpace(k) atom per k) are made here, each
-    evaluated once when it is made into betas, keyed by id.  Every id in
-    betas names a node that this call holds until it returns, so each
-    report is evaluated under its own memo seeded with a copy of betas;
-    the stratum products are keyed only in that memo.  Each product is
-    made of its runs of one repeated child, which are laid out here.
+    The factors that the strata of every order share (the punctured cone,
+    the forced hyperplane AffineSpace(rank-1), the last condition, the
+    level factor of e = n/2 and one AffineSpace(k) atom per k) are made
+    once here, and every stratum is evaluated under one memo of this call,
+    which a factor enters when the first stratum using it is evaluated.
+    Each product is laid out here as its runs of one repeated child.
     """
+    _check_arguments(germ, selector, order, "truncation order")
     rank = germ.rank
-    betas = {}
     affine = {}
-
-    def shared(node):
-        beta_eval(node, betas)
-        return node
 
     def affine_space(k: int) -> AffineSpace:
         node = affine.get(k)
         if node is None:
-            node = affine[k] = shared(AffineSpace(k))
+            node = affine[k] = AffineSpace(k)
         return node
 
     cone = QuadricAffine(0, germ.plus, germ.minus)
-    punctured_cone = shared(Difference(cone, Point()))
+    punctured_cone = Difference(cone, Point())
     hyperplane = affine_space(rank - 1)
     if selector == NAIVE:
-        last = shared(Difference(affine_space(rank), hyperplane))
-        level = shared(Difference(affine_space(rank), cone))
+        last = Difference(affine_space(rank), hyperplane)
+        level = Difference(affine_space(rank), cone)
     else:
         last = hyperplane
-        level = shared(QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus))
+        level = QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus)
     # the depths of the strata, whose other children are atoms
     cone_depth = 1 + max(punctured_cone.depth, getattr(last, "depth", 1))
     level_depth = 1 + getattr(level, "depth", 1)
 
     # the runs of the leading factors of an e < n/2 stratum with `forced`
-    # hyperplanes, by forced = 0..max(orders)-3: a signed last condition is
+    # hyperplanes, by forced = 0..order-3: a signed last condition is
     # the hyperplane itself, so it closes the hyperplanes' run
     head_runs = []
-    for forced in range(max(orders) - 2):
+    for forced in range(order - 2):
         if last is hyperplane:
             head_runs.append(((punctured_cone, 1), (hyperplane, forced + 1)))
         elif forced:
@@ -221,8 +211,9 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
         else:
             head_runs.append(((punctured_cone, 1), (last, 1)))
 
+    memo = {}
     reports = []
-    for n in orders:
+    for n in range(1, order + 1):
         free_z = n * (germ.dim - rank)
         # n = 1 has no strata, so no z-block
         z_block = affine_space(free_z) if free_z and n > 1 else None
@@ -254,10 +245,9 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
                     f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
                     f"{e} free w vector(s)"
                 )
-            # every child is a shared node, so the product needs no check
+            # every child was checked when it was made, so the product needs none
             product = Product._of(runs, depth)
             strata.append((description, product))
-        memo = dict(betas)
         report_betas = []
         # summed into one term map: a coefficient that cancels is deleted here,
         # so the map has no zero coefficient and is wrapped as it stands
@@ -276,26 +266,6 @@ def _stratify_orders(germ: QuadraticGerm, selector: str, orders) -> list[ArcStra
             total_beta=LaurentPolynomial._of(total),
         ))
     return reports
-
-
-def stratify(germ: QuadraticGerm, n: int, selector: str) -> ArcStratumReport:
-    """Partition the order-n coefficient set by the order e of the w-block.
-
-    Each stratum is an algebraic product of scissor atoms (see the module
-    docstring for the derivation); beta of the whole set is the sum of
-    beta over the strata.
-    """
-    _check_arguments(germ, selector, n, "order n")
-    return _stratify_orders(germ, selector, (n,))[0]
-
-
-def stratify_series(germ: QuadraticGerm, selector: str, order: int) -> list[ArcStratumReport]:
-    """The reports stratify(germ, n, selector) of n = 1..order, in one pass.
-
-    The orders share one set of factor nodes, each evaluated once per call.
-    """
-    _check_arguments(germ, selector, order, "truncation order")
-    return _stratify_orders(germ, selector, range(1, order + 1))
 
 
 def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:

@@ -93,12 +93,9 @@ def _write_strata_json(series, reports, write) -> None:
     """Write, in pieces, the text json.dumps(..., sort_keys=True) gives for the
     zeta --strata payload: the series head, each report in turn, and the tail.
 
-    The strata of one request share most of their nodes, so the expressions
-    are written by scissor.expression_json_text with one memo for the whole
-    request, and every polynomial by its own json_text; the wrappers below
-    spell out the keys in sorted order.  A str is written by
-    encode_basestring_ascii, which is what json.dumps runs on one under its
-    default settings.
+    The expressions are written under one memo for the request, every
+    polynomial by its own json_text, and every str by
+    encode_basestring_ascii, as json.dumps writes one by default.
     """
     memo: dict = {}
     quote = json.encoder.encode_basestring_ascii
@@ -323,22 +320,8 @@ _COMMANDS = MappingProxyType({
 })
 
 
-class _Namespace(SimpleNamespace):
-    """What _parse_canonical returns: equal to any namespace with the same attributes.
-
-    argparse.Namespace.__eq__ returns NotImplemented for a foreign type, so
-    the comparison holds from either side.
-    """
-
-    def __eq__(self, other):
-        try:
-            return vars(self) == vars(other)
-        except TypeError:  # other has no attributes to compare
-            return NotImplemented
-
-
 def _parse_canonical(argv: list[str]):
-    """A namespace equal to the one argparse gives argv, if argv is canonical; else None.
+    """A namespace of the attributes argparse gives argv, if argv is canonical; else None.
 
     Canonical is an exact command (and beta kind), then known long options,
     each at most once, as --opt value or --opt=value, with every required
@@ -378,7 +361,7 @@ def _parse_canonical(argv: list[str]):
     if any(option.required and option.dest not in values for option in command.options):
         return None
     defaults = {option.dest: option.default for option in command.options}
-    return _Namespace(**names, **{**defaults, **values}, func=command.func)
+    return SimpleNamespace(**names, **{**defaults, **values}, func=command.func)
 
 
 def _add_commands(parser, dest: str, commands) -> None:

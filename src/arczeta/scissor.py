@@ -40,24 +40,19 @@ Two independent routes to beta of the affine quadrics are implemented.
 Everything here is a pure function over immutable expressions; the memo
 table on quadric atoms only ever stores values that any writer would
 recompute identically.  A Product stores only its maximal runs (child,
-count) of one repeated child object, worked out once when it is built; its
-children are expanded from them when read, and both walkers below visit a
-product once per run, not once per child.  beta_eval and
-expression_json_text each fill only a memo the caller passes in (beta_eval
-makes its own when given none), so each distinct node object is evaluated
-or written once per memo: beta_eval hands that memo down through the
-private _evaluate, and a product raises each run to its power, while
-expression_json_text writes each run of length two or more once per length
-and keeps no text of the expression it was given.  Both key nodes by
-identity (id), and runs by (id, length).  That is sound only while every
-node keyed in the memo stays alive, since a freed node's id can be reused.
-So the caller makes the memo, uses it for one batch of expressions it
-holds, and drops it.  arcspace.stratify_series seeds the memo of each
-report with a copy of the betas of the factor nodes that the orders share,
-which it holds until it returns, and adds the strata of that report; the
-command line writes one request under one memo, which keeps the texts of
-the nodes and runs its strata share.  No memo outlives its batch, and
-none is kept at module level.
+count) of one repeated child object, worked out once when it is built, and
+both walkers below visit a product once per run, not once per child.
+
+The walkers, beta_eval and expression_json_text, fill a memo that their
+caller passes in, so each distinct node is evaluated or written once per
+memo.  Nodes are keyed by identity (id), and the JSON writer's runs by
+(id, length).  A walker's memo keeps the nodes below the expression it was
+given, never that expression: a caller that walks many expressions
+sharing their factors, such as the strata of one stratify_series call,
+keeps what they share and not one entry per expression.  An id key is
+sound only while its node is alive, since a freed node's id can be
+reused, so a memo lives no longer than the call that made it and the
+expressions it walked.  None is kept at module level.
 """
 
 import json
@@ -234,8 +229,8 @@ class QuadricProjective(Record):
             )
 
 
-# depth, set by _compose, and a product's runs are slots outside _fields:
-# they take no part in ==, hash or repr.
+# depth, set by _compose, is a slot outside _fields: it takes no part in ==,
+# hash or repr.
 
 
 def _runs(children: tuple) -> tuple:
@@ -249,8 +244,10 @@ class Product(Record):
     and costs beta_eval and the JSON writer one step.  The key of ==, hash,
     repr and pickle, and with it children, is expanded from the runs."""
 
-    __slots__ = ("depth", "runs")
+    __slots__ = ("depth",)
     _fields = ("children",)
+    # the runs live in the _key slot, which the _key property below hides
+    runs = Record._key
 
     def __init__(self, children: tuple):
         children = tuple(children)
@@ -520,13 +517,10 @@ def _node_type(expression) -> _Node:
 def beta_eval(expression: SetExpression, memo: dict | None = None) -> LaurentPolynomial:
     """Evaluate beta on a set expression by additivity and multiplicativity.
 
-    Each distinct node object is evaluated once per memo, by _evaluate, and
-    a product's children once per run.  stratify_series passes one memo for
-    all the strata of a report, seeded with the betas of the factors they
-    share; without one, the call makes its own.  The memo is keyed by id:
-    the module docstring says when that is sound.
+    The memo, made here when none is given, is filled as the module
+    docstring says.
     """
-    return _evaluate(expression, {} if memo is None else memo)
+    return _node_type(expression).beta(expression, {} if memo is None else memo)
 
 
 def _evaluate(node, memo: dict) -> LaurentPolynomial:
@@ -571,48 +565,38 @@ def expression_json_text(expression: SetExpression, memo: dict) -> str:
     """The text json.dumps(expression_to_json(expression), sort_keys=True) gives.
 
     Each distinct node, and each run of one child object repeated in a
-    composite, is turned into text once per memo, so an output that
-    repeats shared nodes (the strata of zeta --strata share most of theirs,
-    and their runs of forced hyperplanes) costs one rendering per node and
-    per run length instead of one per occurrence.  A product's runs are read
-    from its runs slot, so writing one costs a step per run, not per child;
-    the children of a union or difference are grouped here.  The caller
-    makes the memo and drops it with the request: nothing is kept here.
-    Nodes are keyed by id, runs by (id, length), which is sound only while
-    every node rendered with the memo stays alive, so a memo must not
-    outlive the expressions it was used on.  The expression's own text is
-    dropped from the memo once written: a stratum is written once, and
-    kept, the strata of a high order would hold a text of every one.
+    composite, is turned into text once per memo (see the module
+    docstring), so the strata of zeta --strata cost one rendering per
+    shared node and per run length, not one per occurrence.
     """
-    text = _json_text(expression, memo)
-    del memo[id(expression)]
+    return _render(expression, memo)
+
+
+def _json_text(node, memo: dict) -> str:
+    text = memo.get(id(node))
+    if text is None:
+        text = memo[id(node)] = _render(node, memo)
     return text
 
 
-def _json_text(expression, memo: dict) -> str:
-    key = id(expression)
-    text = memo.get(key)
-    if text is not None:
-        return text
-    # products first: every stratum is one
+def _render(expression, memo: dict) -> str:
+    # products first: every stratum is one, and its runs are read, not regrouped
     if type(expression) is Product:
         tag, runs = _NODES[Product].tag, expression.runs
     else:
         node = _node_type(expression)
         if node.kind == "atom":
-            text = memo[key] = json.dumps(expression_to_json(expression), sort_keys=True)
-            return text
+            return json.dumps(expression_to_json(expression), sort_keys=True)
         tag, runs = node.tag, _runs(_children(node, expression))
     parts = []
     for child, count in runs:
-        part = memo.get(id(child)) or _json_text(child, memo)
+        part = _json_text(child, memo)
         if count > 1:
             # a run of one repeated child object is written once per length
             run_key = (id(child), count)
             part = memo.get(run_key) or memo.setdefault(run_key, ", ".join([part] * count))
         parts.append(part)
-    text = memo[key] = '{"children": [' + ", ".join(parts) + '], "op": "' + tag + '"}'
-    return text
+    return '{"children": [' + ", ".join(parts) + '], "op": "' + tag + '"}'
 
 
 def _tagged(kind: str, tag) -> type:

@@ -10,6 +10,7 @@ from arczeta import (
     SELECTORS,
     ONE,
     ZERO,
+    scissor,
     LaurentPolynomial,
     QuadraticGerm,
     QuadricAffine,
@@ -18,7 +19,6 @@ from arczeta import (
     coefficient_closed_form,
     naive_t2_coefficient,
     signed_t2_coefficient,
-    stratify,
     stratify_series,
     zeta_closed_form,
     zeta_series,
@@ -44,16 +44,16 @@ def test_germ_validation():
 
 
 def test_stratify_examples():
-    report = stratify(QuadraticGerm(dim=3, plus=2, minus=1), 2, PLUS)
+    report = stratify_series(QuadraticGerm(dim=3, plus=2, minus=1), PLUS, 2)[-1]
     assert report.total_beta == mono(5) + mono(4)
     assert len(report.strata) == 1
     _, expression = report.strata[0]
     assert QuadricAffine(1, 2, 1) in expression.children
 
-    report = stratify(QuadraticGerm(dim=2, plus=1, minus=1), 3, PLUS)
+    report = stratify_series(QuadraticGerm(dim=2, plus=1, minus=1), PLUS, 3)[-1]
     assert report.total_beta == mono(4, 2) - mono(3, 2)
 
-    report = stratify(QuadraticGerm(dim=1, plus=1, minus=0), 3, PLUS)
+    report = stratify_series(QuadraticGerm(dim=1, plus=1, minus=0), PLUS, 3)[-1]
     assert report.total_beta == ZERO
 
 
@@ -63,7 +63,7 @@ def test_stratify_report_invariants():
             germ = QuadraticGerm(dim=dim, plus=plus, minus=minus)
             for selector in SELECTORS:
                 for n in range(1, 7):
-                    report = stratify(germ, n, selector)
+                    report = stratify_series(germ, selector, n)[-1]
                     total = ZERO
                     for _, expression in report.strata:
                         total = total + beta_eval(expression)
@@ -116,19 +116,27 @@ def test_the_reports_hold_memory_growing_slower_than_the_cube_of_the_order():
     assert ratio < 20, ratio
 
 
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_a_factor_is_evaluated_only_when_a_stratum_uses_it(selector):
+    # order 1 has no strata, so neither the cone nor the level quadric is evaluated
+    scissor._beta_quadric.cache_clear()
+    (report,) = stratify_series(QuadraticGerm(4, 2, 2), selector, 1)
+    assert report.strata == ()
+    assert scissor._beta_quadric.cache_info().currsize == 0
+
+
 def test_stratify_rejects_bad_input():
     germ = QuadraticGerm(dim=2, plus=1, minus=1)
     with pytest.raises(ValueError):
-        stratify(germ, 0, PLUS)
+        stratify_series(germ, PLUS, 0)
     with pytest.raises(ValueError):
-        stratify(germ, 2, "sideways")
+        stratify_series(germ, "sideways", 2)
     with pytest.raises(InvalidGerm):
-        stratify("not a germ", 2, PLUS)
+        stratify_series("not a germ", PLUS, 2)
 
 
 # each public count of the engine, with the arguments that pass it
 COUNTED = [
-    (stratify, "order n", lambda germ, count: (germ, count, PLUS)),
     (stratify_series, "truncation order", lambda germ, count: (germ, PLUS, count)),
     (zeta_series, "truncation order", lambda germ, count: (germ, PLUS, count)),
     (coefficient_closed_form, "order n", lambda germ, count: (germ, count, PLUS)),

@@ -301,11 +301,7 @@ def test_zeta_strata_stratifies_each_order_once(capsys, monkeypatch, extra):
         calls.append([report.n for report in reports])
         return reports
 
-    def no_stratify(*args):
-        raise AssertionError("zeta --strata stratified an order on its own")
-
     monkeypatch.setattr(arcspace, "stratify_series", counting_stratify_series)
-    monkeypatch.setattr(arcspace, "stratify", no_stratify)
     code, _ = invoke(capsys, ZETA_STRATA + extra)
     assert code == 0
     assert calls == [list(range(1, 8))]
@@ -332,7 +328,6 @@ def test_plain_zeta_answers_from_the_rational_form(capsys, monkeypatch, extra):
 
     for module in (arcspace, scissor):  # arcspace holds its own name for beta_eval
         monkeypatch.setattr(module, "beta_eval", no_engine)
-    monkeypatch.setattr(arcspace, "stratify", no_engine)
     monkeypatch.setattr(arcspace, "stratify_series", no_engine)
     assert invoke(capsys, ZETA_STRATA[:-1] + extra) == (0, expected + "\n")
 
@@ -449,11 +444,7 @@ def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
         keys.append((germ.dim, germ.plus, germ.minus, selector, order))
         return real_stratify_series(germ, selector, order)
 
-    def no_stratify(*args):
-        raise AssertionError("selfcheck stratified an order on its own")
-
     monkeypatch.setattr(arcspace, "stratify_series", counting_stratify_series)
-    monkeypatch.setattr(arcspace, "stratify", no_stratify)
     first = selfcheck.run_selfcheck(3)
     assert first[1] is True
     # the round-trip grid reads 32 (germ, selector) pairs at order 2, and the
@@ -665,7 +656,8 @@ def _stratum_payload(report) -> dict:
 def _reference_strata_output(dim, plus, minus, selector, order) -> str:
     """zeta --strata --json as the dict tree and json.dumps render it."""
     germ = arcspace.QuadraticGerm(dim=dim, plus=plus, minus=minus)
-    reports = [arcspace.stratify(germ, n, selector) for n in range(1, order + 1)]
+    # each order from a call of its own, not from the one call the command makes
+    reports = [arcspace.stratify_series(germ, selector, n)[-1] for n in range(1, order + 1)]
     payload = {
         "series": arcspace.series_from_reports(germ, reports).to_json(),
         "strata": [_stratum_payload(report) for report in reports],
@@ -744,17 +736,16 @@ def test_zeta_strata_json_keeps_no_state_after_the_request(capsys):
 
 @pytest.mark.parametrize("germ", _strata_germs(), ids=lambda g: "-".join(map(str, g)))
 def test_stratify_memo_gives_each_stratum_its_own_beta(germ):
-    """One memo per report: every stratum's beta is what it is alone."""
+    """One memo for the call: every stratum's beta is what it is alone."""
     quad = arcspace.QuadraticGerm(*germ)
     for selector in arcspace.SELECTORS:
-        for n in range(1, 41):
-            report = arcspace.stratify(quad, n, selector)
+        for report in arcspace.stratify_series(quad, selector, 40):
             for (_, expression), beta in zip(report.strata, report.betas):
-                assert beta == scissor.beta_eval(expression), (selector, n)
+                assert beta == scissor.beta_eval(expression), (selector, report.n)
                 by_child = ONE
                 for child in expression.children:
                     by_child = by_child * scissor.beta_eval(child)
-                assert beta == by_child, (selector, n)
+                assert beta == by_child, (selector, report.n)
 
 
 def _report_view(report) -> tuple:
@@ -766,17 +757,17 @@ def _report_view(report) -> tuple:
 @pytest.mark.parametrize("germ", _strata_germs(), ids=lambda g: "-".join(map(str, g)))
 def test_reports_from_one_shared_set_equal_lone_reports(germ):
     """The reports of one stratify_series call, whose strata share one set of
-    factor nodes, equal the reports of lone stratify calls.  Each call's
-    reports are freed (and collected, between the two kinds of call) before
-    the next call, so the next may reuse their ids: a beta kept past a call
-    would be read for another node."""
+    factor nodes, equal the last report of a call that stops at their order.
+    Each call's reports are freed (and collected, between the two kinds of
+    call) before the next call, so the next may reuse their ids: a beta kept
+    past a call would be read for another node."""
     quad = arcspace.QuadraticGerm(*germ)
     for selector in arcspace.SELECTORS:
         series = [_report_view(report) for report in arcspace.stratify_series(quad, selector, 40)]
         assert [view[0].n for view in series] == list(range(1, 41))
         gc.collect()
         for n in range(40, 0, -1):
-            lone = arcspace.stratify(quad, n, selector)
+            lone = arcspace.stratify_series(quad, selector, n)[-1]
             assert _report_view(lone) == series[n - 1], (selector, n)
             del lone
         gc.collect()

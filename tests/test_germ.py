@@ -28,7 +28,7 @@ from arczeta import (
     parse_germ,
     recover_minmax,
     split_jet,
-    stratify,
+    stratify_series,
     verify_split,
 )
 from arczeta import germ as germs, selfcheck
@@ -835,7 +835,8 @@ def test_result_records_keep_the_semantics_of_frozen_dataclasses():
         records.append(discriminate(germ, other, rng.randint(1, 4)))
         plus, minus = rng.randint(0, 3), rng.randint(1, 3)
         quadratic = QuadraticGerm(plus + minus + rng.randint(0, 2), plus, minus)
-        records += [quadratic, stratify(quadratic, rng.randint(1, 4), rng.choice(SELECTORS))]
+        n, selector = rng.randint(1, 4), rng.choice(SELECTORS)
+        records += [quadratic, stratify_series(quadratic, selector, n)[-1]]
         records.append(recover_minmax(naive_t2_coefficient(rng.randint(1, 3), rng.randint(3, 5))))
     records += [Inertia(1, 2, 0), Inertia(plus=1, minus=2, corank=0), QuadraticGerm(3, 1, 2)]
     records += [NaiveRecovery("ambiguous"), NaiveRecovery("ambiguous", reason="why")]

@@ -268,7 +268,7 @@ def test_discriminate_builds_no_series(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("discriminate built a zeta series")
 
-    monkeypatch.setattr(arcspace, "stratify", forbidden)
+    monkeypatch.setattr(arcspace, "stratify_series", forbidden)
     monkeypatch.setattr(arcspace, "zeta_series", forbidden)
     f = parse_germ("x1^2 + x2^2 - x3^2 + x1^3")
     g = parse_germ("x1^2 - x2^2 - x3^2")

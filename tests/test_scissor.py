@@ -289,6 +289,13 @@ def test_trusted_product_equals_the_validating_one():
         assert scissor.expression_json_text(trusted, {}) == scissor.expression_json_text(built, {})
 
 
+def test_a_product_holds_two_slots_like_any_composite():
+    # the runs live in the _key slot a record has, beside depth
+    size = sys.getsizeof(DisjointUnion(()))
+    assert sys.getsizeof(Product((AffineSpace(1),))) == size
+    assert sys.getsizeof(Product._of(((AffineSpace(1), 2),), 2)) == size
+
+
 def _split_runs(children):
     """The maximal runs of one child object, each as a list."""
     runs = []
@@ -507,6 +514,18 @@ def test_expression_json_text_is_the_sorted_dumps_of_expression_to_json():
         assert text == json.dumps(expression_to_json(expression), sort_keys=True)
         assert scissor.expression_json_text(expression, {}) == text
     assert scissor.expression_json_text(EMPTY, memo) == '{"children": [], "op": "disjoint_union"}'
+
+
+def test_beta_eval_keeps_only_the_nodes_below_the_root_in_the_memo():
+    hyperplane, quadric, point = AffineSpace(3), QuadricAffine(0, 2, 2), Point()
+    cone, inner = Difference(quadric, point), Product((hyperplane,))
+    root = Product((cone, hyperplane, hyperplane, inner))
+    memo = {}
+    value = beta_eval(root, memo)
+    # a stratum is evaluated once: its own beta is not kept, what it shares is
+    assert memo.keys() == {id(node) for node in (cone, quadric, point, hyperplane, inner)}
+    assert beta_eval(root, memo) == value == beta_eval(root)
+    assert id(root) not in memo
 
 
 def test_expression_json_text_keeps_only_the_shared_texts_in_the_memo():

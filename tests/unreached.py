@@ -33,8 +33,6 @@ _PICKLE = "lets copy, deepcopy and pickle rebuild the value through its construc
 
 ALLOWED = {
     "cli.main": "the console-script entry point; it wraps run, which this script calls",
-    "cli._Namespace.__eq__": "lets a canonical parse equal argparse's namespace, from either side",
-    "arcspace.stratify": "the one-order entry point of the stratification route",
     "arcspace.coefficient_closed_form": "one coefficient by the closed form, a route of its identity",
     "algebra.LaurentPolynomial.__pow__": (
         "beta_eval of a Product built in Python with a repeated multi-term child"

@@ -281,10 +281,18 @@ class PolynomialGerm:
 
     def hessian(self) -> list[list[Fraction]]:
         """The matrix of second partials at the origin (exact)."""
-        n = self.nvars
+        return self._hessian_block(range(self.nvars))
+
+    def _hessian_block(self, variables) -> list[list[Fraction]]:
+        """The Hessian's rows and columns of the given variables, in their order.
+
+        variables must hold every variable of every degree-2 term.
+        """
+        where = {v: r for r, v in enumerate(variables)}
+        n = len(where)
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for exps, coeff in self.terms_of_degree(2).items():
-            support = [i for i, e in enumerate(exps) if e]
+            support = [where[i] for i, e in enumerate(exps) if e]
             if len(support) == 1:
                 i = support[0]
                 matrix[i][i] = 2 * coeff
@@ -743,9 +751,16 @@ def _require_singular(germ: PolynomialGerm):
 
 
 def hessian_inertia(germ: PolynomialGerm) -> Inertia:
-    """Exact inertia of the Hessian at the origin (Sylvester's law)."""
+    """Exact inertia of the Hessian at the origin (Sylvester's law).
+
+    A variable in no degree-2 term has a zero row and column, so up to a
+    permutation (a congruence) the Hessian is the block of the other
+    variables beside a zero block: the congruence runs on that block, and
+    each variable left out counts once in the corank.
+    """
     _require_singular(germ)
-    plus, minus = congruence_inertia(germ.hessian())
+    used = sorted({i for exps in germ.terms_of_degree(2) for i, e in enumerate(exps) if e})
+    plus, minus = congruence_inertia(germ._hessian_block(used))
     return Inertia(plus=plus, minus=minus, corank=germ.nvars - plus - minus)
 
 
@@ -848,34 +863,37 @@ def _square_root_part(value: int) -> int:
     return root
 
 
-def _shift(
-    germ: PolynomialGerm, pivot: int, m: tuple, ratio: Fraction, jet_order: int
-) -> PolynomialGerm:
-    """germ with x_pivot -> x_pivot + ratio * x^m, less its terms of degree > jet_order.
+def _absorb(
+    terms: dict[tuple, tuple[int, int]],
+    pivot: int,
+    m: tuple,
+    ratio: tuple[int, int],
+    jet_order: int,
+) -> bool:
+    """Apply x_pivot -> x_pivot + ratio * x^m to a term map in place, up to jet_order.
 
-    By the binomial theorem a term c * x^e with k = e[pivot] becomes the sum
-    over j = 0..k of C(k, j) * ratio^j * c * x^(e - j*u_pivot + j*m), of
-    degree deg e + j*(deg m - 1).  m has degree >= 2 (it may hold x_pivot),
-    so each j adds a degree and the sum stops at the first j past the jet;
-    the j = 0 parts are the terms themselves.  A germ without x_pivot comes
-    back as it is, terms above the jet included: split_jet's germs have none.
+    terms maps exponent vectors to reduced pairs (numerator, denominator)
+    with a positive denominator, and ratio is such a pair.  By the binomial
+    theorem a term c * x^e with k = e[pivot] gains, for j = 1..k, the terms
+    C(k, j) * ratio^j * c * x^(e - j*u_pivot + j*m), of degree
+    deg e + j*(deg m - 1).  m has degree >= 2 (it may hold x_pivot), so each
+    j adds a degree and the sum stops at the first j past the jet.  Only the
+    terms holding x_pivot are read, from a list taken before any is changed;
+    the others are not touched.  Each added term costs int products and one
+    gcd, and a sum that cancels is deleted.  A term above the jet is neither
+    expanded nor dropped: split_jet's maps have none.  Returns whether the
+    map holds x_pivot; one that does not is left as it was.
     """
-    terms = germ._terms
-    if not any(exps[pivot] for exps in terms):
-        return germ
+    moved = [(exps, pair) for exps, pair in terms.items() if exps[pivot]]
+    if not moved:
+        return False
     step = sum(m) - 1
     delta = tuple(e - (i == pivot) for i, e in enumerate(m))
-    sums: dict[tuple, Fraction] = {}
-    moved = []
-    for exps, coeff in terms.items():
-        degree = sum(exps)
-        if degree <= jet_order:
-            sums[exps] = coeff
-            if exps[pivot]:
-                moved.append((exps, degree, coeff))
-    weights: dict[tuple, Fraction] = {}  # (k, j) -> C(k, j) * ratio^j
-    for key, degree, coeff in moved:
+    rn, rd = ratio
+    weights: dict[tuple, tuple[int, int]] = {}  # (k, j) -> C(k, j) * ratio^j, unreduced
+    for key, (cn, cd) in moved:
         k = key[pivot]
+        degree = sum(key)
         for j in range(1, k + 1):
             degree += step
             if degree > jet_order:
@@ -883,9 +901,21 @@ def _shift(
             key = tuple(map(add, key, delta))
             weight = weights.get((k, j))
             if weight is None:
-                weight = weights[k, j] = comb(k, j) * ratio**j
-            sums[key] = sums.get(key, 0) + weight * coeff
-    return PolynomialGerm._of(germ.nvars, sums)
+                weight = weights[k, j] = (comb(k, j) * rn**j, rd**j)
+            num, den = weight[0] * cn, weight[1] * cd
+            old = terms.get(key)
+            if old is not None:
+                sn, sd = old
+                if sd == den:
+                    num += sn
+                else:
+                    num, den = num * sd + sn * den, den * sd
+                if not num:
+                    del terms[key]
+                    continue
+            g = gcd(num, den)
+            terms[key] = (num // g, den // g)
+    return True
 
 
 def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
@@ -897,11 +927,16 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     change is composed by substitute.  Stage 2 walks the degrees
     3..jet_order and absorbs every term divisible by a rank variable x_i
     (coefficient c, term c * x_i * m) through the shift
-    x_i -> x_i - c/(2 l_i) * m, where l_i is the diagonal coefficient,
-    applied by _shift to the germ and to each component of the change;
-    each shift cancels its target and only creates terms of strictly
-    higher degree, so the sweep terminates.  verify_split re-expands the
-    result through substitute, which shares no code with _shift.
+    x_i -> x_i - c/(2 l_i) * m, where l_i is the diagonal coefficient.
+    It works on term maps of reduced int pairs (numerator, denominator),
+    one for the germ and one for each component of the change, read off
+    once after Stage 1; _absorb applies each shift to every map in place,
+    and the maps become germs again once, after the last degree (a change
+    component that no shift touched stays the germ Stage 1 built).  Each
+    shift cancels its target and only creates terms of strictly higher
+    degree, so the sweep terminates.  The arithmetic is exact, so the
+    result is the one Fraction arithmetic gives.  verify_split re-expands
+    the result through substitute, which shares no code with _absorb.
     """
     if not isinstance(jet_order, int) or jet_order < 3:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
@@ -937,23 +972,44 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
 
     diagonal_coeff = [current.coefficient(tuple(2 * e for e in units[i])) for i in range(rank)]
 
+    terms = {e: (c.numerator, c.denominator) for e, c in current._terms.items()}
+    maps = [
+        {e: (c.numerator, c.denominator) for e, c in component._terms.items()}
+        for component in change
+    ]
+
     # One pass per degree: an absorption x_p -> x_p - c/(2 l_p) m at degree d
     # cancels only its own term, and every term it creates has degree >= d + 1,
     # because the quadratic part is diagonal and every other term containing
     # x_p has degree >= 3.  So the degree-d terms read here stay as they are.
+    touched = set()  # the change components holding some pivot
     for degree in range(3, jet_order + 1):
-        for exps, coeff in sorted(current.terms_of_degree(degree).items()):
+        for exps, (cn, cd) in sorted((e, pair) for e, pair in terms.items() if sum(e) == degree):
             pivot = next((i for i in range(rank) if exps[i]), None)
             if pivot is None:
                 continue
             rest = list(exps)
             rest[pivot] -= 1
-            m, ratio = tuple(rest), -coeff / (2 * diagonal_coeff[pivot])
-            current = _shift(current, pivot, m, ratio, jet_order)
-            change = [_shift(component, pivot, m, ratio, jet_order) for component in change]
+            # ratio = -c / (2 l_p), reduced, with a positive denominator
+            diagonal = diagonal_coeff[pivot]
+            num, den = -cn * diagonal.denominator, 2 * cd * diagonal.numerator
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num, den)
+            ratio = (num // g, den // g)
+            m = tuple(rest)
+            _absorb(terms, pivot, m, ratio, jet_order)
+            for i, target in enumerate(maps):
+                if _absorb(target, pivot, m, ratio, jet_order):
+                    touched.add(i)
 
-    quadratic_part = PolynomialGerm._of(nv, current.terms_of_degree(2))
-    remainder = current - quadratic_part
+    def germ_of(pairs):
+        return PolynomialGerm._of(nv, {e: Fraction(n, d) for e, (n, d) in pairs.items()})
+
+    # a component no shift touched is still the germ Stage 1 built
+    change = [germ_of(maps[i]) if i in touched else c for i, c in enumerate(change)]
+    quadratic_part = germ_of({e: pair for e, pair in terms.items() if sum(e) == 2})
+    remainder = germ_of({e: pair for e, pair in terms.items() if sum(e) != 2})
 
     # engine sanity: the invariants promised by SplitResult
     for exps, coeff in quadratic_part.terms().items():

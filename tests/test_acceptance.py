@@ -295,3 +295,15 @@ def test_criterion_12_split_at_jet_10_and_its_verification():
         result = split_jet(germ, 10)
         assert verify_split(germ, result)
     assert (result.inertia.plus, result.inertia.minus, result.inertia.corank) == (1, 2, 0)
+
+
+def test_criterion_13_inertia_costs_the_variables_the_germ_uses():
+    # one used variable among 3,000 declared: the congruence runs on a 1 x 1
+    # block, about 1 ms in process on a 2-vCPU VM
+    argv = ["inertia", "--poly", "x1^2", "--dim", "3000", "--json"]
+    out = io.StringIO()
+    with _Timer("criterion 13: inertia --poly x1^2 --dim 3000", 0.5):
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    assert code == 0
+    assert json.loads(out.getvalue()) == {"s": 1, "t": 0, "rank": 1, "corank": 2999, "index": 0}

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import make_dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -40,7 +41,7 @@ from arczeta.errors import (
     NotAGerm,
     NotSingularAtOrigin,
 )
-from arczeta.germ import SplitResult, _require_singular, _shift, _square_root_part
+from arczeta.germ import SplitResult, _absorb, _require_singular, _square_root_part
 from util import (
     assert_dataclass_semantics,
     linear_change,
@@ -355,6 +356,29 @@ def test_hessian_inertia_and_the_inertia_grid_run_no_rational_elimination(monkey
     assert hessian_inertia(parse_germ("x1*x2 + x3^2 - x4^3")) == Inertia(2, 1, 1)
     verdicts = [ok for _, ok in selfcheck._inertia_two_paths(12)]
     assert len(verdicts) == 300 and all(verdicts)
+
+
+def test_inertia_at_a_larger_dim_adds_only_corank():
+    # hessian_inertia runs on the block of the variables in degree-2 terms;
+    # the reference is the congruence on the whole Hessian at the germ's own count
+    rng = random.Random(2750)
+    wide = 0
+    for index in range(60):
+        nvars = rng.randint(1, 5)
+        germ = random_singular_germ(rng, nvars, rng.randint(2, 4))
+        plus, minus = congruence_inertia(germ.hessian())
+        for dim in (nvars, nvars + rng.randint(1, 30), 3000 if index % 12 == 0 else 200):
+            slots = rng.sample(range(dim), nvars)
+            spread = {}
+            for exps, coeff in germ.terms().items():
+                moved = [0] * dim
+                for slot, e in zip(slots, exps):
+                    moved[slot] = e
+                spread[tuple(moved)] = coeff
+            inertia = hessian_inertia(PolynomialGerm(dim, spread))
+            assert inertia == Inertia(plus=plus, minus=minus, corank=dim - plus - minus)
+            wide += dim == 3000
+    assert wide == 5
 
 
 def test_inertia_invariant_under_linear_changes():
@@ -742,6 +766,11 @@ def _random_shift_case(rng):
     return PolynomialGerm(nvars, terms), pivot, tuple(m), ratio, rng.randint(3, 8)
 
 
+def _pairs(germ):
+    """A germ's term map as _absorb holds it: exponents -> (numerator, denominator)."""
+    return {exps: (c.numerator, c.denominator) for exps, c in germ.terms().items()}
+
+
 def test_shift_matches_the_general_substitution():
     rng = random.Random(1800)
     seen = {"m holds the pivot": 0, "pivot power 4": 0, "jet cuts a binomial": 0,
@@ -749,13 +778,22 @@ def test_shift_matches_the_general_substitution():
     for _ in range(400):
         germ, pivot, m, ratio, jet = _random_shift_case(rng)
         nv = germ.nvars
-        shifted = _shift(germ, pivot, m, ratio, jet)
-        if not any(exps[pivot] for exps in germ.terms()):
-            assert shifted is germ
+        terms = _pairs(germ)
+        held = _absorb(terms, pivot, m, (ratio.numerator, ratio.denominator), jet)
+        for num, den in terms.values():
+            assert num and den > 0 and gcd(num, den) == 1, (germ, pivot, m, ratio, jet)
+        assert held == any(exps[pivot] for exps in germ.terms())
+        if not held:
+            assert terms == _pairs(germ)
             seen["no pivot"] += 1
             continue
         replacement = PolynomialGerm.variable(nv, pivot) + PolynomialGerm(nv, {m: ratio})
-        assert shifted == germ.substitute({pivot: replacement}, jet), (germ, pivot, m, ratio, jet)
+        low = {exps: Fraction(*pair) for exps, pair in terms.items() if sum(exps) <= jet}
+        expected = germ.substitute({pivot: replacement}, jet).terms()
+        assert low == expected, (germ, pivot, m, ratio, jet)
+        # a term above the jet is neither expanded nor dropped
+        above = {exps: pair for exps, pair in terms.items() if sum(exps) > jet}
+        assert above == {exps: pair for exps, pair in _pairs(germ).items() if sum(exps) > jet}
         step = sum(m) - 1
         seen["m holds the pivot"] += m[pivot] > 0
         seen["pivot power 4"] += any(exps[pivot] == 4 for exps in germ.terms())
@@ -769,40 +807,71 @@ def test_shift_matches_the_general_substitution():
 def test_shift_drops_the_sums_that_cancel():
     # x1 -> x1 + 2*x2^2 turns x1*x2 into x1*x2 + 2*x2^3, which cancels -2*x2^3
     germ = parse_germ("x1*x2 - 2*x2^3 + x1^2")
-    shifted = _shift(germ, 0, (0, 2), Fraction(2), 5)
-    assert shifted == parse_germ("x1*x2 + x1^2 + 4*x1*x2^2 + 4*x2^4")
-    assert 0 not in shifted.terms().values() and (0, 3) not in shifted.terms()
-    assert shifted == germ.substitute({0: parse_germ("x1 + 2*x2^2")}, 5)
-    # a germ without the pivot is shared, not copied: germs are immutable
-    kernel = parse_germ("x2^3 + x2^7", nvars=2)
-    assert _shift(kernel, 0, (1, 1), Fraction(-1, 2), 4) is kernel
+    terms = _pairs(germ)
+    assert _absorb(terms, 0, (0, 2), (2, 1), 5)
+    assert terms == _pairs(parse_germ("x1*x2 + x1^2 + 4*x1*x2^2 + 4*x2^4"))
+    assert (0, 3) not in terms
+    expected = germ.substitute({0: parse_germ("x1 + 2*x2^2")}, 5)
+    assert PolynomialGerm(2, {exps: Fraction(*pair) for exps, pair in terms.items()}) == expected
+    # a map without the pivot is left as it was
+    kernel = _pairs(parse_germ("x2^3 + x2^7", nvars=2))
+    assert not _absorb(kernel, 0, (1, 1), (-1, 2), 4)
+    assert kernel == {(0, 3): (1, 1), (0, 7): (1, 1)}
 
 
 def test_split_composes_through_substitute_once_and_verify_split_never_shifts(monkeypatch):
-    calls = {"substitute": 0, "shift": 0}
-    substitute, shift = PolynomialGerm.substitute, germs._shift
+    calls = {"substitute": 0, "absorb": 0}
+    substitute, absorb = PolynomialGerm.substitute, germs._absorb
 
     def counting_substitute(self, *args, **kwargs):
         calls["substitute"] += 1
         return substitute(self, *args, **kwargs)
 
-    def counting_shift(*args):
-        calls["shift"] += 1
-        return shift(*args)
+    def counting_absorb(*args):
+        calls["absorb"] += 1
+        return absorb(*args)
 
     monkeypatch.setattr(PolynomialGerm, "substitute", counting_substitute)
-    monkeypatch.setattr(germs, "_shift", counting_shift)
-    shifted = 0
+    monkeypatch.setattr(germs, "_absorb", counting_absorb)
+    absorbed = 0
     for germ, jet_order in [*_selfcheck_split_corpus(), *_random_split_corpus()]:
-        calls.update(substitute=0, shift=0)
+        calls.update(substitute=0, absorb=0)
         result = split_jet(germ, jet_order)
-        # Stage 1 is the one substitution; Stage 2 goes through _shift alone
+        # Stage 1 is the one substitution; Stage 2 goes through _absorb alone
         assert calls["substitute"] == 1, (germ.to_text(), jet_order)
-        shifted += calls["shift"] > 0
-        calls.update(substitute=0, shift=0)
+        absorbed += calls["absorb"] > 0
+        calls.update(substitute=0, absorb=0)
         assert verify_split(germ, result)
-        assert calls == {"substitute": 1, "shift": 0}
-    assert shifted > 50
+        assert calls == {"substitute": 1, "absorb": 0}
+    assert absorbed > 50
+
+
+def _benchmark_shaped_split_corpus():
+    """Seeded germs shaped like the germ benchmark's splits, in 2-4 variables at jets 3-6:
+    a diagonal quadratic block of random rank and signs under 1-4 random terms of
+    degree 3-4."""
+    rng = random.Random(2700)
+    for _ in range(120):
+        nvars = rng.randint(2, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(3, 4)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        for slot in rng.sample(range(nvars), rng.randint(1, nvars)):
+            square = tuple(2 if i == slot else 0 for i in range(nvars))
+            terms[square] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        yield PolynomialGerm(nvars, terms), rng.randint(3, 6)
+
+
+def test_split_of_benchmark_shaped_germs_matches_the_rescanning_reference():
+    cases = list(_benchmark_shaped_split_corpus())
+    for germ, jet_order in cases:
+        expected = _split_jet_rescanning(germ, jet_order).to_json()
+        assert split_jet(germ, jet_order).to_json() == expected, (germ.to_text(), jet_order)
+    ranks = {split_jet(germ, 3).inertia.rank for germ, _ in cases}
+    assert len(cases) >= 100 and ranks == {1, 2, 3, 4}
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,6 @@ class LaurentPolynomial:
             raise ZeroPolynomial("the zero polynomial has no degree")
         return max(self._terms)
 
-    def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -115,12 +112,6 @@ class LaurentPolynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -18,6 +18,10 @@ sign pattern, square factors are scaled away rationally, and the final
 irrational rescaling to literal +-1 coefficients is intentionally left
 implicit since only the signs matter.
 
+PolynomialGerm keeps only the arithmetic the commands use: sums,
+truncated products and one composition, substitute, which takes a
+component for every variable and a required degree bound.
+
 recover_signature inverts the signed T^2 zeta coefficients of a diagonal
 quadratic germ: factoring out the maximal power of u leaves u^k - 1
 (giving count k) or u^k + 1 (giving count k + 1), for each sign class
@@ -84,7 +88,8 @@ class PolynomialGerm:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
-        _require_nvars(nvars)
+        if type(nvars) is not int or nvars < 1:  # a bool is no count
+            raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
         sums: dict[tuple, Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
@@ -114,10 +119,6 @@ class PolynomialGerm:
         # the default slot-state restore would go through __setattr__
         return type(self), (self.nvars, self._terms)
 
-    @classmethod
-    def zero(cls, nvars: int) -> "PolynomialGerm":
-        return cls(nvars)
-
     def terms(self) -> dict[tuple, Fraction]:
         return dict(self._terms)
 
@@ -129,11 +130,6 @@ class PolynomialGerm:
         if not self._terms:
             return None
         return min(sum(e) for e in self._terms)
-
-    def degree(self) -> int | None:
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
 
     def coefficient(self, exps: tuple) -> Fraction:
         return self._terms.get(tuple(exps), Fraction(0))
@@ -149,11 +145,6 @@ class PolynomialGerm:
 
     def terms_of_degree(self, degree: int) -> dict[tuple, Fraction]:
         return {e: c for e, c in self._terms.items() if sum(e) == degree}
-
-    def truncate(self, max_degree: int) -> "PolynomialGerm":
-        return PolynomialGerm._of(
-            self.nvars, {e: c for e, c in self._terms.items() if sum(e) <= max_degree}
-        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -178,26 +169,11 @@ class PolynomialGerm:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, factor) -> "PolynomialGerm":
-        factor = Fraction(factor)
-        return PolynomialGerm._of(self.nvars, {e: c * factor for e, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        if not isinstance(other, PolynomialGerm):
-            return NotImplemented
-        self._same_space(other)
-        return self._mul_trunc(other, None)
-
-    __rmul__ = __mul__
-
-    def _mul_trunc(self, other: "PolynomialGerm", max_degree: int | None) -> "PolynomialGerm":
-        limit = float("inf") if max_degree is None else max_degree
-        product = _product(_graded(self._terms), _graded(other._terms), limit, {})
+    def _mul_trunc(self, other: "PolynomialGerm", max_degree: int) -> "PolynomialGerm":
+        product = _product(_graded(self._terms), _graded(other._terms), max_degree, {})
         return PolynomialGerm._of(self.nvars, product)
 
-    def _pow_trunc(self, n: int, max_degree: int | None) -> "PolynomialGerm":
+    def _pow_trunc(self, n: int, max_degree: int) -> "PolynomialGerm":
         result = None
         base = self
         while n:
@@ -220,62 +196,37 @@ class PolynomialGerm:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute(
-        self,
-        replacements: Sequence["PolynomialGerm"] | Mapping[int, "PolynomialGerm"],
-        max_degree: int | None = None,
-    ) -> "PolynomialGerm":
-        """Compose with x_i -> replacements[i], all in the same space.
+    def substitute(self, change: Sequence["PolynomialGerm"], max_degree: int) -> "PolynomialGerm":
+        """Compose with x_i -> change[i], less the terms of degree > max_degree.
 
-        replacements holds one germ per variable, or maps {index: germ} and
-        fixes every other variable.  The result is the full composition less
-        its terms of degree > max_degree.  Replacements vanish at the origin,
-        so no term loses degree: terms of f above max_degree are never
-        expanded, and every product term is cut at max_degree.
+        change holds one germ per variable, all in this germ's space.  The
+        components vanish at the origin, so no term loses degree: terms of f
+        above max_degree are never expanded, and every product term is cut
+        at max_degree.
         """
-        if not isinstance(replacements, Mapping):
-            if len(replacements) != self.nvars:
-                raise ValueError("need one replacement polynomial per variable")
-            replacements = dict(enumerate(replacements))
-        for index, replacement in replacements.items():
-            if type(index) is not int or not 0 <= index < self.nvars:
-                raise ValueError(f"variable index {brief_repr(index)} outside 0..{self.nvars - 1}")
-            self._same_space(replacement)
-        limit = float("inf") if max_degree is None else max_degree
+        if len(change) != self.nvars:
+            raise ValueError("need one replacement polynomial per variable")
+        for component in change:
+            self._same_space(component)
+        constant = (0,) * self.nvars
         sums: dict[tuple, Fraction] = {}
-        powers: dict[tuple, list] = {}  # (index, exponent) -> graded replacement**exponent
+        powers: dict[tuple, list] = {}  # (index, exponent) -> graded change[index]**exponent
         for exps, coeff in self._terms.items():
-            degree = sum(exps)
-            if degree > limit:
+            if sum(exps) > max_degree:
                 continue
-            rest, factors = list(exps), []
-            for i in replacements:
-                e = exps[i]
+            factors = []
+            for i, e in enumerate(exps):
                 if e:
-                    rest[i], degree = 0, degree - e
                     if (i, e) not in powers:
-                        powers[i, e] = _graded(replacements[i]._pow_trunc(e, max_degree)._terms)
+                        powers[i, e] = _graded(change[i]._pow_trunc(e, max_degree)._terms)
                     factors.append(powers[i, e])
-            if not factors:
-                sums[exps] = sums.get(exps, 0) + coeff
-                continue
-            # the monomial of the fixed variables times the factors; the last
-            # product goes straight into sums
-            piece = [(tuple(rest), degree, coeff)]
+            # the constant monomial times the factors (a germ term has at
+            # least one); the last product goes straight into sums
+            piece = [(constant, 0, coeff)]
             for factor in factors[:-1]:
-                piece = _graded(_product(piece, factor, limit, {}))
-            _product(piece, factors[-1], limit, sums)
+                piece = _graded(_product(piece, factor, max_degree, {}))
+            _product(piece, factors[-1], max_degree, sums)
         return PolynomialGerm._of(self.nvars, sums)
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "PolynomialGerm":
-        """The coordinate x_(index+1); index counts from 0."""
-        _require_nvars(nvars)
-        if type(index) is not int or not 0 <= index < nvars:  # a bool is no index
-            raise ValueError(f"variable index {brief_repr(index)} outside 0..{nvars - 1}")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
 
     # -- Hessian ------------------------------------------------------------
 
@@ -365,17 +316,12 @@ class PolynomialGerm:
         return cls(nvars, terms)
 
 
-def _require_nvars(nvars):
-    if type(nvars) is not int or nvars < 1:  # a bool is no count
-        raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
-
-
 def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
     """The terms as (exps, degree, coeff) triples, for _product."""
     return [(exps, sum(exps), coeff) for exps, coeff in terms.items()]
 
 
-def _product(piece: list, factor: list, limit: float, sums: dict) -> dict:
+def _product(piece: list, factor: list, limit: int, sums: dict) -> dict:
     """Add to sums the terms of degree <= limit of piece * factor, two _graded lists."""
     for e1, d1, c1 in piece:
         for e2, d2, c2 in factor:
@@ -395,6 +341,7 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
 
     Variables are x1, x2, ...; the variable count is inferred from the
     highest index used unless nvars is given.  Whitespace is insignificant.
+    Germ JSON states its own count: a given nvars must equal it.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -407,12 +354,17 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
         except RecursionError:
             raise InvalidGerm("invalid germ JSON: nested too deeply") from None
         try:
-            return PolynomialGerm.from_json(data)
+            germ = PolynomialGerm.from_json(data)
         except ZeroDivisionError:
             raise InvalidGerm("invalid germ JSON: zero denominator in a coefficient") from None
         except (ValueError, TypeError) as exc:
             # a bad nvars, exponent vector, term or coefficient in valid JSON
             raise InvalidGerm(f"invalid germ JSON: {exc}") from exc
+        if nvars is not None and nvars != germ.nvars:
+            raise InvalidGerm(
+                f"declared {nvars} variable(s) but the germ JSON has nvars {germ.nvars}"
+            )
+        return germ
     return _parse_germ_text(text, nvars)
 
 

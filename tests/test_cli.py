@@ -288,6 +288,23 @@ def test_bad_germ_json_is_invalid_germ_for_discriminate(capsys, text):
     assert json.loads(out)["error"] == "InvalidGerm"
 
 
+@pytest.mark.parametrize("command", ["inertia", "split"])
+def test_dim_must_equal_the_nvars_of_germ_json(capsys, command):
+    # germ JSON states its variable count, so --dim can only repeat it
+    poly = '{"nvars": 2, "terms": [[[2, 0], "1"], [[0, 3], "-1"]]}'
+    plain = invoke(capsys, [command, "--poly", poly, "--json"])
+    matching = invoke(capsys, [command, "--poly", poly, "--dim", "2", "--json"])
+    as_text = invoke(capsys, [command, "--poly", "x1^2 - x2^3", "--dim", "2", "--json"])
+    assert plain == matching == as_text and plain[0] == 0
+    for dim in ("5", "1"):  # larger and smaller than the JSON's nvars
+        code, out = invoke(capsys, [command, "--poly", poly, "--dim", dim, "--json"])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "InvalidGerm",
+            "detail": f"declared {dim} variable(s) but the germ JSON has nvars 2",
+        }
+
+
 ZETA_STRATA = ["zeta", "--dim", "4", "--plus", "2", "--minus", "1", "--order", "7", "--strata"]
 
 

@@ -1,5 +1,5 @@
-"""PolynomialGerm arithmetic and germ.determinant against sympy, used here as
-an independent oracle.
+"""PolynomialGerm arithmetic, the tests' reference ring and germ.determinant
+against sympy, used here as an independent oracle.
 
 Every operation is compared as a term map: the sympy side is expanded and,
 where a max_degree applies, truncated by total degree.  sympy is a test-only
@@ -11,9 +11,19 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta import PolynomialGerm
 from arczeta.germ import determinant
-from util import linear_change, random_invertible, random_singular_germ
+from util import (
+    composed_degree,
+    coordinates,
+    linear_change,
+    random_invertible,
+    random_singular_germ,
+    ring_composed,
+    ring_product,
+    ring_scaled,
+    ring_sum,
+    ring_truncated,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -63,12 +73,14 @@ def test_ring_operations_match_sympy(seed):
     assert (f - g).terms() == _term_map(fx - gx, xs)
     assert (f - f).terms() == {}
     assert (-f).terms() == _term_map(-fx, xs)
-    assert (f * g).terms() == _term_map(fx * gx, xs)
+    # the reference ring the tests check substitute and split_jet against
+    assert ring_sum(f.terms(), g.terms()) == _term_map(fx + gx, xs)
+    assert ring_product(f.terms(), g.terms()) == _term_map(fx * gx, xs)
     factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     scaled = fx * sympy.Rational(factor.numerator, factor.denominator)
-    assert f.scaled(factor).terms() == _term_map(scaled, xs)
+    assert ring_scaled(f.terms(), factor) == _term_map(scaled, xs)
     for max_degree in (2, 3, 5, 7):
-        assert f.truncate(max_degree).terms() == _term_map(fx, xs, max_degree)
+        assert ring_truncated(f.terms(), max_degree) == _term_map(fx, xs, max_degree)
         assert f._mul_trunc(g, max_degree).terms() == _term_map(fx * gx, xs, max_degree)
 
 
@@ -78,7 +90,9 @@ def test_substitute_matches_sympy(seed):
     fx = _expr(f, xs)
     for change in _changes(rng, f.nvars):
         composed = fx.xreplace(dict(zip(xs, (_expr(c, xs) for c in change))))
-        assert f.substitute(change).terms() == _term_map(composed, xs)
+        full = f.substitute(change, composed_degree(f, change)).terms()
+        assert full == _term_map(composed, xs)
+        assert ring_composed(f.terms(), [c.terms() for c in change]) == full
         for max_degree in (2, 3, 4):
             assert f.substitute(change, max_degree).terms() == _term_map(composed, xs, max_degree)
 
@@ -94,17 +108,16 @@ def _high_changes(rng, nvars):
     return [component + random_singular_germ(rng, nvars, 6) for component in linear]
 
 
-def _compare(f, replacements, xs, max_degrees=(1, 2, 3, 4)):
-    """substitute against sympy, untruncated and at each max_degree."""
-    fx = _expr(f, xs)
-    mapping = replacements if isinstance(replacements, dict) else dict(enumerate(replacements))
-    composed = fx.xreplace({xs[i]: _expr(r, xs) for i, r in mapping.items()})
-    full = f.substitute(replacements)
-    assert full.terms() == _term_map(composed, xs)
+def _compare(f, change, xs, max_degrees=(1, 2, 3, 4)):
+    """substitute against sympy, in full (at deg f times the largest component
+    degree) and at each max_degree."""
+    composed = _expr(f, xs).xreplace({x: _expr(c, xs) for x, c in zip(xs, change)})
+    full = f.substitute(change, composed_degree(f, change)).terms()
+    assert full == _term_map(composed, xs)
     for max_degree in max_degrees:
-        truncated = f.substitute(replacements, max_degree)
-        assert truncated == full.truncate(max_degree)
-        assert truncated.terms() == _term_map(composed, xs, max_degree)
+        truncated = f.substitute(change, max_degree).terms()
+        assert truncated == ring_truncated(full, max_degree)
+        assert truncated == _term_map(composed, xs, max_degree)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -116,23 +129,29 @@ def test_substitute_with_linear_terms_and_high_changes_truncates_exactly(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substitute_single_matches_sympy(seed):
-    """One variable rewritten, the others fixed: a one-key map."""
+    """One variable rewritten, the others fixed: a change whose other components
+    are coordinates."""
     rng, f, g, xs = _germs(seed)
     index = rng.randrange(f.nvars)
     linear = linear_change(random_invertible(rng, f.nvars), f.nvars)[index]
-    for replacement in (linear, PolynomialGerm.variable(f.nvars, index) - g, g):
-        _compare(f, {index: replacement}, xs)
+    for replacement in (linear, coordinates(f.nvars)[index] - g, g):
+        change = coordinates(f.nvars)
+        change[index] = replacement
+        _compare(f, change, xs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partial_substitute_with_linear_terms_and_high_changes_matches_sympy(seed):
-    """Maps of 1 to nvars variables, on germs with linear terms and high changes."""
+    """1 to nvars variables rewritten, the others kept as coordinates, on germs
+    with linear terms and high changes."""
     rng, f, _, xs = _germs(seed)
     f = _with_linear_terms(rng, f)
-    change = _high_changes(rng, f.nvars)
+    high = _high_changes(rng, f.nvars)
     for size in range(1, f.nvars + 1):
-        indices = rng.sample(range(f.nvars), size)
-        _compare(f, {i: change[i] for i in indices}, xs)
+        change = coordinates(f.nvars)
+        for i in rng.sample(range(f.nvars), size):
+            change[i] = high[i]
+        _compare(f, change, xs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "arczeta"
 
 # the reasons shared by several entries
-_RING = "a ring operation of the reference composition the tests check substitute against"
 _PROTOCOL = "a protocol method: Python calls it when a value is hashed, shown or compared"
 _FROZEN = "keeps a value immutable: assignment and deletion raise"
 _PICKLE = "lets copy, deepcopy and pickle rebuild the value through its constructor"
@@ -37,8 +36,6 @@ ALLOWED = {
     "algebra.LaurentPolynomial.__pow__": (
         "beta_eval of a Product built in Python with a repeated multi-term child"
     ),
-    "algebra.LaurentPolynomial.coefficient": "reads one coefficient without copying the term map",
-    "algebra.LaurentPolynomial.__rsub__": "with __radd__ and __rmul__, makes `1 - U` a polynomial",
     "algebra.LaurentPolynomial.__bool__": _PROTOCOL,
     "algebra.LaurentPolynomial.__hash__": _PROTOCOL,
     "algebra.LaurentPolynomial.__repr__": _PROTOCOL,
@@ -49,12 +46,6 @@ ALLOWED = {
     "germ.PolynomialGerm.__repr__": _PROTOCOL,
     "germ.PolynomialGerm.__reduce__": _PICKLE,
     "germ.PolynomialGerm.__setattr__": _FROZEN,
-    "germ.PolynomialGerm.zero": _RING,
-    "germ.PolynomialGerm.__mul__": _RING,
-    "germ.PolynomialGerm.scaled": _RING,
-    "germ.PolynomialGerm.truncate": _RING,
-    "germ.PolynomialGerm.variable": _RING,
-    "germ.PolynomialGerm.degree": _RING,
     "scissor.Product._key": (
         "the key of ==, hash, repr and pickle, expanded from the runs; "
         "no command compares a Product"

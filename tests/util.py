@@ -8,6 +8,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -54,6 +55,70 @@ def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
                 terms[exps] = Fraction(matrix[i][j])
         components.append(PolynomialGerm(nvars, terms))
     return components
+
+
+# ---------------------------------------------------------------------------
+# The reference ring: term maps exponent tuple -> nonzero Fraction, the maps
+# PolynomialGerm.terms() returns.  It calls no PolynomialGerm arithmetic, so a
+# test that checks substitute or split_jet against it shares no product code
+# with the route it checks.
+# ---------------------------------------------------------------------------
+
+
+def ring_sum(*maps: dict) -> dict:
+    total = {}
+    for terms in maps:
+        for exps, coeff in terms.items():
+            total[exps] = total.get(exps, 0) + coeff
+    return {exps: coeff for exps, coeff in total.items() if coeff}
+
+
+def ring_product(a: dict, b: dict) -> dict:
+    product = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            product[key] = product.get(key, 0) + c1 * c2
+    return {exps: coeff for exps, coeff in product.items() if coeff}
+
+
+def ring_scaled(terms: dict, factor) -> dict:
+    return {exps: coeff * factor for exps, coeff in terms.items()} if factor else {}
+
+
+def ring_truncated(terms: dict, max_degree: int) -> dict:
+    """The terms of degree <= max_degree."""
+    return {exps: coeff for exps, coeff in terms.items() if sum(exps) <= max_degree}
+
+
+def ring_coordinate(nvars: int, index: int) -> dict:
+    """The term map of x_(index+1); index counts from 0."""
+    return {tuple(int(i == index) for i in range(nvars)): Fraction(1)}
+
+
+def ring_composed(terms: dict, change: list[dict]) -> dict:
+    """The full composition f(change(x)), one term map per variable, by products and sums."""
+    pieces = []
+    for exps, coeff in terms.items():
+        piece = {tuple(0 for _ in exps): coeff}
+        for component, e in zip(change, exps):
+            for _ in range(e):
+                piece = ring_product(piece, component)
+        pieces.append(piece)
+    return ring_sum(*pieces)
+
+
+def coordinates(nvars: int) -> list[PolynomialGerm]:
+    """The identity change x_i -> x_i, one germ per variable."""
+    return [PolynomialGerm(nvars, ring_coordinate(nvars, i)) for i in range(nvars)]
+
+
+def composed_degree(germ: PolynomialGerm, change) -> int:
+    """deg f times the largest component degree: no term of f(change(x)) lies above it."""
+    degree = max((sum(exps) for exps in germ.terms()), default=0)
+    return degree * max(
+        (sum(exps) for component in change for exps in component.terms()), default=0
+    )
 
 
 def assert_dataclass_semantics(records, twins):

@@ -11,12 +11,14 @@ coordinates; split_jet realizes the corresponding normal form
     f(change(x)) = diagonal quadratic in the first rank variables
                    + remainder of order >= 3 in the last corank variables
 
-up to a chosen jet order, by congruence diagonalization followed by
-iterated completion of squares on truncated polynomials.  No square roots
-are taken anywhere: the diagonal entries stay rational with the inertia
-sign pattern, square factors are scaled away rationally, and the final
-irrational rescaling to literal +-1 coefficients is intentionally left
-implicit since only the signs matter.
+up to a chosen jet order.  Every step is a shift x_i -> x_i + r * m on
+term maps of exact int pairs: first Lagrange's completion of squares with
+linear m, which diagonalizes the quadratic part, then the same with the
+higher-degree m that absorb each term holding a rank variable.  No square
+roots are taken anywhere: the diagonal entries stay rational with the
+inertia sign pattern, square factors are scaled away rationally, and the
+final irrational rescaling to literal +-1 coefficients is intentionally
+left implicit since only the signs matter.
 
 PolynomialGerm keeps only the arithmetic the commands use: sums,
 truncated products and one composition, substitute, which takes a
@@ -57,7 +59,6 @@ __all__ = [
     "Inertia",
     "hessian_inertia",
     "congruence_inertia",
-    "congruence_diagonalize",
     "charpoly_inertia",
     "determinant",
     "linear_part",
@@ -130,9 +131,6 @@ class PolynomialGerm:
         if not self._terms:
             return None
         return min(sum(e) for e in self._terms)
-
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
 
     def variables_used(self) -> set[int]:
         used = set()
@@ -229,10 +227,6 @@ class PolynomialGerm:
         return PolynomialGerm._of(self.nvars, sums)
 
     # -- Hessian ------------------------------------------------------------
-
-    def hessian(self) -> list[list[Fraction]]:
-        """The matrix of second partials at the origin (exact)."""
-        return self._hessian_block(range(self.nvars))
 
     def _hessian_block(self, variables) -> list[list[Fraction]]:
         """The Hessian's rows and columns of the given variables, in their order.
@@ -475,8 +469,7 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
 
 
 # ---------------------------------------------------------------------------
-# Inertia by integer congruence, with a char-poly cross-check; split_jet's
-# rational congruence diagonalization, which also returns the change P
+# Inertia by integer congruence, with a char-poly cross-check
 # ---------------------------------------------------------------------------
 
 
@@ -505,56 +498,6 @@ class Inertia(Record):
             "corank": self.corank,
             "index": self.index,
         }
-
-
-def congruence_diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Symmetric Gaussian elimination: returns (P, diag) with P^T H P diagonal.
-
-    A zero diagonal pivot with a nonzero off-diagonal entry is repaired by
-    the hyperbolic move x_k -> x_k + x_j before eliminating.
-    """
-    n = len(matrix)
-    H = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in H):
-        raise ValueError("matrix must be square")
-    if any(H[i][j] != H[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def add_column(dst, src, factor):
-        # rows where the source entry is 0 gain nothing
-        for row in H:
-            if row[src]:
-                row[dst] += factor * row[src]
-        target = H[dst]
-        for r, x in enumerate(H[src]):
-            if x:
-                target[r] += factor * x
-        for row in P:
-            if row[src]:
-                row[dst] += factor * row[src]
-
-    def swap_columns(a, b):
-        for r in range(n):
-            H[r][a], H[r][b] = H[r][b], H[r][a]
-        H[a], H[b] = H[b], H[a]
-        for r in range(n):
-            P[r][a], P[r][b] = P[r][b], P[r][a]
-
-    for k in range(n):
-        if H[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if H[j][j] != 0), None)
-            if pivot is not None:
-                swap_columns(k, pivot)
-            else:
-                off = next((j for j in range(k + 1, n) if H[k][j] != 0), None)
-                if off is None:
-                    continue  # row k already zero on the remaining block
-                add_column(k, off, Fraction(1))
-        for j in range(k + 1, n):
-            if H[k][j]:
-                add_column(j, k, -H[k][j] / H[k][k])
-    return P, [H[i][i] for i in range(n)]
 
 
 _EXACT = (int, Fraction)
@@ -610,8 +553,8 @@ def congruence_inertia(matrix) -> tuple[int, int]:
     complement, Bareiss's fraction-free block with the same pivots
     included, is an integer multiple of it, so its entries are never
     larger than Bareiss's; no Fraction is built past the denominators.
-    congruence_diagonalize gives the same counts with the rational change
-    of coordinates that split_jet needs.
+    split_jet's Stage 1 makes the same kind of moves on a germ's terms, with
+    the change of coordinates it needs, and so gives the same counts.
     """
     A = _integer_symmetric(matrix)
     plus = minus = 0
@@ -821,24 +764,22 @@ def _absorb(
     m: tuple,
     ratio: tuple[int, int],
     jet_order: int,
-) -> bool:
+) -> None:
     """Apply x_pivot -> x_pivot + ratio * x^m to a term map in place, up to jet_order.
 
     terms maps exponent vectors to reduced pairs (numerator, denominator)
     with a positive denominator, and ratio is such a pair.  By the binomial
     theorem a term c * x^e with k = e[pivot] gains, for j = 1..k, the terms
     C(k, j) * ratio^j * c * x^(e - j*u_pivot + j*m), of degree
-    deg e + j*(deg m - 1).  m has degree >= 2 (it may hold x_pivot), so each
-    j adds a degree and the sum stops at the first j past the jet.  Only the
-    terms holding x_pivot are read, from a list taken before any is changed;
-    the others are not touched.  Each added term costs int products and one
-    gcd, and a sum that cancels is deleted.  A term above the jet is neither
-    expanded nor dropped: split_jet's maps have none.  Returns whether the
-    map holds x_pivot; one that does not is left as it was.
+    deg e + j*(deg m - 1).  m is never u_pivot: a degree-1 m (Stage 1's)
+    keeps every degree, and with deg m >= 2 (Stage 2's, where m may hold
+    x_pivot) the sum stops at the first j past the jet.  Only the terms
+    holding x_pivot are read, from a list taken before any is changed.
+    Each added term costs int products and one gcd, and a sum that cancels
+    is deleted.  A term above the jet is neither expanded nor dropped:
+    split_jet's maps have none.
     """
     moved = [(exps, pair) for exps, pair in terms.items() if exps[pivot]]
-    if not moved:
-        return False
     step = sum(m) - 1
     delta = tuple(e - (i == pivot) for i, e in enumerate(m))
     rn, rd = ratio
@@ -867,99 +808,143 @@ def _absorb(
                     continue
             g = gcd(num, den)
             terms[key] = (num // g, den // g)
-    return True
+
+
+def _shift(maps: list[dict], pivot: int, m: tuple, ratio: tuple[int, int], jet_order: int):
+    """_absorb the one shift into every term map of split_jet."""
+    for terms in maps:
+        _absorb(terms, pivot, m, ratio, jet_order)
+
+
+def _ratio(c: tuple[int, int], lead: tuple[int, int]) -> tuple[int, int]:
+    """-c / (2 lead) as a reduced pair with a positive denominator, from two such pairs."""
+    num, den = -c[0] * lead[1], 2 * c[1] * lead[0]
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def _quadratic_entries(terms: dict, place: list[int]) -> dict[tuple, tuple[int, int]]:
+    """(i, j) -> pair of each degree-2 term, i <= j the places of its variables' slots."""
+    return {
+        tuple(sorted(place[s] for s, e in enumerate(exps) for _ in range(e))): pair
+        for exps, pair in terms.items()
+        if sum(exps) == 2
+    }
+
+
+def _diagonalize(maps: list[dict], units: list[tuple], jet_order: int) -> list[tuple]:
+    """Stage 1 of split_jet: make the quadratic part of maps[0] diagonal by Lagrange shifts.
+
+    The variables y_k are walked in a running order, k = 0..nv-1.  If y_k
+    has no square, the first later variable with one swaps places with it
+    (in the order: no exponent moves), or else the hyperbolic move
+    y_j -> y_j + y_k with the first later cross term y_k*y_j gives it one,
+    or else y_k is in no degree-2 term.  Then each cross term a*y_k*y_j,
+    j later, goes by y_k -> y_k - a/(2 l_k) * y_j, l_k the square's
+    coefficient: a linear shift of every map, which leaves l_k and the
+    other y_k*y_j alone.  units[s] is the exponent vector of slot s.
+    Returns, for each k, the slot of y_k and its square's pair (or None).
+    """
+    nv = len(units)
+    order = list(range(nv))  # the slot of the k-th variable
+    place = list(range(nv))  # the inverse: the place of each slot
+    diagonal = []
+    entries = _quadratic_entries(maps[0], place)
+    for k in range(nv):
+        if (k, k) not in entries:
+            later = min((i for i, j in entries if i == j > k), default=None)
+            if later is not None:
+                order[k], order[later] = order[later], order[k]
+                place[order[k]], place[order[later]] = k, later
+            else:
+                off = min((j for i, j in entries if i == k), default=None)
+                if off is None:
+                    diagonal.append((order[k], None))
+                    continue
+                _shift(maps, order[off], units[order[k]], (1, 1), jet_order)
+            entries = _quadratic_entries(maps[0], place)
+        lead = entries[k, k]
+        row = sorted(j for i, j in entries if i == k and j > k)
+        for j in row:
+            _shift(maps, order[k], units[order[j]], _ratio(entries[k, j], lead), jet_order)
+        diagonal.append((order[k], lead))
+        if row:
+            entries = _quadratic_entries(maps[0], place)
+    return diagonal
+
+
+def _relabelled(terms: dict, slots: list[int], scales: list[tuple]) -> dict:
+    """A term map with slot slots[c] moved to c and y_c scaled by each (c, (num, den))."""
+    result = {}
+    for exps, (num, den) in terms.items():
+        key = tuple(exps[slot] for slot in slots)
+        for c, (sn, sd) in scales:
+            if key[c]:
+                num, den = num * sn ** key[c], den * sd ** key[c]
+        g = gcd(num, den)
+        result[key] = (num // g, den // g)
+    return result
 
 
 def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     """Split a singular germ into diagonal quadratic + higher-order remainder.
 
-    Stage 1 diagonalizes the quadratic part by rational congruence, orders
-    the variables as (positive squares, negative squares, kernel), and
-    strips rational square factors from the diagonal entries; this linear
-    change is composed by substitute.  Stage 2 walks the degrees
-    3..jet_order and absorbs every term divisible by a rank variable x_i
-    (coefficient c, term c * x_i * m) through the shift
-    x_i -> x_i - c/(2 l_i) * m, where l_i is the diagonal coefficient.
-    It works on term maps of reduced int pairs (numerator, denominator),
-    one for the germ and one for each component of the change, read off
-    once after Stage 1; _absorb applies each shift to every map in place,
-    and the maps become germs again once, after the last degree (a change
-    component that no shift touched stays the germ Stage 1 built).  Each
-    shift cancels its target and only creates terms of strictly higher
-    degree, so the sweep terminates.  The arithmetic is exact, so the
-    result is the one Fraction arithmetic gives.  verify_split re-expands
-    the result through substitute, which shares no code with _absorb.
+    Everything runs on exact term maps of reduced int pairs (numerator,
+    denominator), one for the germ's terms of degree <= jet_order and one
+    per change component, from the identity; every change of coordinates
+    is a shift x_i -> x_i + r * m that _absorb applies to all of them.
+    Stage 1 (_diagonalize) diagonalizes the quadratic part by linear
+    shifts.  One relabelling pass then orders the variables as (positive
+    squares, negative squares, kernel) and strips rational square factors.
+    Stage 2 walks the degrees 3..jet_order and absorbs each term
+    c * x_i * m with x_i a rank variable by x_i -> x_i - c/(2 l_i) * m, l_i
+    the diagonal coefficient.  The maps become germs once, at the end.
+    verify_split re-expands the result through substitute and a
+    determinant, which share no code with _absorb.
     """
     if not isinstance(jet_order, int) or jet_order < 3:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
     _require_singular(germ)
     nv = germ.nvars
 
-    P, diag = congruence_diagonalize(germ.hessian())
-    lam = [d / 2 for d in diag]
-    positives = [i for i, v in enumerate(lam) if v > 0]
-    negatives = [i for i, v in enumerate(lam) if v < 0]
-    kernel = [i for i, v in enumerate(lam) if v == 0]
-    column_order = positives + negatives + kernel
-    plus, minus = len(positives), len(negatives)
-    rank = plus + minus
+    terms = {
+        e: (c.numerator, c.denominator) for e, c in germ._terms.items() if sum(e) <= jet_order
+    }
+    units = [tuple(int(s == i) for s in range(nv)) for i in range(nv)]
+    maps = [terms] + [{unit: (1, 1)} for unit in units]
+    diagonal = _diagonalize(maps, units, jet_order)
 
-    columns = []
-    for new_index, old_index in enumerate(column_order):
-        scale = Fraction(1)
-        if new_index < rank:
-            value = abs(lam[old_index])
-            rho = Fraction(
-                _square_root_part(value.numerator), _square_root_part(value.denominator)
-            )
-            scale = 1 / rho
-        columns.append([P[r][old_index] * scale for r in range(nv)])
-
-    units = [tuple(1 if j == c else 0 for j in range(nv)) for c in range(nv)]
-    change = [
-        PolynomialGerm._of(nv, {units[c]: columns[c][i] for c in range(nv)})
-        for i in range(nv)
+    # positive squares, then negative ones, then the kernel, each in Stage 1's order
+    diagonal.sort(key=lambda entry: 2 if entry[1] is None else entry[1][0] < 0)
+    plus = sum(1 for _, lead in diagonal if lead and lead[0] > 0)
+    rank = sum(1 for _, lead in diagonal if lead)
+    # y_c -> y_c / rho_c, rho_c the largest rational whose square divides |l_c|
+    scales = [
+        (c, scale)
+        for c, (_, (num, den)) in enumerate(diagonal[:rank])
+        if (scale := (_square_root_part(den), _square_root_part(abs(num)))) != (1, 1)
     ]
-    current = germ.substitute(change, max_degree=jet_order)
-
-    diagonal_coeff = [current.coefficient(tuple(2 * e for e in units[i])) for i in range(rank)]
-
-    terms = {e: (c.numerator, c.denominator) for e, c in current._terms.items()}
-    maps = [
-        {e: (c.numerator, c.denominator) for e, c in component._terms.items()}
-        for component in change
-    ]
+    slots = [slot for slot, _ in diagonal]
+    maps = [_relabelled(pairs, slots, scales) for pairs in maps]
+    terms = maps[0]
+    diagonal_coeff = [terms[tuple(2 * e for e in units[i])] for i in range(rank)]
 
     # One pass per degree: an absorption x_p -> x_p - c/(2 l_p) m at degree d
     # cancels only its own term, and every term it creates has degree >= d + 1,
     # because the quadratic part is diagonal and every other term containing
     # x_p has degree >= 3.  So the degree-d terms read here stay as they are.
-    touched = set()  # the change components holding some pivot
     for degree in range(3, jet_order + 1):
-        for exps, (cn, cd) in sorted((e, pair) for e, pair in terms.items() if sum(e) == degree):
+        for exps, pair in sorted((e, pair) for e, pair in terms.items() if sum(e) == degree):
             pivot = next((i for i in range(rank) if exps[i]), None)
             if pivot is None:
                 continue
-            rest = list(exps)
-            rest[pivot] -= 1
-            # ratio = -c / (2 l_p), reduced, with a positive denominator
-            diagonal = diagonal_coeff[pivot]
-            num, den = -cn * diagonal.denominator, 2 * cd * diagonal.numerator
-            if den < 0:
-                num, den = -num, -den
-            g = gcd(num, den)
-            ratio = (num // g, den // g)
-            m = tuple(rest)
-            _absorb(terms, pivot, m, ratio, jet_order)
-            for i, target in enumerate(maps):
-                if _absorb(target, pivot, m, ratio, jet_order):
-                    touched.add(i)
+            m = tuple(e - (i == pivot) for i, e in enumerate(exps))
+            _shift(maps, pivot, m, _ratio(pair, diagonal_coeff[pivot]), jet_order)
 
     def germ_of(pairs):
         return PolynomialGerm._of(nv, {e: Fraction(n, d) for e, (n, d) in pairs.items()})
 
-    # a component no shift touched is still the germ Stage 1 built
-    change = [germ_of(maps[i]) if i in touched else c for i, c in enumerate(change)]
+    change = [germ_of(pairs) for pairs in maps[1:]]
     quadratic_part = germ_of({e: pair for e, pair in terms.items() if sum(e) == 2})
     remainder = germ_of({e: pair for e, pair in terms.items() if sum(e) != 2})
 
@@ -979,7 +964,7 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
         change=tuple(change),
         quadratic_part=quadratic_part,
         remainder=remainder,
-        inertia=Inertia(plus=plus, minus=minus, corank=nv - rank),
+        inertia=Inertia(plus=plus, minus=rank - plus, corank=nv - rank),
         jet_order=jet_order,
     )
 

@@ -19,7 +19,6 @@ from arczeta import (
     PolynomialGerm,
     QuadraticGerm,
     charpoly_inertia,
-    congruence_diagonalize,
     congruence_inertia,
     determinant,
     discriminate,
@@ -43,10 +42,13 @@ from arczeta.errors import (
 )
 from arczeta.germ import SplitResult, _absorb, _require_singular, _square_root_part
 from util import (
+    NAMED,
     assert_dataclass_semantics,
     composed_degree,
+    congruence_diagonalize,
     coordinates,
     linear_change,
+    quadratic_form,
     random_invertible,
     random_singular_germ,
     random_symmetric,
@@ -309,15 +311,12 @@ def test_congruence_matches_charpoly_oracle():
     for _ in range(250):
         size = rng.randint(1, 8)
         matrix = random_symmetric(rng, size)
-        _, diag = congruence_diagonalize(matrix)
-        counted = (
-            sum(1 for d in diag if d > 0),
-            sum(1 for d in diag if d < 0),
-        )
+        inertia = split_jet(quadratic_form(matrix), 3).inertia
+        counted = (inertia.plus, inertia.minus)
         assert counted == charpoly_inertia(matrix) == congruence_inertia(matrix)
 
 
-@pytest.mark.parametrize("route", [congruence_inertia, charpoly_inertia, congruence_diagonalize])
+@pytest.mark.parametrize("route", [congruence_inertia, charpoly_inertia])
 def test_inertia_routes_refuse_a_matrix_that_is_not_square_symmetric(route):
     with pytest.raises(ValueError, match="must be square"):
         route([[1, 2]])
@@ -331,19 +330,31 @@ def test_inertia_routes_refuse_a_matrix_that_is_not_square_symmetric(route):
 
 def test_integer_congruence_takes_the_entry_types_rational_congruence_takes():
     matrix = [[1, "1/2", 0.5], ["1/2", Fraction(-3), 0], [0.5, 0, True]]
-    _, diag = congruence_diagonalize(matrix)
-    counted = (sum(d > 0 for d in diag), sum(d < 0 for d in diag))
+    inertia = split_jet(quadratic_form(matrix), 3).inertia
+    counted = (inertia.plus, inertia.minus)
     assert congruence_inertia(matrix) == counted == charpoly_inertia(matrix)
 
 
 def test_hessian_inertia_and_the_inertia_grid_run_no_rational_elimination(monkeypatch):
-    def refuse(matrix):
-        raise AssertionError("congruence_diagonalize called")
+    def refuse(*args):
+        raise AssertionError("split_jet's rational elimination called")
 
-    monkeypatch.setattr(germs, "congruence_diagonalize", refuse)
+    monkeypatch.setattr(germs, "_diagonalize", refuse)
+    monkeypatch.setattr(germs, "_absorb", refuse)
     assert hessian_inertia(parse_germ("x1*x2 + x3^2 - x4^3")) == Inertia(2, 1, 1)
     verdicts = [ok for _, ok in selfcheck._inertia_two_paths(12)]
     assert len(verdicts) == 300 and all(verdicts)
+
+
+def _spread(terms, slots, dim):
+    """The germ of a term map in dim variables: variable i moves to slots[i]."""
+    spread = {}
+    for exps, coeff in terms.items():
+        moved = [0] * dim
+        for slot, e in zip(slots, exps):
+            moved[slot] = e
+        spread[tuple(moved)] = coeff
+    return PolynomialGerm(dim, spread)
 
 
 def test_inertia_at_a_larger_dim_adds_only_corank():
@@ -354,16 +365,9 @@ def test_inertia_at_a_larger_dim_adds_only_corank():
     for index in range(60):
         nvars = rng.randint(1, 5)
         germ = random_singular_germ(rng, nvars, rng.randint(2, 4))
-        plus, minus = congruence_inertia(germ.hessian())
+        plus, minus = congruence_inertia(germ._hessian_block(range(nvars)))
         for dim in (nvars, nvars + rng.randint(1, 30), 3000 if index % 12 == 0 else 200):
-            slots = rng.sample(range(dim), nvars)
-            spread = {}
-            for exps, coeff in germ.terms().items():
-                moved = [0] * dim
-                for slot, e in zip(slots, exps):
-                    moved[slot] = e
-                spread[tuple(moved)] = coeff
-            inertia = hessian_inertia(PolynomialGerm(dim, spread))
+            inertia = hessian_inertia(_spread(germ.terms(), rng.sample(range(dim), nvars), dim))
             assert inertia == Inertia(plus=plus, minus=minus, corank=dim - plus - minus)
             wide += dim == 3000
     assert wide == 5
@@ -459,16 +463,15 @@ def test_split_inertia_is_the_hessian_inertia(seed):
         assert split_jet(germ, 3).inertia == hessian_inertia(germ)
 
 
-# The split of x1^2 with the signs of congruence_diagonalize's pivots
-# flipped: the quadratic term then has the wrong sign for its slot.
+# The split of x1^2 with the signs of Stage 1's pivots flipped: the
+# quadratic term then has the wrong sign for its slot.
 _FLIPPED_SPLIT = """
 import arczeta.germ as germs
 from arczeta.cli import run
-rational = germs.congruence_diagonalize
-def flipped(matrix):
-    P, diag = rational(matrix)
-    return P, [-d for d in diag]
-germs.congruence_diagonalize = flipped
+diagonalize = germs._diagonalize
+def flipped(*args):
+    return [(slot, lead and (-lead[0], lead[1])) for slot, lead in diagonalize(*args)]
+germs._diagonalize = flipped
 raise SystemExit(run(["split", "--poly", "x1^2", "--jet", "3", "--json"]))
 """
 
@@ -636,7 +639,7 @@ def _split_jet_rescanning(germ, jet_order):
     reference, on the test ring."""
     _require_singular(germ)
     nv = germ.nvars
-    P, diag = congruence_diagonalize(germ.hessian())
+    P, diag = congruence_diagonalize(germ._hessian_block(range(nv)))
     lam = [d / 2 for d in diag]
     positives = [i for i, v in enumerate(lam) if v > 0]
     negatives = [i for i, v in enumerate(lam) if v < 0]
@@ -728,7 +731,10 @@ def test_the_reference_routes_call_no_product_of_the_package(monkeypatch):
 
 
 def _random_shift_case(rng):
-    """A germ with x_pivot up to the 4th power and terms up to degree 10, a shift, a jet."""
+    """A germ with x_pivot up to the 4th power and terms up to degree 10, a shift, a jet.
+
+    The shift's monomial has degree 1 (another variable: Stage 1's Lagrange
+    shifts) or 2-3 (Stage 2's, which may hold the pivot)."""
     nvars = rng.randint(1, 4)
     pivot = rng.randrange(nvars)
     terms = {}
@@ -739,8 +745,11 @@ def _random_shift_case(rng):
             exps[pivot] = 1
         terms[tuple(exps)] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
     m = [0] * nvars
-    for _ in range(rng.randint(2, 3)):
-        m[rng.randrange(nvars)] += 1
+    if nvars > 1 and rng.random() < 0.3:
+        m[rng.choice([i for i in range(nvars) if i != pivot])] = 1
+    else:
+        for _ in range(rng.randint(2, 3)):
+            m[rng.randrange(nvars)] += 1
     ratio = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
     return PolynomialGerm(nvars, terms), pivot, tuple(m), ratio, rng.randint(3, 8)
 
@@ -753,16 +762,15 @@ def _pairs(germ):
 def test_shift_matches_the_general_substitution():
     rng = random.Random(1800)
     seen = {"m holds the pivot": 0, "pivot power 4": 0, "jet cuts a binomial": 0,
-            "terms above the jet": 0, "no pivot": 0}
+            "terms above the jet": 0, "no pivot": 0, "linear m": 0}
     for _ in range(400):
         germ, pivot, m, ratio, jet = _random_shift_case(rng)
         nv = germ.nvars
         terms = _pairs(germ)
-        held = _absorb(terms, pivot, m, (ratio.numerator, ratio.denominator), jet)
+        _absorb(terms, pivot, m, (ratio.numerator, ratio.denominator), jet)
         for num, den in terms.values():
             assert num and den > 0 and gcd(num, den) == 1, (germ, pivot, m, ratio, jet)
-        assert held == any(exps[pivot] for exps in germ.terms())
-        if not held:
+        if not any(exps[pivot] for exps in germ.terms()):
             assert terms == _pairs(germ)
             seen["no pivot"] += 1
             continue
@@ -782,6 +790,7 @@ def test_shift_matches_the_general_substitution():
             sum(exps) + step <= jet < sum(exps) + exps[pivot] * step for exps in germ.terms()
         )
         seen["terms above the jet"] += max(map(sum, germ.terms())) > jet
+        seen["linear m"] += step == 0
     assert min(seen.values()) >= 5, seen
 
 
@@ -789,20 +798,24 @@ def test_shift_drops_the_sums_that_cancel():
     # x1 -> x1 + 2*x2^2 turns x1*x2 into x1*x2 + 2*x2^3, which cancels -2*x2^3
     germ = parse_germ("x1*x2 - 2*x2^3 + x1^2")
     terms = _pairs(germ)
-    assert _absorb(terms, 0, (0, 2), (2, 1), 5)
+    _absorb(terms, 0, (0, 2), (2, 1), 5)
     assert terms == _pairs(parse_germ("x1*x2 + x1^2 + 4*x1*x2^2 + 4*x2^4"))
     assert (0, 3) not in terms
     expected = germ.substitute([parse_germ("x1 + 2*x2^2"), coordinates(2)[1]], 5)
     assert PolynomialGerm(2, {exps: Fraction(*pair) for exps, pair in terms.items()}) == expected
     # a map without the pivot is left as it was
     kernel = _pairs(parse_germ("x2^3 + x2^7", nvars=2))
-    assert not _absorb(kernel, 0, (1, 1), (-1, 2), 4)
+    _absorb(kernel, 0, (1, 1), (-1, 2), 4)
     assert kernel == {(0, 3): (1, 1), (0, 7): (1, 1)}
 
 
-def test_split_composes_through_substitute_once_and_verify_split_never_shifts(monkeypatch):
-    calls = {"substitute": 0, "absorb": 0}
+def test_split_calls_no_substitute_and_verify_split_never_shifts(monkeypatch):
+    # the route that builds a split and the route that checks it share no
+    # expansion code: split_jet shifts through _absorb alone and builds no
+    # matrix; verify_split composes through substitute alone
+    calls = {"substitute": 0, "absorb": 0, "matrix": 0}
     substitute, absorb = PolynomialGerm.substitute, germs._absorb
+    hessian_block = PolynomialGerm._hessian_block
 
     def counting_substitute(self, *args, **kwargs):
         calls["substitute"] += 1
@@ -812,18 +825,22 @@ def test_split_composes_through_substitute_once_and_verify_split_never_shifts(mo
         calls["absorb"] += 1
         return absorb(*args)
 
+    def counting_hessian_block(self, *args):
+        calls["matrix"] += 1
+        return hessian_block(self, *args)
+
     monkeypatch.setattr(PolynomialGerm, "substitute", counting_substitute)
+    monkeypatch.setattr(PolynomialGerm, "_hessian_block", counting_hessian_block)
     monkeypatch.setattr(germs, "_absorb", counting_absorb)
     absorbed = 0
     for germ, jet_order in [*_selfcheck_split_corpus(), *_random_split_corpus()]:
-        calls.update(substitute=0, absorb=0)
+        calls.update(substitute=0, absorb=0, matrix=0)
         result = split_jet(germ, jet_order)
-        # Stage 1 is the one substitution; Stage 2 goes through _absorb alone
-        assert calls["substitute"] == 1, (germ.to_text(), jet_order)
+        assert calls["substitute"] == calls["matrix"] == 0, (germ.to_text(), jet_order)
         absorbed += calls["absorb"] > 0
-        calls.update(substitute=0, absorb=0)
+        calls.update(substitute=0, absorb=0, matrix=0)
         assert verify_split(germ, result)
-        assert calls == {"substitute": 1, "absorb": 0}
+        assert calls == {"substitute": 1, "absorb": 0, "matrix": 0}
     assert absorbed > 50
 
 
@@ -853,6 +870,68 @@ def test_split_of_benchmark_shaped_germs_matches_the_rescanning_reference():
         assert split_jet(germ, jet_order).to_json() == expected, (germ.to_text(), jet_order)
     ranks = {split_jet(germ, 3).inertia.rank for germ, _ in cases}
     assert len(cases) >= 100 and ranks == {1, 2, 3, 4}
+
+
+def _named_split_corpus():
+    """The NAMED matrices as quadratic germs under a cubic tail, at their own
+    variable count and with unused variables interleaved: a zero diagonal
+    takes the hyperbolic move, and an unused variable ahead of a square
+    takes a pivot swap."""
+    rng = random.Random(2900)
+    for matrix in NAMED.values():
+        n = len(matrix)
+        tail = {tuple(3 * (i == n - 1) for i in range(n)): Fraction(-1)}
+        tail[tuple((i == 0) + 2 * (i == n - 1) for i in range(n))] = Fraction(1, 2)
+        terms = ring_sum(quadratic_form(matrix).terms(), tail)
+        for dim in (n, n + 1, n + 3):
+            yield _spread(terms, sorted(rng.sample(range(dim), n)), dim), rng.randint(3, 6)
+    for dim in range(5, 9):
+        for jet_order in (3, 5):
+            yield parse_germ("x1*x3 + x5^2 - x2^3", nvars=dim), jet_order
+
+
+def test_split_of_named_forms_matches_the_rescanning_reference(monkeypatch):
+    diagonalize, swapped = germs._diagonalize, []
+
+    def recording(*args):
+        diagonal = diagonalize(*args)
+        swapped.append(any(slot != k for k, (slot, _) in enumerate(diagonal)))
+        return diagonal
+
+    monkeypatch.setattr(germs, "_diagonalize", recording)
+    cases = list(_named_split_corpus())
+    for germ, jet_order in cases:
+        expected = _split_jet_rescanning(germ, jet_order).to_json()
+        result = split_jet(germ, jet_order)
+        assert result.to_json() == expected, (germ.to_text(), jet_order)
+        assert verify_split(germ, result)
+    hyperbolic = sum(
+        1 for germ, _ in cases
+        if germ.terms_of_degree(2) and all(max(exps) == 1 for exps in germ.terms_of_degree(2))
+    )
+    assert len(cases) == 44 and sum(swapped) >= 10 and hyperbolic >= 10
+
+
+def test_split_at_a_larger_dim_appends_zeros_and_coordinates():
+    # the split of a germ in x1..xk at dim N is its split at k, with zero
+    # exponents appended and the coordinates x_(k+1)..x_N as the new components
+    rng = random.Random(2950)
+    for index in range(40):
+        nvars = rng.randint(1, 4)
+        germ = random_singular_germ(rng, nvars, rng.randint(2, 5))
+        jet_order = rng.randint(3, 6)
+        small = split_jet(germ, jet_order)
+        for dim in (nvars + 1, nvars + rng.randint(2, 20), 120 if index % 10 == 0 else nvars + 3):
+
+            def padded(part):
+                return _spread(part.terms(), range(nvars), dim)
+
+            wide = split_jet(padded(germ), jet_order)
+            assert wide.change == (*map(padded, small.change), *coordinates(dim)[nvars:])
+            assert wide.quadratic_part == padded(small.quadratic_part)
+            assert wide.remainder == padded(small.remainder)
+            inertia = small.inertia
+            assert wide.inertia == Inertia(inertia.plus, inertia.minus, dim - inertia.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ count_roots.  count_roots counts distinct roots, so it runs on each
 square-free factor (the zero root divided out) and is weighted by the
 factor's multiplicity.  Every route of the package must give that count:
 congruence_inertia (integer congruence, also behind hessian_inertia on the
-Hessian of the quadratic form), congruence_diagonalize (rational
-congruence) and charpoly_inertia.  The matrices include rank-deficient
+Hessian of the quadratic form), split_jet on the quadratic form (rational
+congruence by Lagrange shifts) and charpoly_inertia.  The matrices include rank-deficient
 ones, ones with an all-zero diagonal, ones with repeated eigenvalues and
 ones with large numerators and denominators.  sympy is a test-only tool;
 the module is skipped where it is not installed.
@@ -19,13 +19,12 @@ from fractions import Fraction
 import pytest
 
 from arczeta import (
-    PolynomialGerm,
     charpoly_inertia,
-    congruence_diagonalize,
     congruence_inertia,
     hessian_inertia,
+    split_jet,
 )
-from util import random_symmetric
+from util import NAMED, quadratic_form, random_symmetric
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,17 +45,6 @@ def _sympy_inertia(matrix):
         counts[1] += multiplicity * factor.count_roots(None, 0)
     assert sum(counts) == len(matrix)  # a symmetric matrix has only real eigenvalues
     return tuple(counts)
-
-
-def _quadratic_form(matrix) -> PolynomialGerm:
-    """The germ x^T H x / 2, whose Hessian at the origin is H."""
-    n = len(matrix)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            exps = tuple((k == i) + (k == j) for k in range(n))
-            terms[exps] = matrix[i][i] / 2 if i == j else matrix[i][j]
-    return PolynomialGerm(n, terms)
 
 
 def _rank_deficient(rng, size):
@@ -127,12 +115,11 @@ def test_both_inertia_routes_match_sympy(kind, seed):
     rng = random.Random(seed)
     matrix = MAKERS[kind](rng, rng.randint(1, 6))
     positive, negative, zero = _sympy_inertia(matrix)
-    germ = _quadratic_form(matrix)
-    assert germ.hessian() == matrix
+    germ = quadratic_form(matrix)
+    assert germ._hessian_block(range(germ.nvars)) == matrix
     inertia = hessian_inertia(germ)
     assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)
-    _, diag = congruence_diagonalize(matrix)
-    assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (positive, negative)
+    assert split_jet(germ, 3).inertia == inertia
     assert congruence_inertia(matrix) == (positive, negative)
     assert charpoly_inertia(matrix) == (positive, negative)
 
@@ -143,32 +130,7 @@ def test_the_zero_matrix_has_only_zero_eigenvalues(size):
     assert _sympy_inertia(matrix) == (0, 0, size)
     assert charpoly_inertia(matrix) == (0, 0)
     assert congruence_inertia(matrix) == (0, 0)
-    assert hessian_inertia(_quadratic_form(matrix)).corank == size
-
-
-def _f(*rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-NAMED = {
-    "hyperbolic pair": _f([0, 1], [1, 0]),
-    "negative hyperbolic pair": _f([0, -3], [-3, 0]),
-    "zero diagonal, 3x3": _f([0, 1, 2], [1, 0, 3], [2, 3, 0]),
-    "zero diagonal, one zero row": _f([0, 0, 0], [0, 0, 5], [0, 5, 0]),
-    "zero diagonal after a pivot": _f([1, 1, 1], [1, 1, 2], [1, 2, 1]),
-    "rank one": _f([1, 2, 3], [2, 4, 6], [3, 6, 9]),
-    "rank one, negative": _f(["-1/2", "-1/3"], ["-1/3", "-2/9"]),
-    "1x1 positive": _f(["3/7"]),
-    "1x1 negative": _f(["-10000000000000000000001/3"]),
-    "1x1 zero": _f([0]),
-    "large entries": _f(
-        ["123456789012345678901234567890/7", "-1/999999999999999999999"],
-        ["-1/999999999999999999999", "-98765432109876543210/13"],
-    ),
-    "tiny determinant": _f(
-        [10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]
-    ),
-}
+    assert hessian_inertia(quadratic_form(matrix)).corank == size
 
 
 @pytest.mark.parametrize("name", NAMED)
@@ -177,7 +139,6 @@ def test_named_matrices_match_sympy_on_every_route(name):
     positive, negative, zero = _sympy_inertia(matrix)
     assert congruence_inertia(matrix) == (positive, negative)
     assert charpoly_inertia(matrix) == (positive, negative)
-    _, diag = congruence_diagonalize(matrix)
-    assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (positive, negative)
-    inertia = hessian_inertia(_quadratic_form(matrix))
+    inertia = hessian_inertia(quadratic_form(matrix))
     assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)
+    assert split_jet(quadratic_form(matrix), 3).inertia == inertia

@@ -57,6 +57,96 @@ def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
     return components
 
 
+def quadratic_form(matrix) -> PolynomialGerm:
+    """The germ x^T H x / 2, whose Hessian at the origin is H (entries read by Fraction)."""
+    n = len(matrix)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            exps = tuple((k == i) + (k == j) for k in range(n))
+            terms[exps] = Fraction(matrix[i][i]) / 2 if i == j else Fraction(matrix[i][j])
+    return PolynomialGerm(n, terms)
+
+
+def _f(*rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+# Symmetric matrices with a known shape: hyperbolic pairs and zero
+# diagonals (the moves beside the plain pivot), low rank, huge entries.
+NAMED = {
+    "hyperbolic pair": _f([0, 1], [1, 0]),
+    "negative hyperbolic pair": _f([0, -3], [-3, 0]),
+    "zero diagonal, 3x3": _f([0, 1, 2], [1, 0, 3], [2, 3, 0]),
+    "zero diagonal, one zero row": _f([0, 0, 0], [0, 0, 5], [0, 5, 0]),
+    "zero diagonal after a pivot": _f([1, 1, 1], [1, 1, 2], [1, 2, 1]),
+    "rank one": _f([1, 2, 3], [2, 4, 6], [3, 6, 9]),
+    "rank one, negative": _f(["-1/2", "-1/3"], ["-1/3", "-2/9"]),
+    "1x1 positive": _f(["3/7"]),
+    "1x1 negative": _f(["-10000000000000000000001/3"]),
+    "1x1 zero": _f([0]),
+    "large entries": _f(
+        ["123456789012345678901234567890/7", "-1/999999999999999999999"],
+        ["-1/999999999999999999999", "-98765432109876543210/13"],
+    ),
+    "tiny determinant": _f(
+        [10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]
+    ),
+}
+
+
+def congruence_diagonalize(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Symmetric Gaussian elimination: returns (P, diag) with P^T H P diagonal.
+
+    A zero diagonal pivot with a nonzero off-diagonal entry is repaired by
+    the hyperbolic move x_k -> x_k + x_j before eliminating.  The dense
+    matrix form of split_jet's Stage 1: the first half of the tests'
+    reference split.
+    """
+    n = len(matrix)
+    H = [[Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in H):
+        raise ValueError("matrix must be square")
+    if any(H[i][j] != H[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def add_column(dst, src, factor):
+        # rows where the source entry is 0 gain nothing
+        for row in H:
+            if row[src]:
+                row[dst] += factor * row[src]
+        target = H[dst]
+        for r, x in enumerate(H[src]):
+            if x:
+                target[r] += factor * x
+        for row in P:
+            if row[src]:
+                row[dst] += factor * row[src]
+
+    def swap_columns(a, b):
+        for r in range(n):
+            H[r][a], H[r][b] = H[r][b], H[r][a]
+        H[a], H[b] = H[b], H[a]
+        for r in range(n):
+            P[r][a], P[r][b] = P[r][b], P[r][a]
+
+    for k in range(n):
+        if H[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if H[j][j] != 0), None)
+            if pivot is not None:
+                swap_columns(k, pivot)
+            else:
+                off = next((j for j in range(k + 1, n) if H[k][j] != 0), None)
+                if off is None:
+                    continue  # row k already zero on the remaining block
+                add_column(k, off, Fraction(1))
+        for j in range(k + 1, n):
+            if H[k][j]:
+                add_column(j, k, -H[k][j] / H[k][k])
+    return P, [H[i][i] for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # The reference ring: term maps exponent tuple -> nonzero Fraction, the maps
 # PolynomialGerm.terms() returns.  It calls no PolynomialGerm arithmetic, so a

@@ -20,9 +20,9 @@ inertia sign pattern, square factors are scaled away rationally, and the
 final irrational rescaling to literal +-1 coefficients is intentionally
 left implicit since only the signs matter.
 
-PolynomialGerm keeps only the arithmetic the commands use: sums,
-truncated products and one composition, substitute, which takes a
-component for every variable and a required degree bound.
+PolynomialGerm keeps only the arithmetic the commands use: sums and one
+composition, substitute, which takes a component for every variable and
+a required degree bound.
 
 recover_signature inverts the signed T^2 zeta coefficients of a diagonal
 quadratic germ: factoring out the maximal power of u leaves u^k - 1
@@ -33,6 +33,7 @@ collapses to 1 - u^-1; recover_minmax reports that ambiguity as a value.
 """
 
 import json as _json
+import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
@@ -60,8 +61,6 @@ __all__ = [
     "hessian_inertia",
     "congruence_inertia",
     "charpoly_inertia",
-    "determinant",
-    "linear_part",
     "SplitResult",
     "split_jet",
     "verify_split",
@@ -167,23 +166,6 @@ class PolynomialGerm:
             return NotImplemented
         return self + (-other)
 
-    def _mul_trunc(self, other: "PolynomialGerm", max_degree: int) -> "PolynomialGerm":
-        product = _product(_graded(self._terms), _graded(other._terms), max_degree, {})
-        return PolynomialGerm._of(self.nvars, product)
-
-    def _pow_trunc(self, n: int, max_degree: int) -> "PolynomialGerm":
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result._mul_trunc(base, max_degree)
-            n >>= 1
-            if n:
-                base = base._mul_trunc(base, max_degree)
-        if result is None:
-            raise ValueError("power 0 of a germ is not a germ")
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, PolynomialGerm):
             return NotImplemented
@@ -208,16 +190,17 @@ class PolynomialGerm:
             self._same_space(component)
         constant = (0,) * self.nvars
         sums: dict[tuple, Fraction] = {}
-        powers: dict[tuple, list] = {}  # (index, exponent) -> graded change[index]**exponent
+        powers: dict[int, list] = {}  # index -> the graded change[index]**e, e = 1, 2, ...
         for exps, coeff in self._terms.items():
             if sum(exps) > max_degree:
                 continue
             factors = []
             for i, e in enumerate(exps):
                 if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = _graded(change[i]._pow_trunc(e, max_degree)._terms)
-                    factors.append(powers[i, e])
+                    chain = powers.setdefault(i, [_graded(change[i]._terms)])
+                    while len(chain) < e:  # one product per power not yet built
+                        chain.append(_graded(_product(chain[-1], chain[0], max_degree, {})))
+                    factors.append(chain[e - 1])
             # the constant monomial times the factors (a germ term has at
             # least one); the last product goes straight into sums
             piece = [(constant, 0, coeff)]
@@ -302,17 +285,21 @@ class PolynomialGerm:
                 raise ValueError(f"bad germ term {brief_repr(entry)}")
             exps, coeff = entry
             exps = tuple(exps)
+            # the numbers of germ text: a decimal or an exponent would make
+            # Fraction expand 10**exponent, whatever the exponent's size
+            if not (type(coeff) is int or isinstance(coeff, str) and _COEFFICIENT.fullmatch(coeff)):
+                raise ValueError(f"bad germ coefficient {brief_repr(coeff)}")
             try:
-                value = Fraction(str(coeff))
-            except ValueError:
+                value = Fraction(coeff)
+            except ValueError:  # longer than the interpreter's int/str digit limit
                 raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
             terms[exps] = terms.get(exps, 0) + value
         return cls(nvars, terms)
 
 
 def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
-    """The terms as (exps, degree, coeff) triples, for _product."""
-    return [(exps, sum(exps), coeff) for exps, coeff in terms.items()]
+    """The nonzero terms as (exps, degree, coeff) triples, for _product."""
+    return [(exps, sum(exps), coeff) for exps, coeff in terms.items() if coeff]
 
 
 def _product(piece: list, factor: list, limit: int, sums: dict) -> dict:
@@ -363,6 +350,7 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
 
 
 _DIGITS = frozenset("0123456789")
+_COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")  # a signed number of the grammar, for germ JSON
 
 
 def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
@@ -500,27 +488,17 @@ class Inertia(Record):
         }
 
 
-_EXACT = (int, Fraction)
-
-
-def _exact_square(matrix) -> list[list]:
-    """The rows of a square matrix with each entry an int or a Fraction."""
-    n = len(matrix)
-    # an int or a Fraction already has the numerator and denominator read later
-    rows = [[x if type(x) in _EXACT else Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return rows
-
-
 def _integer_symmetric(matrix) -> list[list[int]]:
     """A square symmetric matrix times the lcm of its denominators, as ints.
 
     The scale is positive, so every route that counts signs of eigenvalues
     or of pivots counts the same on the result.
     """
-    rows = _exact_square(matrix)
-    n = len(rows)
+    n = len(matrix)
+    # an int or a Fraction already has the numerator and denominator read below
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
     scale = 1
     for row in rows:  # row by row: lcm(*all) would build an n*n argument tuple
         scale = lcm(scale, *(x.denominator for x in row))
@@ -591,51 +569,6 @@ def congruence_inertia(matrix) -> tuple[int, int]:
         if g > 1:
             A = [[x // g for x in row] for row in A]
     return plus, minus
-
-
-def determinant(matrix) -> Fraction:
-    """Exact determinant by Bareiss's fraction-free elimination over the integers.
-
-    Each row is first scaled by the lcm of its denominators; the determinant
-    is that of the integer matrix over the product of the scales.  Each step
-    leaves a minor of the scaled matrix (Sylvester's identity) in every entry
-    still to be eliminated, so each division below is exact, and the last
-    pivot, signed by the row swaps, is the determinant.
-    """
-    scale = 1
-    A = []
-    for row in _exact_square(matrix):
-        row_scale = lcm(*(x.denominator for x in row))
-        scale *= row_scale
-        A.append([x.numerator * (row_scale // x.denominator) for x in row])
-    n = len(A)
-    sign = previous = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if A[r][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        pivot_row = A[k]
-        p = pivot_row[k]
-        for row in A[k + 1 :]:
-            a = row[k]
-            for j in range(k + 1, n):
-                row[j] = (p * row[j] - a * pivot_row[j]) // previous
-        previous = p
-    return Fraction(sign * previous, scale)
-
-
-def linear_part(change: Sequence[PolynomialGerm]) -> list[list[Fraction]]:
-    """The matrix of degree-1 coefficients of a coordinate change."""
-    n = len(change)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i, component in enumerate(change):
-        for exps, coeff in component.terms_of_degree(1).items():
-            j = next(k for k, e in enumerate(exps) if e)
-            matrix[i][j] = coeff
-    return matrix
 
 
 def _require_singular(germ: PolynomialGerm):
@@ -899,8 +832,8 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     Stage 2 walks the degrees 3..jet_order and absorbs each term
     c * x_i * m with x_i a rank variable by x_i -> x_i - c/(2 l_i) * m, l_i
     the diagonal coefficient.  The maps become germs once, at the end.
-    verify_split re-expands the result through substitute and a
-    determinant, which share no code with _absorb.
+    verify_split re-expands the result through substitute and checks the
+    change by a rank pass, which share no code with _absorb.
     """
     if not isinstance(jet_order, int) or jet_order < 3:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
@@ -969,6 +902,34 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     )
 
 
+def _linear_rank(change: Sequence[PolynomialGerm]) -> int:
+    """The rank of the matrix of degree-1 coefficients of a coordinate change.
+
+    Each component's linear terms make a row {column: coefficient}, and
+    the row is reduced against the pivot rows before it, each keyed by its
+    first column, until its first column has no pivot row (it becomes
+    one) or it is empty.  A coordinate x_i, the usual component, costs a
+    lookup, so a change over many unused variables is cheap.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for component in change:
+        row = {exps.index(1): c for exps, c in component._terms.items() if sum(exps) == 1}
+        while row:
+            column = min(row)
+            pivot = pivots.get(column)
+            if pivot is None:
+                pivots[column] = row
+                break
+            factor = row[column] / pivot[column]
+            for j, x in pivot.items():
+                value = row.get(j, 0) - factor * x
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+    return len(pivots)
+
+
 def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
     """Check every SplitResult invariant against a re-expansion of f to the jet order.
 
@@ -977,7 +938,7 @@ def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
     product truncated there: no component of the change has a constant
     term, so substitution never lowers a degree.
     """
-    if determinant(linear_part(result.change)) == 0:
+    if _linear_rank(result.change) < len(result.change):
         return False
     jet = result.jet_order
     composed = germ.substitute(result.change, max_degree=jet)

@@ -320,3 +320,13 @@ def test_criterion_14_split_costs_the_variables_the_germ_uses():
     assert payload["remainder"] == {"nvars": 400, "terms": []}
     coordinates = [parse_germ(f"x{i}", 400).to_json() for i in range(2, 401)]
     assert payload["change"] == [parse_germ("x1 - 1/2*x2^3", 400).to_json(), *coordinates]
+
+
+def test_criterion_15_verify_split_costs_the_variables_the_change_moves():
+    # the split of criterion 14 moves x1 alone among 400 variables: the rank
+    # pass over the change's linear terms takes about 5 ms in process on a
+    # 2-vCPU VM (a dense 400 x 400 determinant took 1.5 s)
+    germ = parse_germ("x1^2+x1*x2^3", 400)
+    result = split_jet(germ, 4)
+    with _Timer("criterion 15: verify_split of the criterion 14 split", 0.5):
+        assert verify_split(germ, result)

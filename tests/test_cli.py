@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -286,6 +287,40 @@ def test_bad_germ_json_is_invalid_germ_for_discriminate(capsys, text):
     code, out = invoke(capsys, ["discriminate", "--f", "x1^2", "--g", text])
     assert code == 1
     assert json.loads(out)["error"] == "InvalidGerm"
+
+
+# germ JSON coefficients outside germ text's numbers, each of which Fraction
+# would read: "1e99999999" by expanding 10**99999999 (more than 30 s)
+REFUSED_GERM_COEFFICIENTS = [
+    '"1e99999999"', '"0.5"', '"1e-5"', "0.5", "1e400", "true", "null", "[1]",
+    '"+1"', '" 1"', '"1/-2"', '"1_000"', '"\\u0661"',  # the last an Arabic-Indic one
+]
+
+
+@pytest.mark.parametrize("coeff", REFUSED_GERM_COEFFICIENTS)
+def test_germ_json_coefficients_are_the_numbers_of_germ_text(capsys, coeff):
+    poly = '{"nvars": 1, "terms": [[[2], ' + coeff + "]]}"
+    start = time.perf_counter()
+    code, out = invoke(capsys, ["inertia", "--poly", poly, "--json"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    value = json.loads(coeff)
+    assert json.loads(out) == {
+        "error": "InvalidGerm",
+        "detail": f"invalid germ JSON: bad germ coefficient {value!r}",
+    }
+
+
+def test_germ_json_reads_the_numbers_of_germ_text(capsys):
+    expected = invoke(capsys, ["inertia", "--poly", "x1^2 - 3/2*x2^2 + 12*x3^2", "--json"])
+    poly = '{"nvars": 3, "terms": [[[2, 0, 0], 1], [[0, 2, 0], "-3/2"], [[0, 0, 2], "12"]]}'
+    assert invoke(capsys, ["inertia", "--poly", poly, "--json"]) == expected
+    code, out = invoke(capsys, ["inertia", "--poly", BAD_GERM_JSON[0], "--json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "InvalidGerm",
+        "detail": "invalid germ JSON: zero denominator in a coefficient",
+    }
 
 
 @pytest.mark.parametrize("command", ["inertia", "split"])

@@ -20,10 +20,8 @@ from arczeta import (
     QuadraticGerm,
     charpoly_inertia,
     congruence_inertia,
-    determinant,
     discriminate,
     hessian_inertia,
-    linear_part,
     naive_t2_coefficient,
     parse_germ,
     recover_minmax,
@@ -40,7 +38,13 @@ from arczeta.errors import (
     NotAGerm,
     NotSingularAtOrigin,
 )
-from arczeta.germ import SplitResult, _absorb, _require_singular, _square_root_part
+from arczeta.germ import (
+    SplitResult,
+    _absorb,
+    _linear_rank,
+    _require_singular,
+    _square_root_part,
+)
 from util import (
     NAMED,
     assert_dataclass_semantics,
@@ -48,6 +52,7 @@ from util import (
     congruence_diagonalize,
     coordinates,
     linear_change,
+    linear_rank,
     quadratic_form,
     random_invertible,
     random_singular_germ,
@@ -232,6 +237,7 @@ def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
     f, g = random_singular_germ(rng, 3), random_singular_germ(rng, 3)
     change = linear_change(random_invertible(rng, 3), 3)
     x1, x2, x3 = coordinates(3)
+    products = parse_germ("x1*x2 + x3^3")
     split_germs = [parse_germ(text) for text in ("x1^2 + 2*x1*x2^2", "x1*x2 + x2^3")]
     split_germs += [random_singular_germ(rng, rng.randint(2, 4), 5) for _ in range(6)]
     splits = [(germ, jet, split_jet(germ, jet).to_json()) for germ in split_germs for jet in (3, 6)]
@@ -241,7 +247,8 @@ def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
 
     monkeypatch.setattr(PolynomialGerm, "__init__", refuse)
     results = [
-        f + g, f - g, -f, f - f, f._mul_trunc(g, 4), f._mul_trunc(g, 12),
+        f + g, f - g, -f, f - f, products.substitute([f, g, x3], 4),
+        products.substitute([f, g, f], 12),
         f.substitute(change, composed_degree(f, change)), f.substitute(change, 4),
         f.substitute([x1, g, x3], 4), f.substitute([g, x2, f], 5),
     ]
@@ -421,7 +428,7 @@ def test_split_requires_singular_and_jet_order():
 def _assert_split_invariants(germ, jet_order):
     result = split_jet(germ, jet_order)
     # the change of coordinates is invertible
-    assert determinant(linear_part(result.change)) != 0
+    assert linear_rank(result.change) == germ.nvars
     # residual identity, checked by full re-expansion: no term lies above the bound
     composed = germ.substitute(result.change, composed_degree(germ, result.change))
     residual = composed - result.quadratic_part - result.remainder
@@ -506,36 +513,34 @@ def test_split_zero_quadratic_part():
 # ---------------------------------------------------------------------------
 
 
-def test_determinant():
-    assert determinant([[Fraction(2)]]) == 2
-    assert determinant([[Fraction(-3, 4)]]) == Fraction(-3, 4)
-    assert determinant([[0]]) == 0
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[1, 2], [2, 4]]) == 0
-    # a zero first pivot: a row swap flips the sign
-    assert determinant([[0, 1], [1, 0]]) == -1
-    swapped = [[0, Fraction(1, 2), 3], [Fraction(2, 3), 1, 0], [1, 0, Fraction(-1, 5)]]
-    assert determinant(swapped) == Fraction(-44, 15)
-    assert type(determinant([[2, 1], [1, 1]])) is Fraction
-    for bad in ([[1, 2]], [[1, 2], [3]], [[]]):
-        with pytest.raises(ValueError, match="square"):
-            determinant(bad)
+def _rank(*texts, nvars):
+    return _linear_rank([parse_germ(text, nvars) for text in texts])
+
+
+def test_linear_rank():
+    assert _rank("x1", "x2", nvars=2) == 2
+    # a permutation, with terms of higher degree, which the rank ignores
+    assert _rank("x3 + x1^2", "x1", "x2 - x2*x3", nvars=3) == 3
+    # a zero row: a zero component, or one with no linear term
+    assert _linear_rank([coordinates(2)[0], PolynomialGerm(2, {})]) == 1
+    assert _rank("x1 + x2", "x2^2", nvars=2) == 1
+    # dependent nonzero rows; the third is the sum of the first two and
+    # empties only after two eliminations
+    assert _rank("x1 + x2", "2*x1 + 2*x2", nvars=2) == 1
+    assert _rank("x1 + x2", "x2 + x3", "x1 + 2*x2 + x3", nvars=3) == 2
+    # a row reduced past its first column, then kept at a later one
+    assert _rank("x2 + x3", "1/2*x2 - 1/3*x3", "x1", nvars=3) == 3
+    assert _linear_rank(split_jet(parse_germ("x1^2 + x2^2"), 3).change) == 2
+    assert _linear_rank(coordinates(400)) == 400
     rng = random.Random(5150)
     for _ in range(30):
         size = rng.randint(1, 5)
-        assert determinant(random_invertible(rng, size)) != 0
-
-
-def test_linear_part_extraction():
-    f = parse_germ("x1^2 + x2^2")
-    change = split_jet(f, 3).change
-    matrix = linear_part(change)
-    assert matrix == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        assert _linear_rank(linear_change(random_invertible(rng, size), size)) == size
 
 
 def _verify_split_untruncated(germ, result):
     """verify_split by a full re-expansion of f on the reference ring (the oracle)."""
-    if determinant(linear_part(result.change)) == 0:
+    if linear_rank(result.change) < len(result.change):
         return False
     composed = ring_composed(germ.terms(), [component.terms() for component in result.change])
     residual = ring_sum(
@@ -603,20 +608,27 @@ def test_verify_split_agrees_with_the_untruncated_oracle():
 
 
 def test_verify_split_refuses_a_singular_change():
-    germ = parse_germ("x1^2", nvars=2)
-    zero = PolynomialGerm(2, {})
-    result = SplitResult(
-        change=(coordinates(2)[0], zero),
-        quadratic_part=germ,
-        remainder=zero,
-        inertia=Inertia(plus=1, minus=0, corank=1),
-        jet_order=3,
-    )
-    # every other invariant holds: x1^2 composed with (x1, 0) is Q, and F = 0
-    bound = composed_degree(germ, result.change)
-    assert germ.substitute(result.change, bound) == result.quadratic_part
-    assert not verify_split(germ, result)
-    assert not _verify_split_untruncated(germ, result)
+    for components in (
+        ("x1", None),  # a zero component
+        ("x1", "x2 + x3", "2*x2 + 2*x3"),  # two dependent nonzero linear parts
+        ("x1", "x2 + x3 + x2^2", "2*x2 + 2*x3 - x3^3"),  # the same, with higher terms
+    ):
+        nvars = len(components)
+        germ = parse_germ("x1^2", nvars=nvars)
+        zero = PolynomialGerm(nvars, {})
+        change = tuple(zero if text is None else parse_germ(text, nvars) for text in components)
+        result = SplitResult(
+            change=change,
+            quadratic_part=germ,
+            remainder=zero,
+            inertia=Inertia(plus=1, minus=0, corank=nvars - 1),
+            jet_order=3,
+        )
+        # every other invariant holds: x1^2 composed with the change is Q, and F = 0
+        assert germ.substitute(change, composed_degree(germ, change)) == result.quadratic_part
+        assert linear_rank(change) == nvars - 1
+        assert not verify_split(germ, result)
+        assert not _verify_split_untruncated(germ, result)
 
 
 def _substitute_single(terms, index, replacement, max_degree):
@@ -719,8 +731,8 @@ def test_the_reference_routes_call_no_product_of_the_package(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a product of the package was called")
 
-    for owner, name in ((PolynomialGerm, "substitute"), (PolynomialGerm, "_mul_trunc"),
-                        (PolynomialGerm, "_pow_trunc"), (germs, "_product")):
+    for owner, name in ((PolynomialGerm, "substitute"), (germs, "_product"),
+                        (germs, "_linear_rank")):
         monkeypatch.setattr(owner, name, refuse)
     for number, ((germ, jet_order), result) in enumerate(zip(cases, results)):
         assert _split_jet_rescanning(germ, jet_order).to_json() == result.to_json()

@@ -1,5 +1,5 @@
-"""PolynomialGerm arithmetic, the tests' reference ring and germ.determinant
-against sympy, used here as an independent oracle.
+"""PolynomialGerm arithmetic, the tests' reference ring and verify_split's
+rank pass against sympy, used here as an independent oracle.
 
 Every operation is compared as a term map: the sympy side is expanded and,
 where a max_degree applies, truncated by total degree.  sympy is a test-only
@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from arczeta.germ import determinant
+from arczeta import parse_germ
+from arczeta.germ import _linear_rank
 from util import (
     composed_degree,
     coordinates,
     linear_change,
+    linear_rank,
     random_invertible,
     random_singular_germ,
     ring_composed,
@@ -79,9 +81,16 @@ def test_ring_operations_match_sympy(seed):
     factor = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     scaled = fx * sympy.Rational(factor.numerator, factor.denominator)
     assert ring_scaled(f.terms(), factor) == _term_map(scaled, xs)
+    # substitute's truncated products: powers of f, and f * g
+    rest = coordinates(f.nvars)[1:]
     for max_degree in (2, 3, 5, 7):
         assert ring_truncated(f.terms(), max_degree) == _term_map(fx, xs, max_degree)
-        assert f._mul_trunc(g, max_degree).terms() == _term_map(fx * gx, xs, max_degree)
+        for k in (2, 3):
+            power = parse_germ(f"x1^{k}", f.nvars).substitute([f, *rest], max_degree)
+            assert power.terms() == _term_map(fx**k, xs, max_degree)
+        if f.nvars > 1:
+            product = parse_germ("x1*x2", f.nvars).substitute([f, g, *rest[1:]], max_degree)
+            assert product.terms() == _term_map(fx * gx, xs, max_degree)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -155,19 +164,13 @@ def test_partial_substitute_with_linear_terms_and_high_changes_matches_sympy(see
 
 
 # ---------------------------------------------------------------------------
-# determinant
+# the rank pass of verify_split
 # ---------------------------------------------------------------------------
 
 
-def _sympy_det(matrix):
-    entries = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
-    det = sympy.Matrix(entries).det()
-    return Fraction(int(det.p), int(det.q))
-
-
 def _random_rational_matrix(rng, size):
-    # small entries with a few denominators, and many zeros, so that pivots
-    # vanish and rows swap
+    # small entries with a few denominators, and many zeros, so that first
+    # columns coincide and rows reduce more than once
     return [
         [Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.choice([1, 2, 3, 7]))
          for _ in range(size)]
@@ -175,16 +178,35 @@ def _random_rational_matrix(rng, size):
     ]
 
 
+def _rank_cases(rng, size):
+    """A random matrix, a permutation of its rows and columns, the matrix with a
+    zero row, with a row the sum of two earlier rows, and an invertible one."""
+    matrix = _random_rational_matrix(rng, size)
+    yield matrix
+    rows, columns = rng.sample(range(size), size), rng.sample(range(size), size)
+    yield [[matrix[r][c] for c in columns] for r in rows]
+    zero = rng.randrange(size)
+    yield [[Fraction(0)] * size if r == zero else row for r, row in enumerate(matrix)]
+    if size > 2:
+        # the sum empties only after the eliminations by both of its rows
+        j, k = sorted(rng.sample(range(size - 1), 2))
+        summed = [row[:] for row in matrix]
+        summed[size - 1] = [x + y for x, y in zip(matrix[j], matrix[k])]
+        yield summed
+    yield random_invertible(rng, size)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_determinant_matches_sympy(seed):
+    """The rank pass and the tests' dense oracle give sympy's rank, so a change
+    is invertible exactly where sympy's determinant of its linear part is nonzero."""
     rng = random.Random(seed)
     for size in range(1, 9):
-        matrix = _random_rational_matrix(rng, size)
-        assert determinant(matrix) == _sympy_det(matrix), matrix
-        if size > 1:
-            # a singular matrix: one row a rational combination of two others
-            i = rng.randrange(size)
-            j, k = rng.choices([r for r in range(size) if r != i], k=2)
-            a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 5)
-            matrix[i] = [a * x + b * y for x, y in zip(matrix[j], matrix[k])]
-            assert determinant(matrix) == 0 == _sympy_det(matrix), matrix
+        for matrix in _rank_cases(rng, size):
+            entries = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+            )
+            change = linear_change(matrix, size)
+            rank = entries.rank()
+            assert _linear_rank(change) == linear_rank(change) == rank, matrix
+            assert (rank == size) == (entries.det() != 0), matrix

@@ -57,6 +57,32 @@ def linear_change(matrix, nvars: int) -> list[PolynomialGerm]:
     return components
 
 
+def linear_rank(change) -> int:
+    """The rank of a change's matrix of degree-1 coefficients, by dense Gaussian elimination.
+
+    The invertibility oracle of the tests' reference split check: it reads
+    terms() alone, so it shares no code with verify_split's sparse rank pass.
+    """
+    rows = []
+    for component in change:
+        row = [Fraction(0)] * component.nvars
+        for exps, coeff in component.terms().items():
+            if sum(exps) == 1:
+                row[exps.index(1)] = coeff
+        rows.append(row)
+    rank = 0
+    for column in range(max(map(len, rows), default=0)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][column]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][column] / rows[rank][column]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def quadratic_form(matrix) -> PolynomialGerm:
     """The germ x^T H x / 2, whose Hessian at the origin is H (entries read by Fraction)."""
     n = len(matrix)

@@ -530,12 +530,39 @@ def test_linear_rank():
     assert _rank("x1 + x2", "x2 + x3", "x1 + 2*x2 + x3", nvars=3) == 2
     # a row reduced past its first column, then kept at a later one
     assert _rank("x2 + x3", "1/2*x2 - 1/3*x3", "x1", nvars=3) == 3
-    assert _linear_rank(split_jet(parse_germ("x1^2 + x2^2"), 3).change) == 2
     assert _linear_rank(coordinates(400)) == 400
+
+
+def test_determinant():
+    """A linear change is invertible (nonzero determinant) exactly where the
+    rank pass gives full rank."""
+
+    def rank(matrix):
+        return _linear_rank(linear_change(matrix, len(matrix)))
+
+    assert rank([[Fraction(2)]]) == 1
+    assert rank([[Fraction(-3, 4)]]) == 1
+    assert rank([[0]]) == 0
+    assert rank([[1, 2], [3, 4]]) == 2
+    assert rank([[1, 2], [2, 4]]) == 1
+    # a zero first pivot: the pass takes the pivot from a later row
+    assert rank([[0, 1], [1, 0]]) == 2
+    # determinant -44/15
+    assert rank([[0, Fraction(1, 2), 3], [Fraction(2, 3), 1, 0], [1, 0, Fraction(-1, 5)]]) == 3
     rng = random.Random(5150)
     for _ in range(30):
         size = rng.randint(1, 5)
-        assert _linear_rank(linear_change(random_invertible(rng, size), size)) == size
+        assert rank(random_invertible(rng, size)) == size
+
+
+def test_linear_part_extraction():
+    change = split_jet(parse_germ("x1^2 + x2^2"), 3).change
+    linear = [
+        {exps: coeff for exps, coeff in component.terms().items() if sum(exps) == 1}
+        for component in change
+    ]
+    assert linear == [{(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]
+    assert _linear_rank(change) == 2
 
 
 def _verify_split_untruncated(germ, result):

@@ -415,12 +415,11 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except ArcZetaError as exc:
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "detail": str(exc)}, sort_keys=True
-            )
-        )
-        return 1
+        error, detail = type(exc).__name__, str(exc)
+    except MemoryError:  # the last guard: work that outgrew the memory
+        error, detail = "MemoryError", "the command ran out of memory"
+    print(json.dumps({"error": error, "detail": detail}, sort_keys=True))
+    return 1
 
 
 def main() -> None:

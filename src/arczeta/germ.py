@@ -608,15 +608,19 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         columns = tuple(zip(*M))
-        M = [[sum(map(mul, row, column)) for column in columns] for row in A]  # A M
-        trace = sum(M[i][i] for i in range(n))
+        if k < n:
+            M = [[sum(map(mul, row, column)) for column in columns] for row in A]  # A M
+            trace = sum(M[i][i] for i in range(n))
+        else:  # the last step reads only trace(A M), a sum of n row-column products
+            trace = sum(sum(map(mul, row, column)) for row, column in zip(A, columns))
         quotient, residue = divmod(trace, k)
         if residue:
             raise InvariantViolation(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
         c = -quotient
         coeffs.append(c)
-        for i in range(n):  # M = A M + c I
-            M[i][i] += c
+        if k < n:  # M = A M + c I, for the next step
+            for i in range(n):
+                M[i][i] += c
 
     def sign_changes(sequence):
         signs = [1 if x > 0 else -1 for x in sequence if x]

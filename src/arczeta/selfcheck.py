@@ -9,11 +9,25 @@ a patched closed form is what they see.  The three grids that read the
 engine's zeta series share one dict per run, local to run_selfcheck, which
 calls arcspace.zeta_series once per (germ, selector, order).
 
+The grids fall into two families that share no state.  The inertia and
+splitting grids touch only the germ module; the other nine read the closed
+forms, the engine and its caches.  run_selfcheck forks once: a child runs the
+two germ grids and sends their reports back through a pipe, marshalled,
+while the parent runs the nine; the reports come back in GRIDS order, so the
+output is the same either way.  Every grid runs in the one process where
+os.fork is missing or fails, where a trace or profile hook is set (so a
+tracer, coverage or cProfile sees every call), and where another thread runs.
+When the child's reports are missing or unreadable, the parent runs the two
+germ grids itself, so no answer depends on the fork.
+
 The random generators below also feed the test suite, so the grids and the
 tests draw the same matrices and germs from the same seeds.
 """
 
+import marshal
+import os
 import random
+import sys
 from fractions import Fraction
 
 from . import arcspace, germ as germs, scissor
@@ -224,6 +238,63 @@ GRIDS = (
 
 # the grids that take the run's engine series as a second argument
 _READS_ENGINE = (_round_trip, _zeta_two_paths, _zeta_laws)
+# the grids that touch only the germ module, so a forked child may run them
+_GERM_ONLY = (_inertia_two_paths, _split_residuals)
+
+
+def _report(name, grid, *args) -> tuple[str, int, list[str]]:
+    """(name, identity count, failure labels) of one grid run on args."""
+    count, failures = 0, []
+    try:
+        for label, ok in grid(*args):
+            count += 1
+            if not ok:
+                failures.append(label)
+    except Exception as exc:  # a broken route fails its grid, not the batch
+        count += 1
+        failures.append(f"raised {type(exc).__name__}: {exc}")
+    return name, count, failures
+
+
+def _germ_reports(bound: int) -> list[tuple[str, int, list[str]]]:
+    return [_report(name, grid, bound) for name, grid in GRIDS if grid in _GERM_ONLY]
+
+
+def _fork_germ_grids(bound: int):
+    """(pid, read end of its pipe) of a child that sends the germ grids' reports, or None.
+
+    None, and no child, where os.fork is missing or fails, where a trace or
+    profile hook is set (it would not see the child's calls), and where
+    another thread runs (forking it is unsafe; CPython 3.12+ warns).  The
+    child writes the marshalled reports and leaves by os._exit, so it flushes
+    no buffer and runs no exit handler of the parent's.
+    """
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: where cProfile hooks in
+    threading = sys.modules.get("threading")  # not imported: none of its threads runs
+    if (
+        not hasattr(os, "fork")
+        or sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the parent runs the grids
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(_germ_reports(bound)))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
@@ -239,16 +310,25 @@ def run_selfcheck(bound: int) -> tuple[list[tuple[str, int, list[str]]], bool]:
             series[key] = arcspace.zeta_series(germ, selector, order)
         return series[key]
 
-    reports = []
-    for name, grid in GRIDS:
-        count, failures = 0, []
-        try:
-            for label, ok in grid(bound, engine) if grid in _READS_ENGINE else grid(bound):
-                count += 1
-                if not ok:
-                    failures.append(label)
-        except Exception as exc:  # a broken route fails its grid, not the batch
-            count += 1
-            failures.append(f"raised {type(exc).__name__}: {exc}")
-        reports.append((name, count, failures))
-    return reports, all(not failures for _, _, failures in reports)
+    child = _fork_germ_grids(bound)
+    reports, sent = {}, None
+    try:
+        for name, grid in GRIDS:
+            if grid in _READS_ENGINE:
+                reports[name] = _report(name, grid, bound, engine)
+            elif grid not in _GERM_ONLY:
+                reports[name] = _report(name, grid, bound)
+        if child is not None:
+            try:
+                sent = marshal.loads(child[1].read())
+            except (EOFError, ValueError):  # the child died before it wrote all of it
+                pass
+    finally:
+        if child is not None:
+            pid, pipe = child
+            pipe.close()
+            os.waitpid(pid, 0)
+    # in process, or when nothing readable came back, the germ grids run here
+    reports.update((report[0], report) for report in sent or _germ_reports(bound))
+    ordered = [reports[name] for name, _ in GRIDS]
+    return ordered, all(not failures for _, _, failures in ordered)

@@ -2,9 +2,12 @@ import gc
 import hashlib
 import io
 import json
+import marshal
+import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import types
 from fractions import Fraction
@@ -507,6 +510,73 @@ def test_selfcheck_stratifies_each_key_once_per_run(monkeypatch):
     # a second run in the same process starts from an empty table
     assert selfcheck.run_selfcheck(3) == first
     assert len(keys) == len(set(keys)) == 107
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_selfcheck_reports_the_same_forked_and_in_process(monkeypatch, bound):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = selfcheck.run_selfcheck(bound)
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert selfcheck.run_selfcheck(bound) == forked
+    assert forked[1] is True
+    assert [name for name, _, _ in forked[0]] == [name for name, _ in selfcheck.GRIDS]
+
+
+def test_selfcheck_runs_in_process_under_a_profile_hook_or_beside_a_thread(monkeypatch):
+    expected = selfcheck.run_selfcheck(2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        assert selfcheck.run_selfcheck(2) == expected
+    finally:
+        sys.setprofile(None)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert selfcheck.run_selfcheck(2) == expected
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+
+
+def _raising_dumps(value):
+    raise RuntimeError("the writer broke")
+
+
+def _truncating_dumps(value):
+    return marshal.dumps(value)[:-1]
+
+
+@pytest.mark.parametrize("dumps", [_raising_dumps, _truncating_dumps])
+def test_selfcheck_runs_the_germ_grids_itself_when_the_child_sends_nothing_readable(
+    monkeypatch, dumps
+):
+    expected = selfcheck.run_selfcheck(2)
+    # the child writes through this module's marshal; the parent reads with the real loads
+    writer = types.SimpleNamespace(dumps=dumps, loads=marshal.loads)
+    monkeypatch.setattr(selfcheck, "marshal", writer)
+    assert selfcheck.run_selfcheck(2) == expected
+    _no_child_left()
 
 
 def test_a_faulty_stratify_key_fails_only_the_identities_that_read_it(capsys, monkeypatch):

@@ -245,3 +245,14 @@ def test_every_input_keeps_the_exit_code_contract(argv, as_json):
 @example(argv=["inertia", '--poly={"nvars": true, "terms": [[[2], "1"]]}'], as_json=True)
 def test_every_other_command_keeps_the_exit_code_contract(argv, as_json):
     _check(argv, as_json)
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_a_command_out_of_memory_ends_in_the_envelope(monkeypatch, as_json):
+    def exhausted(germ):
+        raise MemoryError
+
+    monkeypatch.setattr("arczeta.germ.hessian_inertia", exhausted)
+    code, out, err = _run(["inertia", "--poly=x1^2"] + ["--json"] * as_json)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "MemoryError", "detail": "the command ran out of memory"}

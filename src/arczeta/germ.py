@@ -321,8 +321,9 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
     """Parse a germ from the text grammar, or from germ JSON if text is '{...}'.
 
     Variables are x1, x2, ...; the variable count is inferred from the
-    highest index used unless nvars is given.  Whitespace is insignificant.
-    Germ JSON states its own count: a given nvars must equal it.
+    highest index used unless nvars is given.  Space may stand between
+    tokens, but not inside a number or between x and its index.  Germ JSON
+    states its own count: a given nvars must equal it.
     """
     stripped = text.strip()
     if stripped.startswith("{"):
@@ -349,110 +350,84 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
     return _parse_germ_text(text, nvars)
 
 
-_DIGITS = frozenset("0123456789")
 _COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")  # a signed number of the grammar, for germ JSON
+# One factor of germ text with the space around it: a number with an optional
+# /denominator (groups 1, 2), or xK with an optional ^E (groups 3, 4).  A number
+# missing after x, / or ^ matches empty so that it is reported at its offset;
+# where no factor starts, no group matches.
+_FACTOR = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]*))?|x([0-9]*)(?:\s*\^\s*([0-9]*))?)?\s*")
+# per group: what a missing number is called, and the message when it is 0
+_NUMBERS = {
+    1: ("a number", None),
+    2: ("a denominator", "zero denominator"),
+    3: ("a variable index after 'x'", "variable index must be at least 1"),
+    4: ("digits after '^'", "exponent must be at least 1"),
+}
+
+
+def _number(factor: re.Match, group: int) -> int:
+    """The int in a group of a factor, 1 if the group is absent, or a GermSyntaxError there."""
+    digits, at = factor.group(group), factor.start(group)
+    if digits is None:
+        return 1
+    expected, zero = _NUMBERS[group]
+    if not digits:
+        raise GermSyntaxError(f"expected {expected}", at)
+    try:
+        value = int(digits)
+    except ValueError:  # longer than the interpreter's int/str digit limit
+        raise GermSyntaxError("number has too many digits", at) from None
+    if value == 0 and zero:
+        raise GermSyntaxError(zero, at)
+    return value
 
 
 def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
-    pos = 0
-    size = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < size and text[pos].isspace():
-            pos += 1
-
-    def read_int(expected: str) -> "tuple[int, int]":
-        nonlocal pos
-        start = pos
-        while pos < size and text[pos] in _DIGITS:
-            pos += 1
-        if pos == start:
-            raise GermSyntaxError(f"expected {expected}", start)
-        try:
-            return int(text[start:pos]), start
-        except ValueError:  # longer than the interpreter's int/str digit limit
-            raise GermSyntaxError("number has too many digits", start) from None
-
-    def parse_factor():
-        nonlocal pos
-        if pos < size and text[pos] in _DIGITS:
-            start = pos
-            numerator, _ = read_int("a number")
-            denominator = 1
-            skip_ws()
-            if pos < size and text[pos] == "/":
-                pos += 1
-                skip_ws()
-                denominator, at = read_int("a denominator")
-                if denominator == 0:
-                    raise GermSyntaxError("zero denominator", at)
-            return ("coeff", Fraction(numerator, denominator), start)
-        if pos < size and text[pos] == "x":
-            start = pos
-            pos += 1
-            index, at = read_int("a variable index after 'x'")
-            if index < 1:
-                raise GermSyntaxError("variable index must be at least 1", at)
-            exponent = 1
-            skip_ws()
-            if pos < size and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                exponent, at = read_int("digits after '^'")
-                if exponent < 1:
-                    raise GermSyntaxError("exponent must be at least 1", at)
-            return ("var", index, exponent, start)
-        raise GermSyntaxError("expected a coefficient or a variable", pos)
-
-    raw_terms: list[tuple[Fraction, dict[int, int]]] = []
-    max_index = 0
-    skip_ws()
-    if pos == size:
-        raise GermSyntaxError("empty polynomial", pos)
-    sign = 1
-    if text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
+    body = text.lstrip()
+    if not body:
+        raise GermSyntaxError("empty polynomial", len(text))
+    pos = len(text) - len(body)
+    sign = body[0]  # the first term's sign is optional
+    if sign in "+-":
         pos += 1
-
+    raw_terms: list[tuple[Fraction, dict[int, int]]] = []  # powers keyed by variable index
     while True:
-        skip_ws()
-        factors = []
-        while True:
-            factors.append(parse_factor())
-            skip_ws()
-            if pos < size and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                continue
-            break
-        coeff = Fraction(sign)
+        term = pos
+        coeff = Fraction(-1 if sign == "-" else 1)
         powers: dict[int, int] = {}
-        for slot, factor in enumerate(factors):
-            if factor[0] == "coeff":
-                if slot != 0:
-                    raise GermSyntaxError("coefficient must come first in a term", factor[2])
-                coeff *= factor[1]
+        misplaced = None  # a coefficient after another factor, reported once the term is read
+        while True:
+            factor = _FACTOR.match(text, pos)
+            pos = factor.end()
+            if factor.lastindex is None:
+                raise GermSyntaxError("expected a coefficient or a variable", pos)
+            if factor.lastindex > 2:
+                index = _number(factor, 3)
+                powers[index] = powers.get(index, 0) + _number(factor, 4)
             else:
-                _, index, exponent, _ = factor
-                powers[index - 1] = powers.get(index - 1, 0) + exponent
-                max_index = max(max_index, index)
+                coeff *= Fraction(_number(factor, 1), _number(factor, 2))
+                if factor.start() != term and misplaced is None:
+                    misplaced = factor.start(1)
+            if not text.startswith("*", pos):
+                break
+            pos += 1
+        if misplaced is not None:
+            raise GermSyntaxError("coefficient must come first in a term", misplaced)
         raw_terms.append((coeff, powers))
-        skip_ws()
-        if pos == size:
+        if pos == len(text):
             break
-        if text[pos] not in "+-":
+        sign = text[pos]
+        if sign not in "+-":
             raise GermSyntaxError("expected '+' or '-' between terms", pos)
-        sign = -1 if text[pos] == "-" else 1
         pos += 1
 
+    max_index = max((index for _, powers in raw_terms for index in powers), default=0)
     if nvars is None:
         nvars = max(max_index, 1)
     elif nvars < max_index:
-        raise InvalidGerm(
-            f"declared {nvars} variable(s) but the polynomial uses x{max_index}"
-        )
-    terms = [(tuple(powers.get(i, 0) for i in range(nvars)), coeff) for coeff, powers in raw_terms]
+        raise InvalidGerm(f"declared {nvars} variable(s) but the polynomial uses x{max_index}")
+    indices = range(1, nvars + 1)
+    terms = [(tuple(powers.get(i, 0) for i in indices), coeff) for coeff, powers in raw_terms]
     return PolynomialGerm(nvars, terms)
 
 
@@ -1040,11 +1015,12 @@ class NaiveRecovery(Record):
 def recover_minmax(coefficient: LaurentPolynomial) -> NaiveRecovery:
     """Pattern-match a naive T^2 coefficient 1 - u^-1 + u^-(m+1) - u^-M.
 
-    The four-monomial pattern determines (m, M); it degenerates to
-    1 - 2u^-1 + u^-2 at m = M = 1 (still determined), collapses to
-    1 - u^-1 whenever M = m + 1 (ambiguous), and to 1 - u^-M when one sign
-    class is empty, which is reported ambiguous because its reading
-    depends on the convention for the value of the cone at min = 0.
+    The pattern collapses to 1 - u^-1 whenever M = m + 1 (ambiguous), and
+    to 1 - u^-M when one sign class is empty, which is reported ambiguous
+    because its reading depends on the convention for the value of the
+    cone at min = 0.  Otherwise m is read off the term u^-(m+1) and M off
+    the term -u^-M other than -u^-1, with M = 1 when there is none (at
+    m = M = 1 it merges into -2u^-1), and the reading is mapped forward.
     """
     terms = coefficient.terms()
     if terms == {0: 1, -1: -1}:
@@ -1052,8 +1028,6 @@ def recover_minmax(coefficient: LaurentPolynomial) -> NaiveRecovery:
             status="ambiguous",
             reason="max = min + 1 family: every such pair gives 1 - u^-1",
         )
-    if terms == {0: 1, -1: -2, -2: 1}:
-        return NaiveRecovery(status="determined", m=1, M=1)
     if len(terms) == 2 and terms.get(0) == 1:
         other = next(e for e in terms if e != 0)
         if other <= -2 and terms[other] == -1:
@@ -1064,15 +1038,10 @@ def recover_minmax(coefficient: LaurentPolynomial) -> NaiveRecovery:
                     "convention for the cone value at min = 0"
                 ),
             )
-    if len(terms) == 4 and terms.get(0) == 1 and terms.get(-1) == -1:
-        rest = {e: c for e, c in terms.items() if e not in (0, -1)}
-        plus_exps = [e for e, c in rest.items() if c == 1]
-        minus_exps = [e for e, c in rest.items() if c == -1]
-        if len(plus_exps) == 1 and len(minus_exps) == 1:
-            m = -plus_exps[0] - 1
-            big = -minus_exps[0]
-            if m >= 1 and big >= m and coefficient == naive_t2_coefficient(m, big):
-                return NaiveRecovery(status="determined", m=m, M=big)
+    m = next((-e - 1 for e, c in terms.items() if e < 0 and c == 1), 0)
+    big = next((-e for e, c in terms.items() if e < -1 and c == -1), 1)
+    if 1 <= m <= big and coefficient == naive_t2_coefficient(m, big):
+        return NaiveRecovery(status="determined", m=m, M=big)
     raise NotSignatureForm(
         f"{coefficient.to_text()} is not a naive T^2 coefficient of a signature quadric"
     )

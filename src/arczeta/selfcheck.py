@@ -196,10 +196,10 @@ def _minmax_recovery(bound):
             yield f"(m={m}, M={M})", good
 
 
-def _inertia_two_paths(bound, samples=300):
+def _inertia_two_paths(bound):
     rng = random.Random(20260809)
     top = min(8, max(bound, 2))
-    for number in range(1, samples + 1):
+    for number in range(1, 301):
         size = rng.randint(1, top)
         matrix = random_symmetric(rng, size)
         congruence = germs.congruence_inertia(matrix)
@@ -210,13 +210,13 @@ def _split_holds(germ, jet_order) -> bool:
     return germs.verify_split(germ, germs.split_jet(germ, jet_order))
 
 
-def _split_residuals(bound, samples=30):
+def _split_residuals(bound):
     named = ("x1^2 + 2*x1*x2^2", "x1^2 + x1*x3^3", "x1*x2 + x2^3")
     for text in named:
         for jet_order in range(3, 7):
             yield f"({text!r}, jet {jet_order})", _split_holds(germs.parse_germ(text), jet_order)
     rng = random.Random(14091961)
-    for index in range(samples):
+    for index in range(30):
         germ = random_singular_germ(rng, rng.randint(1, 4))
         jet_order = 3 + index % 4
         yield f"(random germ #{index}, jet {jet_order})", _split_holds(germ, jet_order)

@@ -13,7 +13,9 @@ import sys
 from collections import namedtuple
 from types import MappingProxyType, SimpleNamespace
 
-from . import arcspace, germ as germs, scissor
+# germ, and fractions with it, is imported by the commands that use it: zeta
+# and beta never build a rational number
+from . import arcspace, scissor
 from .algebra import LaurentPolynomial
 from .errors import ArcZetaError, MalformedExpression
 
@@ -144,6 +146,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from . import germ as germs
+
     c_plus = _load_polynomial(args.plus_coeff)
     c_minus = _load_polynomial(args.minus_coeff)
     plus, minus = germs.recover_signature(c_plus, c_minus)
@@ -151,6 +155,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_recover_naive(args) -> int:
+    from . import germ as germs
+
     coefficient = _load_polynomial(args.coeff)
     outcome = germs.recover_minmax(coefficient)
     if outcome.status == "determined":
@@ -160,12 +166,10 @@ def _cmd_recover_naive(args) -> int:
     return _emit(args, outcome.to_json(), text)
 
 
-def _parse_poly_arg(args) -> germs.PolynomialGerm:
-    return germs.parse_germ(_read_source(args.poly), nvars=args.dim)
-
-
 def _cmd_inertia(args) -> int:
-    inertia = germs.hessian_inertia(_parse_poly_arg(args))
+    from . import germ as germs
+
+    inertia = germs.hessian_inertia(germs.parse_germ(_read_source(args.poly), nvars=args.dim))
     text = (
         f"s = {inertia.plus}, t = {inertia.minus}, rank = {inertia.rank}, "
         f"corank = {inertia.corank}, index = {inertia.index}"
@@ -174,7 +178,10 @@ def _cmd_inertia(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    result = germs.split_jet(_parse_poly_arg(args), args.jet)
+    from . import germ as germs
+
+    germ = germs.parse_germ(_read_source(args.poly), nvars=args.dim)
+    result = germs.split_jet(germ, args.jet)
     if args.json:
         print(json.dumps(result.to_json(), sort_keys=True))
         return 0
@@ -192,6 +199,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_discriminate(args) -> int:
+    from . import germ as germs
+
     f = germs.parse_germ(_read_source(args.f))
     g = germs.parse_germ(_read_source(args.g))
     result = germs.discriminate(f, g, args.order)
@@ -236,15 +245,17 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= low; anything else is a usage error."""
+def _int_at_least(low: int, cap=None):
+    """An argparse type for integers >= low, and <= cap() if a cap is given;
+    anything else is a usage error.  The cap is read when the type runs."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
+        if value < low or cap is not None and value > (high := cap()):
             from argparse import ArgumentTypeError  # the usage error argparse reports
 
-            raise ArgumentTypeError(f"must be at least {low}, got {value}")
+            bound = f"at least {low}" if value < low else f"at most {high}"
+            raise ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -265,11 +276,24 @@ _Command = namedtuple("_Command", "help func options")
 
 _JSON = _Option("--json", "json", default=False, help="machine-readable output", store_true=True)
 _ORDER = _Option("--order", "order", _int_at_least(1), 6)
-_POLY = (
-    _JSON,
-    _Option("--poly", "poly", required=True, help="germ text, file, or -"),
-    _Option("--dim", "dim", _int_at_least(1), help="override variable count (>= 1)"),
-)
+
+
+def _poly_options(cap: str) -> tuple:
+    """The options of a command that reads one germ: --dim is at most germ's
+    constant named cap, read when --dim is parsed, so that only these commands
+    import germ."""
+
+    def dim_cap() -> int:
+        from . import germ
+
+        return getattr(germ, cap)
+
+    return (
+        _JSON,
+        _Option("--poly", "poly", required=True, help="germ text, file, or -"),
+        _Option("--dim", "dim", _int_at_least(1, dim_cap), help="override variable count (>= 1)"),
+    )
+
 
 _COMMANDS = MappingProxyType({
     "beta": _Command("virtual Poincare polynomials", None, MappingProxyType({
@@ -304,9 +328,12 @@ _COMMANDS = MappingProxyType({
     "recover-naive": _Command("min/max from a naive T^2 coefficient", _cmd_recover_naive, (
         _JSON, _Option("--coeff", "coeff", required=True),
     )),
-    "inertia": _Command("Hessian inertia of a polynomial germ", _cmd_inertia, _POLY),
+    "inertia": _Command(
+        "Hessian inertia of a polynomial germ", _cmd_inertia, _poly_options("MAX_GERM_VARIABLES"),
+    ),
     "split": _Command("jet-level splitting of a singular germ", _cmd_split, (
-        *_POLY, _Option("--jet", "jet", _int_at_least(3), 3, help="jet order (>= 3)"),
+        *_poly_options("MAX_SPLIT_VARIABLES"),
+        _Option("--jet", "jet", _int_at_least(3), 3, help="jet order (>= 3)"),
     )),
     "discriminate": _Command("compare zeta data of two germs", _cmd_discriminate, (
         _JSON,

@@ -103,7 +103,11 @@ class DimensionMismatch(ArcZetaError):
 
 
 class ResultTooLarge(ArcZetaError):
-    """An answer holding a number longer than the interpreter's int/str digit limit."""
+    """An answer too large to give.
+
+    It holds a number longer than the interpreter's int/str digit limit, or
+    it is a split in more variables than germ.MAX_SPLIT_VARIABLES.
+    """
 
 
 class InvariantViolation(ArcZetaError):

@@ -50,6 +50,7 @@ from .errors import (
     NotAGerm,
     NotSignatureForm,
     NotSingularAtOrigin,
+    ResultTooLarge,
     brief_repr,
     number_text,
 )
@@ -76,6 +77,13 @@ __all__ = [
 # Sparse polynomials with rational coefficients, vanishing at the origin
 # ---------------------------------------------------------------------------
 
+# Germs in more variables are refused: every term keeps an exponent tuple of
+# nvars slots, so a short text naming x10000000 could ask for any amount of
+# memory.  The budget is 1 ms and 100 KB a parsed term; at the cap a term's
+# tuple takes 80 KB and parsing costs about 1.0 ms a term (2-vCPU VM, Python
+# 3.11).  Memory still grows with the number of terms times nvars.
+MAX_GERM_VARIABLES = 10_000
+
 
 class PolynomialGerm:
     """Sparse polynomial over Q with zero constant term.
@@ -90,6 +98,8 @@ class PolynomialGerm:
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
         if type(nvars) is not int or nvars < 1:  # a bool is no count
             raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
+        if nvars > MAX_GERM_VARIABLES:
+            raise ValueError(f"nvars must be at most {MAX_GERM_VARIABLES}, got {brief_repr(nvars)}")
         sums: dict[tuple, Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
@@ -287,7 +297,9 @@ class PolynomialGerm:
             exps = tuple(exps)
             # the numbers of germ text: a decimal or an exponent would make
             # Fraction expand 10**exponent, whatever the exponent's size
-            if not (type(coeff) is int or isinstance(coeff, str) and _COEFFICIENT.fullmatch(coeff)):
+            if not (
+                type(coeff) is int or isinstance(coeff, str) and re.fullmatch(_COEFFICIENT, coeff)
+            ):
                 raise ValueError(f"bad germ coefficient {brief_repr(coeff)}")
             try:
                 value = Fraction(coeff)
@@ -350,12 +362,14 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
     return _parse_germ_text(text, nvars)
 
 
-_COEFFICIENT = re.compile("-?[0-9]+(/[0-9]+)?")  # a signed number of the grammar, for germ JSON
+# The patterns are compiled on first use, through re's cache, so that only a
+# process that reads a germ pays for them.
+_COEFFICIENT = "-?[0-9]+(/[0-9]+)?"  # a signed number of the grammar, for germ JSON
 # One factor of germ text with the space around it: a number with an optional
 # /denominator (groups 1, 2), or xK with an optional ^E (groups 3, 4).  A number
 # missing after x, / or ^ matches empty so that it is reported at its offset;
 # where no factor starts, no group matches.
-_FACTOR = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]*))?|x([0-9]*)(?:\s*\^\s*([0-9]*))?)?\s*")
+_FACTOR = r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]*))?|x([0-9]*)(?:\s*\^\s*([0-9]*))?)?\s*"
 # per group: what a missing number is called, and the message when it is 0
 _NUMBERS = {
     1: ("a number", None),
@@ -387,6 +401,7 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
     if not body:
         raise GermSyntaxError("empty polynomial", len(text))
     pos = len(text) - len(body)
+    factors = re.compile(_FACTOR)
     sign = body[0]  # the first term's sign is optional
     if sign in "+-":
         pos += 1
@@ -397,12 +412,16 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
         powers: dict[int, int] = {}
         misplaced = None  # a coefficient after another factor, reported once the term is read
         while True:
-            factor = _FACTOR.match(text, pos)
+            factor = factors.match(text, pos)
             pos = factor.end()
             if factor.lastindex is None:
                 raise GermSyntaxError("expected a coefficient or a variable", pos)
             if factor.lastindex > 2:
                 index = _number(factor, 3)
+                if index > MAX_GERM_VARIABLES:
+                    raise GermSyntaxError(
+                        f"variable index must be at most {MAX_GERM_VARIABLES}", factor.start(3)
+                    )
                 powers[index] = powers.get(index, 0) + _number(factor, 4)
             else:
                 coeff *= Fraction(_number(factor, 1), _number(factor, 2))
@@ -427,7 +446,8 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
     elif nvars < max_index:
         raise InvalidGerm(f"declared {nvars} variable(s) but the polynomial uses x{max_index}")
     indices = range(1, nvars + 1)
-    terms = [(tuple(powers.get(i, 0) for i in indices), coeff) for coeff, powers in raw_terms]
+    # a generator: the constructor checks nvars before any tuple is built
+    terms = ((tuple(powers.get(i, 0) for i in indices), coeff) for coeff, powers in raw_terms)
     return PolynomialGerm(nvars, terms)
 
 
@@ -798,6 +818,14 @@ def _relabelled(terms: dict, slots: list[int], scales: list[tuple]) -> dict:
     return result
 
 
+# split_jet refuses germs in more variables: its change has nvars components
+# of nvars-long exponent vectors, so its work and its output grow like nvars^2.
+# The budget is the acceptance gates' 0.5 s; at the cap, split --json of
+# x1^2 + x1000*x1^2 at jet 4 takes about 0.4 s and prints 3 MB (2-vCPU VM,
+# Python 3.11).  The cap does not bound the jet order or the number of terms.
+MAX_SPLIT_VARIABLES = 1_000
+
+
 def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     """Split a singular germ into diagonal quadratic + higher-order remainder.
 
@@ -818,6 +846,8 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
     _require_singular(germ)
     nv = germ.nvars
+    if nv > MAX_SPLIT_VARIABLES:
+        raise ResultTooLarge(f"split takes at most {MAX_SPLIT_VARIABLES} variables, got {nv}")
 
     terms = {
         e: (c.numerator, c.denominator) for e, c in germ._terms.items() if sum(e) <= jet_order

@@ -4,6 +4,7 @@ import io
 import json
 import marshal
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import arczeta
 import arczeta.cli as cli
 from arczeta import (
     ONE, ZERO, LaurentPolynomial, TruncatedSeries, arcspace, beta_level, scissor, selfcheck,
@@ -1262,6 +1264,15 @@ CANONICAL_REQUESTS = (
 )
 
 
+def _fresh(script: str, *args: str) -> list:
+    """The JSON lines that a fresh interpreter prints running script with args."""
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
+    return [json.loads(line) for line in completed.stdout.splitlines()]
+
+
 def test_a_canonical_request_imports_neither_argparse_nor_selfcheck():
     # argparse (with gettext) and arczeta.selfcheck are imported by the
     # fallback parser and by the selfcheck command, when they run
@@ -1283,12 +1294,7 @@ def test_a_canonical_request_imports_neither_argparse_nor_selfcheck():
         "usage_error = ['zeta', '--order', '0', '--dim', '2', '--plus', '1', '--minus', '1']\n"
         "print(json.dumps([run(usage_error), loaded()]))\n"
     )
-    completed = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(CANONICAL_REQUESTS)],
-        capture_output=True, text=True,
-    )
-    assert completed.returncode == 0, completed.stderr
-    lines = [json.loads(line) for line in completed.stdout.splitlines()]
+    lines = _fresh(script, json.dumps(CANONICAL_REQUESTS))
     assert lines[0] == lines[1] == []
     assert lines[2] == [[0, ""], ["arczeta.selfcheck"]]
     (code, err), modules = lines[3]
@@ -1296,3 +1302,71 @@ def test_a_canonical_request_imports_neither_argparse_nor_selfcheck():
     assert err.startswith("usage: arczeta zeta [-h]")
     assert err.endswith("arczeta zeta: error: argument --order: must be at least 1, got 0\n")
     assert modules == ["arczeta.selfcheck", "argparse", "gettext"]
+
+
+def test_zeta_and_beta_import_no_germ_layer():
+    # germ, and fractions with it, is imported by the commands that use it;
+    # zeta and beta never build a rational number
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import arczeta, arczeta.cli\n"
+        "layer = {'arczeta.germ', 'fractions', 'decimal', 'numbers'}\n"
+        "def loaded():\n"
+        "    return sorted(layer & set(sys.modules))\n"
+        "print(json.dumps(loaded()))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert arczeta.cli.run(argv) == 0, argv\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    requests = [argv for argv in CANONICAL_REQUESTS if argv[0] in ("beta", "zeta")]
+    assert len(requests) == 4
+    assert _fresh(script, json.dumps(requests)) == [[], []]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in CANONICAL_REQUESTS if argv[0] not in ("beta", "zeta")],
+    ids=lambda argv: argv[0],
+)
+def test_each_germ_command_imports_germ_and_answers_as_before(capsys, argv):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import arczeta, arczeta.cli\n"
+        "before = 'arczeta.germ' in sys.modules\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = arczeta.cli.run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([before, 'arczeta.germ' in sys.modules, code, out.getvalue()]))\n"
+    )
+    [[before, after, code, out]] = _fresh(script, json.dumps(argv))
+    assert (before, after) == (False, True)
+    assert (code, out) == invoke(capsys, argv)
+
+
+def test_the_package_surface_keeps_germ_names():
+    # in fresh processes, where germ's names are first met through the
+    # package's __getattr__
+    modules = (arczeta.algebra, scissor, arcspace, germs, arczeta.errors)
+    names = [name for module in modules for name in module.__all__]
+    script = (
+        "import json\n"
+        "import arczeta\n"
+        "star = {}\n"
+        "exec('from arczeta import *', star)\n"
+        "del star['__builtins__']\n"
+        "print(json.dumps(arczeta.__all__))\n"
+        "print(json.dumps(sorted(star)))\n"
+        "germ = arczeta.germ\n"
+        "print(json.dumps(all(star[name] is getattr(germ, name) for name in germ.__all__)))\n"
+        "print(json.dumps(arczeta.PolynomialGerm is arczeta.germ.PolynomialGerm))\n"
+    )
+    assert _fresh(script) == [names, sorted(names), True, True]
+    germ = germs.parse_germ("x1^2 - 1/2*x2^3")
+    script = (
+        "import json, pickle, sys\n"
+        "print(json.dumps(pickle.loads(bytes.fromhex(sys.argv[1])).to_json()))\n"
+    )
+    assert _fresh(script, pickle.dumps(germ).hex()) == [germ.to_json()]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        arczeta.no_such_name

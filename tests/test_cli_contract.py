@@ -10,8 +10,9 @@ runs longer than CPython's limit on int/str conversions spliced in.  No
 specific error is asserted for those runs: an interpreter without the
 limit may answer them.  Germ text for inertia and split and expression
 JSON for beta expr keep a test of their own, so the other commands add
-examples instead of sharing them.  hypothesis is a test-only tool; the
-module is skipped where it is not installed.
+examples instead of sharing them.  Germ variable counts are also tried at
+each cap and one over it.  hypothesis is a test-only tool; the module is
+skipped where it is not installed.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ import pytest
 
 from arczeta.arcspace import MINUS, PLUS, SELECTORS
 from arczeta.cli import run
-from arczeta.germ import Inertia, _t2_coefficients
+from arczeta.germ import MAX_GERM_VARIABLES, MAX_SPLIT_VARIABLES, Inertia, _t2_coefficients
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -256,3 +257,62 @@ def test_a_command_out_of_memory_ends_in_the_envelope(monkeypatch, as_json):
     code, out, err = _run(["inertia", "--poly=x1^2"] + ["--json"] * as_json)
     assert (code, err) == (1, "")
     assert json.loads(out) == {"error": "MemoryError", "detail": "the command ran out of memory"}
+
+
+def _x1_squared(nvars: int) -> str:
+    """Germ JSON of x1^2 in nvars variables."""
+    return json.dumps({"nvars": nvars, "terms": [[[2] + [0] * (nvars - 1), "1"]]})
+
+
+G, S = MAX_GERM_VARIABLES, MAX_SPLIT_VARIABLES
+INERTIA_AT_G = "s = 1, t = 0, rank = 1, corank = 9999, index = 0"
+SPLIT_AT_S = "inertia: s = 1, t = 0, corank = 999 (jet order 3)"
+
+
+def _envelope(error: str, detail: str) -> str:
+    return json.dumps({"detail": detail, "error": error}, sort_keys=True)
+
+
+SPLIT_OVER_S = _envelope("ResultTooLarge", "split takes at most 1000 variables, got 1001")
+
+
+# argv -> (exit code, first line of stdout, end of stderr)
+AT_AND_OVER_CAPS = {
+    "index": (["inertia", f"--poly=x1^2 + x{G}^3"], 0, INERTIA_AT_G, ""),
+    "index over": (["inertia", f"--poly=x1^2 + x{G + 1}^3"], 1, _envelope(
+        "GermSyntaxError", "syntax error at offset 8: variable index must be at most 10000"
+    ), ""),
+    "index of eight digits": (["inertia", "--poly=x10000000^2 + x1^3"], 1, _envelope(
+        "GermSyntaxError", "syntax error at offset 1: variable index must be at most 10000"
+    ), ""),
+    "--dim": (["inertia", "--poly=x1^2", f"--dim={G}"], 0, INERTIA_AT_G, ""),
+    "--dim over": (
+        ["inertia", "--poly=x1^2", f"--dim={G + 1}"], 2, "",
+        "argument --dim: must be at most 10000, got 10001\n",
+    ),
+    "JSON nvars": (["inertia", f"--poly={_x1_squared(G)}"], 0, INERTIA_AT_G, ""),
+    "JSON nvars over": (["inertia", f"--poly={_x1_squared(G + 1)}"], 1, _envelope(
+        "InvalidGerm", "invalid germ JSON: nvars must be at most 10000, got 10001"
+    ), ""),
+    "split index": (["split", f"--poly=x1^2 + x{S}*x1^2"], 0, SPLIT_AT_S, ""),
+    "split index over": (["split", f"--poly=x1^2 + x{S + 1}*x1^2"], 1, SPLIT_OVER_S, ""),
+    "split --dim": (["split", "--poly=x1^2", f"--dim={S}"], 0, SPLIT_AT_S, ""),
+    "split --dim over": (
+        ["split", "--poly=x1^2", f"--dim={S + 1}"], 2, "",
+        "argument --dim: must be at most 1000, got 1001\n",
+    ),
+    "split JSON nvars over": (["split", f"--poly={_x1_squared(S + 1)}"], 1, SPLIT_OVER_S, ""),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line, stderr_end", AT_AND_OVER_CAPS.values(), ids=AT_AND_OVER_CAPS.keys()
+)
+def test_germ_variable_counts_at_and_over_their_caps(argv, code, first_line, stderr_end):
+    # a count over a cap read from germ text or JSON ends in the envelope, a
+    # --dim over it is a usage error; text refuses an index at its offset,
+    # before any exponent tuple is built
+    assert (G, S) == (10_000, 1_000)  # the numbers in the expected lines
+    got_code, out, err = _run(argv)
+    assert (got_code, out.partition("\n")[0]) == (code, first_line)
+    assert err.endswith(stderr_end)

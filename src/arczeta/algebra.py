@@ -249,7 +249,10 @@ class LaurentPolynomial:
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise ValueError(f"exponent must be an integer, got {brief_repr(exp)}")
             value = int(coeff)  # a bad string or a non-finite float fails here
-            if isinstance(coeff, (float, bool)):  # int() would truncate or reinterpret it
+            # int() would also truncate a float and read a bool, space, '+', '_'
+            # or another script's digits: only a JSON int or -?[0-9]+ is read
+            digits = coeff.removeprefix("-") if type(coeff) is str else ""
+            if type(coeff) is not int and not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"coefficient must be an integer, got {brief_repr(coeff)}")
             terms[exp] = terms.get(exp, 0) + value
         return cls(terms)

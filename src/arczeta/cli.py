@@ -17,7 +17,7 @@ from types import MappingProxyType, SimpleNamespace
 # and beta never build a rational number
 from . import arcspace, scissor
 from .algebra import LaurentPolynomial
-from .errors import ArcZetaError, MalformedExpression
+from .errors import MAX_GERM_VARIABLES, MAX_SPLIT_VARIABLES, ArcZetaError, MalformedExpression
 
 __all__ = ["run", "main"]
 
@@ -245,13 +245,13 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(low: int, cap=None):
-    """An argparse type for integers >= low, and <= cap() if a cap is given;
-    anything else is a usage error.  The cap is read when the type runs."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type for integers >= low, and <= high if it is given;
+    anything else is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low or cap is not None and value > (high := cap()):
+        if value < low or high is not None and value > high:
             from argparse import ArgumentTypeError  # the usage error argparse reports
 
             bound = f"at least {low}" if value < low else f"at most {high}"
@@ -278,20 +278,12 @@ _JSON = _Option("--json", "json", default=False, help="machine-readable output",
 _ORDER = _Option("--order", "order", _int_at_least(1), 6)
 
 
-def _poly_options(cap: str) -> tuple:
-    """The options of a command that reads one germ: --dim is at most germ's
-    constant named cap, read when --dim is parsed, so that only these commands
-    import germ."""
-
-    def dim_cap() -> int:
-        from . import germ
-
-        return getattr(germ, cap)
-
+def _poly_options(cap: int) -> tuple:
+    """The options of a command that reads one germ, whose --dim is at most cap."""
     return (
         _JSON,
         _Option("--poly", "poly", required=True, help="germ text, file, or -"),
-        _Option("--dim", "dim", _int_at_least(1, dim_cap), help="override variable count (>= 1)"),
+        _Option("--dim", "dim", _int_at_least(1, cap), help="override variable count (>= 1)"),
     )
 
 
@@ -329,10 +321,10 @@ _COMMANDS = MappingProxyType({
         _JSON, _Option("--coeff", "coeff", required=True),
     )),
     "inertia": _Command(
-        "Hessian inertia of a polynomial germ", _cmd_inertia, _poly_options("MAX_GERM_VARIABLES"),
+        "Hessian inertia of a polynomial germ", _cmd_inertia, _poly_options(MAX_GERM_VARIABLES),
     ),
     "split": _Command("jet-level splitting of a singular germ", _cmd_split, (
-        *_poly_options("MAX_SPLIT_VARIABLES"),
+        *_poly_options(MAX_SPLIT_VARIABLES),
         _Option("--jet", "jet", _int_at_least(3), 3, help="jet order (>= 3)"),
     )),
     "discriminate": _Command("compare zeta data of two germs", _cmd_discriminate, (

@@ -26,6 +26,20 @@ __all__ = [
 # The most characters of an offending input that an error detail echoes.
 ECHO_LIMIT = 80
 
+# Germs in more variables are refused: every term keeps an exponent tuple of
+# nvars slots, so a short text naming x10000000 could ask for any amount of
+# memory.  The budget is 1 ms and 100 KB a parsed term; at the cap a term's
+# tuple takes 80 KB and parsing costs about 1.0 ms a term (2-vCPU VM, Python
+# 3.11).  Memory still grows with the number of terms times nvars.
+MAX_GERM_VARIABLES = 10_000
+
+# split refuses germs in more variables: its change has nvars components of
+# nvars-long exponent vectors, so its work and its output grow like nvars^2.
+# The budget is the acceptance gates' 0.5 s; at the cap, split --json of
+# x1^2 + x1000*x1^2 at jet 4 takes about 0.4 s and prints 3 MB (2-vCPU VM,
+# Python 3.11).  The cap does not bound the jet order or the number of terms.
+MAX_SPLIT_VARIABLES = 1_000
+
 
 def brief_repr(value) -> str:
     """repr(value) for an error detail, cut to ECHO_LIMIT characters ending in '...'.
@@ -106,7 +120,7 @@ class ResultTooLarge(ArcZetaError):
     """An answer too large to give.
 
     It holds a number longer than the interpreter's int/str digit limit, or
-    it is a split in more variables than germ.MAX_SPLIT_VARIABLES.
+    it is a split in more variables than MAX_SPLIT_VARIABLES.
     """
 
 

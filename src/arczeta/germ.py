@@ -20,9 +20,9 @@ inertia sign pattern, square factors are scaled away rationally, and the
 final irrational rescaling to literal +-1 coefficients is intentionally
 left implicit since only the signs matter.
 
-PolynomialGerm keeps only the arithmetic the commands use: sums and one
-composition, substitute, which takes a component for every variable and
-a required degree bound.
+PolynomialGerm's arithmetic is +, - and one composition, substitute,
+which takes a component for every variable and a required degree bound.
+No command adds germs: the sums are there for callers of the library.
 
 recover_signature inverts the signed T^2 zeta coefficients of a diagonal
 quadratic germ: factoring out the maximal power of u leaves u^k - 1
@@ -42,7 +42,9 @@ from operator import add, mul
 from ._record import Record, set_key
 from .algebra import ZERO, LaurentPolynomial
 from .arcspace import MINUS, NAIVE, PLUS, naive_t2_coefficient, signed_t2_coefficient
-from .errors import (
+from .errors import (  # the caps live beside ECHO_LIMIT, so cli reads them without germ
+    MAX_GERM_VARIABLES,
+    MAX_SPLIT_VARIABLES,
     DimensionMismatch,
     GermSyntaxError,
     InvalidGerm,
@@ -76,14 +78,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Sparse polynomials with rational coefficients, vanishing at the origin
 # ---------------------------------------------------------------------------
-
-# Germs in more variables are refused: every term keeps an exponent tuple of
-# nvars slots, so a short text naming x10000000 could ask for any amount of
-# memory.  The budget is 1 ms and 100 KB a parsed term; at the cap a term's
-# tuple takes 80 KB and parsing costs about 1.0 ms a term (2-vCPU VM, Python
-# 3.11).  Memory still grows with the number of terms times nvars.
-MAX_GERM_VARIABLES = 10_000
-
 
 class PolynomialGerm:
     """Sparse polynomial over Q with zero constant term.
@@ -137,15 +131,10 @@ class PolynomialGerm:
 
     def order(self) -> int | None:
         """Minimal total degree of a nonzero term; None for the zero germ."""
-        if not self._terms:
-            return None
-        return min(sum(e) for e in self._terms)
+        return min(map(sum, self._terms), default=None)
 
     def variables_used(self) -> set[int]:
-        used = set()
-        for exps in self._terms:
-            used.update(i for i, e in enumerate(exps) if e)
-        return used
+        return {i for exps in self._terms for i, e in enumerate(exps) if e}
 
     def has_zero_linear_part(self) -> bool:
         return all(sum(e) != 1 for e in self._terms)
@@ -153,7 +142,7 @@ class PolynomialGerm:
     def terms_of_degree(self, degree: int) -> dict[tuple, Fraction]:
         return {e: c for e, c in self._terms.items() if sum(e) == degree}
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: public, though no command adds germs -------------------
 
     def _same_space(self, other: "PolynomialGerm"):
         if self.nvars != other.nvars:
@@ -172,9 +161,7 @@ class PolynomialGerm:
         return PolynomialGerm._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, PolynomialGerm):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, PolynomialGerm) else NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialGerm):
@@ -818,14 +805,6 @@ def _relabelled(terms: dict, slots: list[int], scales: list[tuple]) -> dict:
     return result
 
 
-# split_jet refuses germs in more variables: its change has nvars components
-# of nvars-long exponent vectors, so its work and its output grow like nvars^2.
-# The budget is the acceptance gates' 0.5 s; at the cap, split --json of
-# x1^2 + x1000*x1^2 at jet 4 takes about 0.4 s and prints 3 MB (2-vCPU VM,
-# Python 3.11).  The cap does not bound the jet order or the number of terms.
-MAX_SPLIT_VARIABLES = 1_000
-
-
 def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     """Split a singular germ into diagonal quadratic + higher-order remainder.
 
@@ -838,9 +817,10 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     squares, negative squares, kernel) and strips rational square factors.
     Stage 2 walks the degrees 3..jet_order and absorbs each term
     c * x_i * m with x_i a rank variable by x_i -> x_i - c/(2 l_i) * m, l_i
-    the diagonal coefficient.  The maps become germs once, at the end.
-    verify_split re-expands the result through substitute and checks the
-    change by a rank pass, which share no code with _absorb.
+    the diagonal coefficient.  The maps become germs once, at the end, and
+    the result must pass _split_defect, the shape check verify_split also
+    runs; verify_split then re-expands the result through substitute and
+    checks the change by a rank pass, which share no code with _absorb.
     """
     if not isinstance(jet_order, int) or jet_order < 3:
         raise ValueError(f"jet_order must be an integer >= 3, got {jet_order!r}")
@@ -875,8 +855,19 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     # cancels only its own term, and every term it creates has degree >= d + 1,
     # because the quadratic part is diagonal and every other term containing
     # x_p has degree >= 3.  So the degree-d terms read here stay as they are.
+    # They add no term of degree <= d either, so the pass ends at the first
+    # degree that no term reaches, which the scan of that degree finds.
     for degree in range(3, jet_order + 1):
-        for exps, pair in sorted((e, pair) for e, pair in terms.items() if sum(e) == degree):
+        level, higher = [], False
+        for exps, pair in terms.items():
+            d = sum(exps)
+            if d == degree:
+                level.append((exps, pair))
+            elif d > degree:
+                higher = True
+        if not (level or higher):
+            break
+        for exps, pair in sorted(level):
             pivot = next((i for i in range(rank) if exps[i]), None)
             if pivot is None:
                 continue
@@ -886,29 +877,50 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     def germ_of(pairs):
         return PolynomialGerm._of(nv, {e: Fraction(n, d) for e, (n, d) in pairs.items()})
 
-    change = [germ_of(pairs) for pairs in maps[1:]]
-    quadratic_part = germ_of({e: pair for e, pair in terms.items() if sum(e) == 2})
-    remainder = germ_of({e: pair for e, pair in terms.items() if sum(e) != 2})
-
-    # engine sanity: the invariants promised by SplitResult
-    for exps, coeff in quadratic_part.terms().items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) != 1 or support[0] >= rank:
-            raise InvariantViolation(f"split quadratic term {exps} is not a rank square")
-        if (coeff > 0) != (support[0] < plus):
-            raise InvariantViolation(f"split quadratic term {exps} has the wrong sign")
-    if not remainder.is_zero() and remainder.order() < 3:
-        raise InvariantViolation(f"split remainder has order {remainder.order()} < 3")
-    if any(i < rank for i in remainder.variables_used()):
-        raise InvariantViolation("split remainder uses a rank variable")
-
-    return SplitResult(
-        change=tuple(change),
-        quadratic_part=quadratic_part,
-        remainder=remainder,
+    result = SplitResult(
+        change=tuple(germ_of(pairs) for pairs in maps[1:]),
+        quadratic_part=germ_of({e: pair for e, pair in terms.items() if sum(e) == 2}),
+        remainder=germ_of({e: pair for e, pair in terms.items() if sum(e) != 2}),
         inertia=Inertia(plus=plus, minus=rank - plus, corank=nv - rank),
         jet_order=jet_order,
     )
+    defect = _split_defect(nv, result)
+    if defect is not None:  # a defect of the engine, not of the input
+        raise InvariantViolation(defect)
+    return result
+
+
+def _split_defect(nvars: int, result: SplitResult) -> str | None:
+    """What breaks the shape SplitResult promises for a germ in nvars variables, or None.
+
+    It reads the result alone and expands nothing, so split_jet and
+    verify_split both run it and still share no expansion code.
+    """
+    change, quadratic, remainder, inertia, jet_order = result._key
+    if type(jet_order) is not int or jet_order < 3:
+        return f"split jet order {brief_repr(jet_order)} is not an integer >= 3"
+    parts = (quadratic, remainder, *change) if isinstance(change, (tuple, list)) else ()
+    if len(parts) != nvars + 2 or any(
+        not isinstance(part, PolynomialGerm) or part.nvars != nvars for part in parts
+    ):
+        return f"split is not made of germs in {nvars} variables, one change component each"
+    plus, minus, corank = inertia._key if isinstance(inertia, Inertia) else (None,) * 3
+    if not type(plus) is type(minus) is type(corank) is int or min(plus, minus, corank) < 0:
+        return f"split inertia {brief_repr(inertia)} is not three counts"
+    if corank != nvars - (rank := plus + minus):
+        return f"split inertia {inertia} does not count {nvars} variables"
+    for exps, coeff in quadratic._terms.items():
+        if sum(exps) != 2 or 2 not in exps or (i := exps.index(2)) >= rank:
+            return f"split quadratic term {exps} is not a rank square"
+        if (coeff > 0) != (i < plus):
+            return f"split quadratic term {exps} has the wrong sign"
+    if len(quadratic._terms) != rank:  # the keys differ, so a square is missing
+        return f"split quadratic part lacks a square of the {rank} rank variables"
+    if not remainder.is_zero() and remainder.order() < 3:
+        return f"split remainder has order {remainder.order()} < 3"
+    if any(i < rank for i in remainder.variables_used()):
+        return "split remainder uses a rank variable"
+    return None
 
 
 def _linear_rank(change: Sequence[PolynomialGerm]) -> int:
@@ -940,26 +952,19 @@ def _linear_rank(change: Sequence[PolynomialGerm]) -> int:
 
 
 def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
-    """Check every SplitResult invariant against a re-expansion of f to the jet order.
-
-    Only the terms of degree <= jet_order of f(change(x)) are compared, and
-    those come from the terms of f of degree <= jet_order alone, with every
-    product truncated there: no component of the change has a constant
+    """Check a split of germ: its shape (_split_defect), the full rank of the
+    change's linear terms, and f(change(x)) = quadratic_part + remainder in
+    every term of degree <= jet_order.  Those come from the terms of f of
+    degree <= jet_order alone: no component of the change has a constant
     term, so substitution never lowers a degree.
     """
-    if _linear_rank(result.change) < len(result.change):
+    if _split_defect(germ.nvars, result) is not None or _linear_rank(result.change) < germ.nvars:
         return False
     jet = result.jet_order
-    composed = germ.substitute(result.change, max_degree=jet)
-    residual = composed - result.quadratic_part - result.remainder
-    if any(sum(exps) <= jet for exps in residual.terms()):
-        return False
-    if not result.remainder.is_zero():
-        if result.remainder.order() < 3:
-            return False
-        if any(i < result.inertia.rank for i in result.remainder.variables_used()):
-            return False
-    return True
+    # a valid shape puts Q in degree 2 and F in degree >= 3: no key is in both
+    expected = dict(result.quadratic_part._terms)
+    expected.update((e, c) for e, c in result.remainder._terms.items() if sum(e) <= jet)
+    return germ.substitute(result.change, max_degree=jet)._terms == expected
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ def test_json_reads_integer_and_decimal_string_coefficients():
         ([[0, "x"]], "invalid literal for int() with base 10: 'x'"),
         ([[0, "1.5"]], "invalid literal for int() with base 10: '1.5'"),
         ([[0, float("nan")]], "cannot convert float NaN to integer"),
+        # strings int() reads that are not -?[0-9]+ in ASCII, as germ JSON refuses them
+        ([[0, " 1_0"], [-1, "-1"]], "coefficient must be an integer, got ' 1_0'"),
+        ([[0, "١"]], "coefficient must be an integer, got '١'"),
+        ([[0, "+1"]], "coefficient must be an integer, got '+1'"),
+        ([[0, "1 "]], "coefficient must be an integer, got '1 '"),
+        ([[0, "-１"]], "coefficient must be an integer, got '-１'"),
     ],
 )
 def test_json_refuses_coefficients_it_would_truncate(data, detail):

@@ -427,26 +427,12 @@ def test_split_requires_singular_and_jet_order():
 
 def _assert_split_invariants(germ, jet_order):
     result = split_jet(germ, jet_order)
-    # the change of coordinates is invertible
-    assert linear_rank(result.change) == germ.nvars
-    # residual identity, checked by full re-expansion: no term lies above the bound
-    composed = germ.substitute(result.change, composed_degree(germ, result.change))
-    residual = composed - result.quadratic_part - result.remainder
-    assert all(sum(exps) > jet_order for exps in residual.terms())
-    # the quadratic part is diagonal with the inertia sign pattern
-    inertia = result.inertia
-    for exps, coeff in result.quadratic_part.terms().items():
-        support = [i for i, e in enumerate(exps) if e]
-        assert len(support) == 1 and exps[support[0]] == 2
-        assert support[0] < inertia.rank
-        assert (coeff > 0) == (support[0] < inertia.plus)
-    # the remainder has order >= 3 in the trailing corank variables only
-    if not result.remainder.is_zero():
-        assert result.remainder.order() >= 3
-        assert all(i >= inertia.rank for i in result.remainder.variables_used())
+    # the shape, the rank and the residual: by the oracle's full re-expansion,
+    # and by the package's own check
+    assert _verify_split_untruncated(germ, result)
     assert verify_split(germ, result)
     # the rational and the integer congruence routes agree
-    assert inertia == hessian_inertia(germ)
+    assert result.inertia == hessian_inertia(germ)
 
 
 def test_split_invariants_on_named_corpus():
@@ -566,8 +552,36 @@ def test_linear_part_extraction():
 
 
 def _verify_split_untruncated(germ, result):
-    """verify_split by a full re-expansion of f on the reference ring (the oracle)."""
-    if linear_rank(result.change) < len(result.change):
+    """verify_split by a full re-expansion of f on the reference ring (the oracle).
+
+    The shape rules are SplitResult's docstring read anew, on terms() alone,
+    so that they share no code with the package's shape check.
+    """
+    nvars, jet, inertia = germ.nvars, result.jet_order, result.inertia
+    if type(jet) is not int or jet < 3:
+        return False
+    parts = [result.quadratic_part, result.remainder, *result.change]
+    if len(result.change) != nvars or {part.nvars for part in parts} != {nvars}:
+        return False
+    if not isinstance(inertia, Inertia):
+        return False
+    counts = (inertia.plus, inertia.minus, inertia.corank)
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
+        return False
+    if inertia.plus < 0 or inertia.minus < 0 or inertia.rank + inertia.corank != nvars:
+        return False
+    # Q is l_1 x_1^2 + ... + l_rank x_rank^2, each l_i nonzero, positive for i < plus
+    squares = {tuple(2 if k == i else 0 for k in range(nvars)): i for i in range(inertia.rank)}
+    quadratic = result.quadratic_part.terms()
+    if set(quadratic) != set(squares):
+        return False
+    if any((coeff > 0) != (squares[exps] < inertia.plus) for exps, coeff in quadratic.items()):
+        return False
+    # F has order >= 3 and holds only the corank variables x_(rank+1), ...
+    for exps in result.remainder.terms():
+        if sum(exps) < 3 or any(exps[i] for i in range(inertia.rank)):
+            return False
+    if linear_rank(result.change) < nvars:
         return False
     composed = ring_composed(germ.terms(), [component.terms() for component in result.change])
     residual = ring_sum(
@@ -575,14 +589,7 @@ def _verify_split_untruncated(germ, result):
         ring_scaled(result.quadratic_part.terms(), -1),
         ring_scaled(result.remainder.terms(), -1),
     )
-    if any(sum(exps) <= result.jet_order for exps in residual):
-        return False
-    if not result.remainder.is_zero():
-        if result.remainder.order() < 3:
-            return False
-        if any(i < result.inertia.rank for i in result.remainder.variables_used()):
-            return False
-    return True
+    return all(sum(exps) > jet for exps in residual)
 
 
 def _selfcheck_split_corpus():
@@ -595,6 +602,11 @@ def _selfcheck_split_corpus():
         yield random_singular_germ(rng, rng.randint(1, 4)), 3 + index % 4
 
 
+def _replaced(result, **fields):
+    names = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
+    return SplitResult(**{**{name: getattr(result, name) for name in names}, **fields})
+
+
 def _tampered(result):
     """Results that break or keep the invariants, below and above the jet order."""
     nv, jet = result.quadratic_part.nvars, result.jet_order
@@ -604,17 +616,62 @@ def _tampered(result):
         exps = tuple(degree if i == nv - 1 else 0 for i in range(nv))
         return PolynomialGerm(nv, ring_sum(germ.terms(), {exps: Fraction(1)}))
 
-    def replaced(**fields):
-        names = ("change", "quadratic_part", "remainder", "inertia", "jet_order")
-        return SplitResult(**{**{name: getattr(result, name) for name in names}, **fields})
-
     first, *others = result.change
-    yield replaced(remainder=plus_monomial(result.remainder, 3))
-    yield replaced(remainder=plus_monomial(result.remainder, jet))
-    yield replaced(remainder=plus_monomial(result.remainder, jet + 1))
-    yield replaced(quadratic_part=PolynomialGerm(nv, ring_scaled(result.quadratic_part.terms(), 2)))
-    yield replaced(change=(plus_monomial(first, 2), *others))
-    yield replaced(change=(plus_monomial(first, jet + 1), *others))
+    yield _replaced(result, remainder=plus_monomial(result.remainder, 3))
+    yield _replaced(result, remainder=plus_monomial(result.remainder, jet))
+    yield _replaced(result, remainder=plus_monomial(result.remainder, jet + 1))
+    doubled = PolynomialGerm(nv, ring_scaled(result.quadratic_part.terms(), 2))
+    yield _replaced(result, quadratic_part=doubled)
+    yield _replaced(result, change=(plus_monomial(first, 2), *others))
+    yield _replaced(result, change=(plus_monomial(first, jet + 1), *others))
+    yield from _misshapen(result)
+
+
+def _misshapen(result):
+    """Results that each break one rule of the split's shape, the residual kept
+    at zero where the rule allows it."""
+    nv, inertia = result.quadratic_part.nvars, result.inertia
+    plus, minus, rank = inertia.plus, inertia.minus, inertia.rank
+    quadratic, remainder = result.quadratic_part.terms(), result.remainder.terms()
+    if rank and nv > 1:
+        # compose with x_rank -> x_rank + x_(rank-1) or x_(rank+1): f(change) =
+        # Q + F still holds to the jet, and Q gains a cross term
+        other = rank - 2 if rank > 1 else rank
+        shift = [ring_coordinate(nv, i) for i in range(nv)]
+        shift[rank - 1] = ring_sum(shift[rank - 1], shift[other])
+        yield _replaced(
+            result,
+            change=tuple(
+                PolynomialGerm(nv, ring_composed(component.terms(), shift))
+                for component in result.change
+            ),
+            quadratic_part=PolynomialGerm(nv, ring_composed(quadratic, shift)),
+            remainder=PolynomialGerm(nv, ring_composed(remainder, shift)),
+        )
+    if plus != minus:
+        yield _replaced(result, inertia=Inertia(plus=minus, minus=plus, corank=inertia.corank))
+    # counts that compare equal to the right ones but are not ints
+    yield _replaced(result, inertia=Inertia(plus=float(plus), minus=minus, corank=inertia.corank))
+    yield _replaced(result, inertia=Inertia(plus=plus, minus=minus, corank=inertia.corank + 0.0))
+    if rank:
+        # the last square filed in F, its variable counted in the corank
+        square = tuple(2 if i == rank - 1 else 0 for i in range(nv))
+        fewer = (plus - 1, minus) if minus == 0 else (plus, minus - 1)
+        yield _replaced(
+            result,
+            quadratic_part=PolynomialGerm(nv, {e: c for e, c in quadratic.items() if e != square}),
+            remainder=PolynomialGerm(nv, ring_sum(remainder, {square: quadratic[square]})),
+            inertia=Inertia(plus=fewer[0], minus=fewer[1], corank=inertia.corank + 1),
+        )
+    yield _replaced(result, jet_order=1)
+    yield _replaced(result, jet_order=2)
+    yield _replaced(result, change=result.change[:-1])
+    yield _replaced(result, change=(*result.change, result.change[-1]))
+    wider = [
+        PolynomialGerm(nv + 1, {(*exps, 0): coeff for exps, coeff in component.terms().items()})
+        for component in result.change
+    ]
+    yield _replaced(result, change=tuple(wider))
 
 
 def test_verify_split_agrees_with_the_untruncated_oracle():
@@ -656,6 +713,93 @@ def test_verify_split_refuses_a_singular_change():
         assert linear_rank(change) == nvars - 1
         assert not verify_split(germ, result)
         assert not _verify_split_untruncated(germ, result)
+
+
+def test_verify_split_refuses_every_misshapen_split():
+    defects = []
+    for germ, jet_order in _selfcheck_split_corpus():
+        result = split_jet(germ, jet_order)
+        for misshapen in _misshapen(result):
+            assert not verify_split(germ, misshapen), (germ.to_text(), jet_order, misshapen)
+            assert not _verify_split_untruncated(germ, misshapen)
+            defects.append(germs._split_defect(germ.nvars, misshapen))
+    # every rule is met somewhere in the corpus
+    rules = ("jet order", "germs in", "not a rank square", "wrong sign", "remainder has order")
+    for rule in rules:
+        assert any(defect and rule in defect for defect in defects), rule
+
+
+def test_verify_split_refuses_a_split_that_only_leaves_a_zero_residual():
+    def split(poly, change, quadratic, remainder, inertia, jet_order=3):
+        germ = parse_germ(poly)
+        nvars = germ.nvars
+        result = SplitResult(
+            change=tuple(parse_germ(text, nvars) for text in change),
+            quadratic_part=parse_germ(quadratic, nvars),
+            remainder=parse_germ(remainder, nvars) if remainder else PolynomialGerm(nvars, {}),
+            inertia=Inertia(*inertia),
+            jet_order=jet_order,
+        )
+        # f(change(x)) is Q + F up to the jet, so only the shape is wrong
+        composed = germ.substitute(result.change, jet_order)
+        expected = ring_sum(result.quadratic_part.terms(), result.remainder.terms())
+        assert composed.terms() == ring_truncated(expected, jet_order)
+        return germ, result
+
+    for germ, result in (
+        split("x1*x2", ("x1", "x2"), "x1*x2", None, (1, 1, 0)),  # Q is not diagonal
+        split("x1^2 - 2*x2^2", ("x1", "x2"), "x1^2 - 2*x2^2", None, (0, 2, 0)),
+        split("x1^2 - 2*x2^2", ("x1", "x2"), "x1^2 - 2*x2^2", None, (2, 0, 0)),
+        split("x1^2 - x2^2 + x2^3", ("x1", "x2"), "-x2^2", "x1^2 + x2^3", (0, 1, 1)),
+        split("x1^2 - x2^2 + x2^3", ("x1", "x2"), "x1^2", "-x2^2 + x2^3", (1, 0, 1)),
+        split("x1^2", ("x1",), "-x1^2", None, (0, 1, 0), jet_order=1),
+        split("x1^2", ("x1",), "x1^2", None, (1, 0, 0), jet_order=2),
+    ):
+        assert not verify_split(germ, result)
+        assert not _verify_split_untruncated(germ, result)
+    # a change of the wrong length or in another variable count: False, not ValueError
+    germ = parse_germ("x1^2 + x2^3")
+    good = split_jet(germ, 3)
+    assert verify_split(germ, good)
+    for change in (good.change[:1], (*good.change, good.change[0]), coordinates(3)[:2]):
+        assert not verify_split(germ, _replaced(good, change=change))
+    # fields of the wrong type, with F nonempty and empty: False, not an exception
+    for germ in (germ, parse_germ("x1^2", nvars=2)):
+        good = split_jet(germ, 3)
+        assert verify_split(germ, good)
+        for bad in (
+            _replaced(good, inertia=Inertia(plus=0.5, minus=0.5, corank=1)),
+            _replaced(good, inertia=Inertia(plus=True, minus=0, corank=1)),
+            _replaced(good, inertia=None),
+            _replaced(good, inertia=(1, 0, 1)),
+            _replaced(good, change=None),
+            _replaced(good, change=3),
+            _replaced(good, change=(good.change[0], None)),
+            _replaced(good, quadratic_part=good.quadratic_part.terms()),
+            _replaced(good, jet_order=3.0),
+        ):
+            assert not verify_split(germ, bad), bad
+
+
+def test_split_jet_and_verify_split_share_one_shape_check(monkeypatch):
+    germ = parse_germ("x1^2 - x2^2 + x1*x3^2 + x3^3")
+    result = split_jet(germ, 4)
+    seen = []
+    shape = germs._split_defect
+
+    def recorded(nvars, split):
+        seen.append((nvars, split))
+        return shape(nvars, split)
+
+    monkeypatch.setattr(germs, "_split_defect", recorded)
+    assert split_jet(germ, 4) == result and seen == [(3, result)]
+    assert verify_split(germ, result) and seen == [(3, result)] * 2
+    # a defect the one check reports is an engine error in split_jet and a
+    # refusal in verify_split
+    monkeypatch.setattr(germs, "_split_defect", lambda nvars, split: "planted defect")
+    with pytest.raises(InvariantViolation, match="planted defect"):
+        split_jet(germ, 4)
+    assert not verify_split(germ, result)
 
 
 def _substitute_single(terms, index, replacement, max_degree):

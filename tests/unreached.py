@@ -29,6 +29,7 @@ PACKAGE = ROOT / "src" / "arczeta"
 _PROTOCOL = "a protocol method: Python calls it when a value is hashed, shown or compared"
 _FROZEN = "keeps a value immutable: assignment and deletion raise"
 _PICKLE = "lets copy, deepcopy and pickle rebuild the value through its constructor"
+_PUBLIC = "public API: germ arithmetic for library callers; no command adds germs"
 
 ALLOWED = {
     "__init__.__getattr__": (
@@ -45,6 +46,9 @@ ALLOWED = {
     "algebra.LaurentPolynomial.__repr__": _PROTOCOL,
     "algebra.TruncatedSeries.__hash__": _PROTOCOL,
     "algebra.TruncatedSeries.__repr__": _PROTOCOL,
+    "germ.PolynomialGerm.__add__": _PUBLIC,
+    "germ.PolynomialGerm.__neg__": _PUBLIC,
+    "germ.PolynomialGerm.__sub__": _PUBLIC,
     "germ.PolynomialGerm.__eq__": _PROTOCOL,
     "germ.PolynomialGerm.__hash__": _PROTOCOL,
     "germ.PolynomialGerm.__repr__": _PROTOCOL,

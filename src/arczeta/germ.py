@@ -84,21 +84,18 @@ class PolynomialGerm:
 
     Terms map exponent vectors (tuples of nonnegative ints, one slot per
     variable) to nonzero Fractions.  Instances are immutable.  The constructor
-    validates outside input; results of the class's own arithmetic go through _of.
+    validates outside input; results of the class's own arithmetic, and of the
+    text and JSON readers after their own checks, go through _of.
     """
 
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
-        if type(nvars) is not int or nvars < 1:  # a bool is no count
-            raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
-        if nvars > MAX_GERM_VARIABLES:
-            raise ValueError(f"nvars must be at most {MAX_GERM_VARIABLES}, got {brief_repr(nvars)}")
+        _require_nvars(nvars)
         sums: dict[tuple, Fraction] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
-            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {brief_repr(exps)} for {nvars} variables")
+            _require_exponents(exps, nvars)
             sums[exps] = sums.get(exps, 0) + Fraction(coeff)
         clean = PolynomialGerm._of(nvars, sums)._terms
         constant = clean.get((0,) * nvars)
@@ -206,27 +203,6 @@ class PolynomialGerm:
             _product(piece, factors[-1], max_degree, sums)
         return PolynomialGerm._of(self.nvars, sums)
 
-    # -- Hessian ------------------------------------------------------------
-
-    def _hessian_block(self, variables) -> list[list[Fraction]]:
-        """The Hessian's rows and columns of the given variables, in their order.
-
-        variables must hold every variable of every degree-2 term.
-        """
-        where = {v: r for r, v in enumerate(variables)}
-        n = len(where)
-        matrix = [[Fraction(0)] * n for _ in range(n)]
-        for exps, coeff in self.terms_of_degree(2).items():
-            support = [where[i] for i, e in enumerate(exps) if e]
-            if len(support) == 1:
-                i = support[0]
-                matrix[i][i] = 2 * coeff
-            else:
-                i, j = support
-                matrix[i][j] = coeff
-                matrix[j][i] = coeff
-        return matrix
-
     # -- rendering ----------------------------------------------------------
 
     @staticmethod
@@ -276,24 +252,72 @@ class PolynomialGerm:
         if not isinstance(data, dict) or "nvars" not in data:
             raise ValueError("germ JSON must be an object with 'nvars' and 'terms'")
         nvars = data["nvars"]
-        terms: dict[tuple, Fraction] = {}
+        sums: dict[tuple, tuple[int, int]] = {}
         for entry in data.get("terms", []):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"bad germ term {brief_repr(entry)}")
             exps, coeff = entry
             exps = tuple(exps)
-            # the numbers of germ text: a decimal or an exponent would make
-            # Fraction expand 10**exponent, whatever the exponent's size
-            if not (
-                type(coeff) is int or isinstance(coeff, str) and re.fullmatch(_COEFFICIENT, coeff)
-            ):
-                raise ValueError(f"bad germ coefficient {brief_repr(coeff)}")
-            try:
-                value = Fraction(coeff)
-            except ValueError:  # longer than the interpreter's int/str digit limit
-                raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
-            terms[exps] = terms.get(exps, 0) + value
-        return cls(nvars, terms)
+            if type(coeff) is int:
+                num, den = coeff, 1
+            else:
+                # the numbers of germ text: a decimal or an exponent would make
+                # Fraction expand 10**exponent, whatever the exponent's size
+                number = re.fullmatch(_COEFFICIENT, coeff) if isinstance(coeff, str) else None
+                if number is None:
+                    raise ValueError(f"bad germ coefficient {brief_repr(coeff)}")
+                try:
+                    num, den = int(number[1]), int(number[2] or 1)
+                except ValueError:  # longer than the interpreter's int/str digit limit
+                    raise ValueError(f"bad germ coefficient {brief_repr(coeff)}") from None
+                if not den:
+                    raise ZeroDivisionError(f"Fraction({num}, 0)")
+            _add_term(sums, exps, num, den)
+        _require_nvars(nvars)
+        for exps in sums:
+            _require_exponents(exps, nvars)
+        return _germ_of_sums(nvars, sums)
+
+
+def _require_nvars(nvars) -> None:
+    """Refuse a variable count that is not an int (a bool is no count) in 1..the cap."""
+    if type(nvars) is not int or nvars < 1:
+        raise ValueError(f"nvars must be a positive integer, got {brief_repr(nvars)}")
+    if nvars > MAX_GERM_VARIABLES:
+        raise ValueError(f"nvars must be at most {MAX_GERM_VARIABLES}, got {brief_repr(nvars)}")
+
+
+def _require_exponents(exps: tuple, nvars: int) -> None:
+    """Refuse an exponent vector that is not nvars ints >= 0 (a bool is no exponent)."""
+    if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
+        raise ValueError(f"bad exponent vector {brief_repr(exps)} for {nvars} variables")
+
+
+def _add_term(sums: dict[tuple, tuple[int, int]], exps: tuple, num: int, den: int) -> None:
+    """Add num/den (den > 0) to the (numerator, denominator) pair of sums[exps]."""
+    old = sums.get(exps)
+    if old is not None:
+        old_num, old_den = old
+        if old_den == den:
+            num += old_num
+        else:
+            num, den = num * old_den + old_num * den, den * old_den
+            g = gcd(num, den)
+            num, den = num // g, den // g
+    sums[exps] = (num, den)
+
+
+def _germ_of_sums(nvars: int, sums: dict[tuple, tuple[int, int]]) -> PolynomialGerm:
+    """The germ of a reader's merged term map: one Fraction per term that does not cancel.
+
+    nvars and the exponent vectors are already checked; a constant term
+    that does not cancel is NotAGerm.
+    """
+    terms = {exps: Fraction(num, den) for exps, (num, den) in sums.items() if num}
+    constant = terms.get((0,) * nvars)
+    if constant is not None:
+        raise NotAGerm(f"nonzero constant term {constant}")
+    return PolynomialGerm._of(nvars, terms)
 
 
 def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
@@ -351,7 +375,8 @@ def parse_germ(text: str, nvars: int | None = None) -> PolynomialGerm:
 
 # The patterns are compiled on first use, through re's cache, so that only a
 # process that reads a germ pays for them.
-_COEFFICIENT = "-?[0-9]+(/[0-9]+)?"  # a signed number of the grammar, for germ JSON
+# a signed number of the grammar, for germ JSON: numerator and denominator (groups 1, 2)
+_COEFFICIENT = "(-?[0-9]+)(?:/([0-9]+))?"
 # One factor of germ text with the space around it: a number with an optional
 # /denominator (groups 1, 2), or xK with an optional ^E (groups 3, 4).  A number
 # missing after x, / or ^ matches empty so that it is reported at its offset;
@@ -392,10 +417,12 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
     sign = body[0]  # the first term's sign is optional
     if sign in "+-":
         pos += 1
-    raw_terms: list[tuple[Fraction, dict[int, int]]] = []  # powers keyed by variable index
+    # each term's coefficient as an int pair (numerator, denominator), and
+    # its powers keyed by variable index
+    raw_terms: list[tuple[int, int, dict[int, int]]] = []
     while True:
         term = pos
-        coeff = Fraction(-1 if sign == "-" else 1)
+        num, den = -1 if sign == "-" else 1, 1
         powers: dict[int, int] = {}
         misplaced = None  # a coefficient after another factor, reported once the term is read
         while True:
@@ -411,7 +438,8 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
                     )
                 powers[index] = powers.get(index, 0) + _number(factor, 4)
             else:
-                coeff *= Fraction(_number(factor, 1), _number(factor, 2))
+                num *= _number(factor, 1)
+                den *= _number(factor, 2)
                 if factor.start() != term and misplaced is None:
                     misplaced = factor.start(1)
             if not text.startswith("*", pos):
@@ -419,7 +447,7 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
             pos += 1
         if misplaced is not None:
             raise GermSyntaxError("coefficient must come first in a term", misplaced)
-        raw_terms.append((coeff, powers))
+        raw_terms.append((num, den, powers))
         if pos == len(text):
             break
         sign = text[pos]
@@ -427,15 +455,20 @@ def _parse_germ_text(text: str, nvars: int | None) -> PolynomialGerm:
             raise GermSyntaxError("expected '+' or '-' between terms", pos)
         pos += 1
 
-    max_index = max((index for _, powers in raw_terms for index in powers), default=0)
+    max_index = max((index for *_, powers in raw_terms for index in powers), default=0)
     if nvars is None:
         nvars = max(max_index, 1)
     elif nvars < max_index:
         raise InvalidGerm(f"declared {nvars} variable(s) but the polynomial uses x{max_index}")
-    indices = range(1, nvars + 1)
-    # a generator: the constructor checks nvars before any tuple is built
-    terms = ((tuple(powers.get(i, 0) for i in indices), coeff) for coeff, powers in raw_terms)
-    return PolynomialGerm(nvars, terms)
+    _require_nvars(nvars)  # before any exponent vector is built
+    sums: dict[tuple, tuple[int, int]] = {}
+    zeros = [0] * nvars
+    for num, den, powers in raw_terms:
+        exps = zeros.copy()
+        for index, e in powers.items():
+            exps[index - 1] = e
+        _add_term(sums, tuple(exps), num, den)
+    return _germ_of_sums(nvars, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +526,21 @@ def _integer_symmetric(matrix) -> list[list[int]]:
 def congruence_inertia(matrix) -> tuple[int, int]:
     """(plus, minus) of a symmetric matrix by congruence over the integers.
 
-    After clearing denominators (a positive scaling), each step removes one
-    row and column and keeps the inertia of what is left, by Sylvester's
-    law: congruence and positive scalings do not change it.
+    The matrix is scaled by the lcm of its denominators (a positive scaling,
+    by _integer_symmetric) and goes to _congruence, the elimination that
+    hessian_inertia also runs on the integer Hessian it reads off a germ.
+    split_jet's Stage 1 makes the same kind of moves on a germ's terms, with
+    the change of coordinates it needs, and so gives the same counts.
+    """
+    return _congruence(_integer_symmetric(matrix))
+
+
+def _congruence(A: list[list[int]]) -> tuple[int, int]:
+    """(plus, minus) of a symmetric matrix of int rows, which it consumes.
+
+    Each step removes one row and column and keeps the inertia of what is
+    left, by Sylvester's law: congruence and positive scalings do not
+    change it.
 
     * A nonzero diagonal entry p = A[k][k], with a the rest of row k and B
       the rest of A, is a pivot.  The congruence x_k -> x_k - (a.x)/p turns
@@ -512,11 +557,8 @@ def congruence_inertia(matrix) -> tuple[int, int]:
     coprime integer entries.  Every integral multiple of the Schur
     complement, Bareiss's fraction-free block with the same pivots
     included, is an integer multiple of it, so its entries are never
-    larger than Bareiss's; no Fraction is built past the denominators.
-    split_jet's Stage 1 makes the same kind of moves on a germ's terms, with
-    the change of coordinates it needs, and so gives the same counts.
+    larger than Bareiss's; no Fraction is built.
     """
-    A = _integer_symmetric(matrix)
     plus = minus = 0
     while A:
         size = len(A)
@@ -560,17 +602,44 @@ def _require_singular(germ: PolynomialGerm):
         raise NotSingularAtOrigin("the linear part does not vanish at the origin")
 
 
+def _hessian_rows(quadratic: dict[tuple, Fraction]) -> list[list[int]]:
+    """A positive multiple of the Hessian of a germ's degree-2 terms, as int rows.
+
+    The rows and columns are those of the variables in the terms, in
+    variable order.  A term c*x_i^2 gives the entry 2c at (i, i) and a term
+    c*x_i*x_j the entry c at (i, j) and (j, i); every entry is scaled by
+    the lcm of the terms' denominators, so no Fraction is built.
+    """
+    entries = []  # (variable, variable, numerator, denominator) of each entry
+    for exps, c in quadratic.items():
+        if 2 in exps:
+            i = j = exps.index(2)
+            entries.append((i, j, 2 * c.numerator, c.denominator))
+        else:
+            i = exps.index(1)
+            entries.append((i, exps.index(1, i + 1), c.numerator, c.denominator))
+    used = sorted({v for i, j, _, _ in entries for v in (i, j)})
+    where = {v: r for r, v in enumerate(used)}
+    scale = lcm(*(den for *_, den in entries))
+    rows = [[0] * len(used) for _ in used]
+    for i, j, num, den in entries:
+        r, s = where[i], where[j]
+        rows[r][s] = rows[s][r] = num * (scale // den)
+    return rows
+
+
 def hessian_inertia(germ: PolynomialGerm) -> Inertia:
     """Exact inertia of the Hessian at the origin (Sylvester's law).
 
     A variable in no degree-2 term has a zero row and column, so up to a
     permutation (a congruence) the Hessian is the block of the other
-    variables beside a zero block: the congruence runs on that block, and
-    each variable left out counts once in the corank.
+    variables beside a zero block.  _hessian_rows reads a positive multiple
+    of that block straight off the degree-2 terms, as ints, and the
+    congruence elimination runs on it; each variable left out counts once
+    in the corank.
     """
     _require_singular(germ)
-    used = sorted({i for exps in germ.terms_of_degree(2) for i, e in enumerate(exps) if e})
-    plus, minus = congruence_inertia(germ._hessian_block(used))
+    plus, minus = _congruence(_hessian_rows(germ.terms_of_degree(2)))
     return Inertia(plus=plus, minus=minus, corank=germ.nvars - plus - minus)
 
 

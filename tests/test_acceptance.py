@@ -348,3 +348,20 @@ def test_criterion_16_split_costs_the_degrees_its_terms_reach():
         "inertia: s = 1, t = 0, corank = 1 (jet order 10000000)\n"
         "x1 -> x1 - 1/2*x2^2\nx2 -> x2\nQ = x1^2\nF = -1/4*x2^4\n"
     )
+
+
+def test_criterion_17_inertia_of_a_dense_60_variable_germ():
+    # every x_i*x_j, i <= j <= 60, with a coefficient in {1..5}/{1..3}: 1,830
+    # terms in 25 KB; the text is read in ints and the Hessian goes straight
+    # into an integer matrix, about 0.1 s in process on a 2-vCPU VM
+    text = " + ".join(
+        f"{(7 * i + j) % 5 + 1}/{(i + j) % 3 + 1}*x{i}" + (f"*x{j}" if i < j else "^2")
+        for i in range(1, 61)
+        for j in range(i, 61)
+    )
+    out = io.StringIO()
+    with _Timer("criterion 17: inertia --json of a dense 60-variable germ", 0.5):
+        with contextlib.redirect_stdout(out):
+            code = run(["inertia", "--json", "--poly", text])
+    assert code == 0
+    assert json.loads(out.getvalue()) == {"s": 39, "t": 21, "rank": 60, "corank": 0, "index": 21}

@@ -51,6 +51,7 @@ from util import (
     composed_degree,
     congruence_diagonalize,
     coordinates,
+    hessian_block,
     linear_change,
     linear_rank,
     quadratic_form,
@@ -198,6 +199,81 @@ def test_germ_json_refuses_booleans_as_integers(text, detail):
     assert detail in str(info.value)
     with pytest.raises(ValueError, match="bad exponent vector|nvars must"):
         PolynomialGerm.from_json(json.loads(text))
+
+
+def _random_term_list(rng):
+    """(nvars, [(exps, num, den)]): unreduced fractions, like terms that merge or
+    cancel, sometimes a constant term, and some 40-digit numbers."""
+    nvars = rng.randint(1, 5)
+    monomials = [
+        tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(nvars)) for _ in range(rng.randint(1, 5))
+    ]
+    monomials = [exps for exps in monomials if any(exps)] or [(2,) + (0,) * (nvars - 1)]
+    entries = []
+    for _ in range(rng.randint(1, 8)):
+        factor = rng.randint(1, 4)  # 4/6-style unreduced fractions
+        num, den = rng.randint(-9, 9) * factor, rng.randint(1, 6) * factor
+        if rng.random() < 0.15:
+            num, den = rng.randrange(10**39, 10**40) * rng.choice([-1, 1]), rng.randrange(1, 10**40)
+        entries.append((rng.choice(monomials), num, den))
+        if rng.random() < 0.3:  # a like term that cancels the last one
+            entries.append((entries[-1][0], -num, den))
+    if rng.random() < 0.3:  # a constant term, which cancels half the time
+        num, den = rng.randint(1, 9), rng.randint(1, 3)
+        place = rng.randint(0, len(entries))
+        entries[place:place] = [((0,) * nvars, num, den)]
+        if rng.random() < 0.5:
+            entries.append(((0,) * nvars, -num, den))
+    return nvars, entries
+
+
+def _term_text(exps, num, den):
+    factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+    return "*".join([f"{abs(num)}/{den}"] + factors)
+
+
+def test_text_json_and_constructor_read_a_term_list_alike():
+    rng = random.Random(3601)
+    fixed = [
+        (1, [((0,), 1, 1), ((0,), -1, 1), ((2,), 1, 1)]),  # 1 - 1 + x1^2: the constant cancels
+        (2, [((1, 1), 4, 6), ((0, 0), 3, 4), ((2, 0), -1, 1)]),  # 3/4 survives
+        (2, [((2, 0), 1, 2), ((2, 0), 1, 3), ((0, 2), 1, 2), ((0, 2), -1, 2)]),
+    ]
+    cases = fixed + [_random_term_list(rng) for _ in range(300)]
+    constants = cancelled = 0
+    for nvars, entries in cases:
+        text = " ".join(
+            f"{'-' if num < 0 else '+'} {_term_text(exps, num, den)}" for exps, num, den in entries
+        )
+        data = {
+            "nvars": nvars,
+            "terms": [
+                [list(exps), num if den == 1 else f"{num}/{den}"] for exps, num, den in entries
+            ],
+        }
+        readers = [
+            lambda: parse_germ(text, nvars),
+            lambda: parse_germ(json.dumps(data)),
+            lambda: PolynomialGerm(nvars, [(exps, Fraction(num, den)) for exps, num, den in entries]),
+        ]
+        constant = sum(Fraction(num, den) for exps, num, den in entries if not any(exps))
+        if constant:
+            constants += 1
+            for read in readers:
+                with pytest.raises(NotAGerm) as info:
+                    read()
+                assert str(info.value) == f"nonzero constant term {constant}"
+            continue
+        germs_read = [read() for read in readers]
+        sums = {}
+        for exps, num, den in entries:
+            sums[exps] = sums.get(exps, 0) + Fraction(num, den)
+        cancelled += any(not c for c in sums.values())
+        expected = {exps: c for exps, c in sums.items() if c and any(exps)}
+        for germ in germs_read:
+            assert germ == germs_read[0] and germ.terms() == expected, text
+            assert germ.to_json() == germs_read[0].to_json()
+    assert constants > 20 and cancelled > 50
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +448,40 @@ def test_inertia_at_a_larger_dim_adds_only_corank():
     for index in range(60):
         nvars = rng.randint(1, 5)
         germ = random_singular_germ(rng, nvars, rng.randint(2, 4))
-        plus, minus = congruence_inertia(germ._hessian_block(range(nvars)))
+        plus, minus = congruence_inertia(hessian_block(germ, range(nvars)))
         for dim in (nvars, nvars + rng.randint(1, 30), 3000 if index % 12 == 0 else 200):
             inertia = hessian_inertia(_spread(germ.terms(), rng.sample(range(dim), nvars), dim))
             assert inertia == Inertia(plus=plus, minus=minus, corank=dim - plus - minus)
             wide += dim == 3000
     assert wide == 5
+
+
+def test_hessian_inertia_reads_half_integer_hessians_without_a_rational_matrix(monkeypatch):
+    # the reference: charpoly_inertia of the Fraction Hessian of the used
+    # variables; quadratic coefficients c = odd/2, so 2c is integral and c is not
+    rng = random.Random(3602)
+    cases = [(parse_germ("x3^3 - x1*x2*x5", 40), Inertia(0, 0, 40))]
+    for _ in range(80):
+        dim = rng.randint(1, 200)
+        used = rng.sample(range(dim), rng.randint(1, min(dim, 7)))
+        terms = {}
+        for a in used:
+            for b in used:
+                if a <= b and rng.random() < 0.6:
+                    exps = tuple((k == a) + (k == b) for k in range(dim))
+                    terms[exps] = Fraction(rng.choice([-5, -3, -1, 1, 3, 5, 7]), 2)
+        cubic = tuple(3 * (k == used[0]) for k in range(dim))
+        terms[cubic] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        germ = PolynomialGerm(dim, terms)
+        plus, minus = charpoly_inertia(hessian_block(germ, sorted(used)))
+        cases.append((germ, Inertia(plus=plus, minus=minus, corank=dim - plus - minus)))
+
+    def refuse(*args):
+        raise AssertionError("hessian_inertia built a matrix for _integer_symmetric")
+
+    monkeypatch.setattr(germs, "_integer_symmetric", refuse)
+    for germ, expected in cases:
+        assert hessian_inertia(germ) == expected, germ.to_text()
 
 
 def test_inertia_invariant_under_linear_changes():
@@ -822,7 +926,7 @@ def _split_jet_rescanning(germ, jet_order):
     reference, on the test ring."""
     _require_singular(germ)
     nv = germ.nvars
-    P, diag = congruence_diagonalize(germ._hessian_block(range(nv)))
+    P, diag = congruence_diagonalize(hessian_block(germ, range(nv)))
     lam = [d / 2 for d in diag]
     positives = [i for i, v in enumerate(lam) if v > 0]
     negatives = [i for i, v in enumerate(lam) if v < 0]
@@ -997,8 +1101,7 @@ def test_split_calls_no_substitute_and_verify_split_never_shifts(monkeypatch):
     # expansion code: split_jet shifts through _absorb alone and builds no
     # matrix; verify_split composes through substitute alone
     calls = {"substitute": 0, "absorb": 0, "matrix": 0}
-    substitute, absorb = PolynomialGerm.substitute, germs._absorb
-    hessian_block = PolynomialGerm._hessian_block
+    substitute, absorb, hessian_rows = PolynomialGerm.substitute, germs._absorb, germs._hessian_rows
 
     def counting_substitute(self, *args, **kwargs):
         calls["substitute"] += 1
@@ -1008,12 +1111,12 @@ def test_split_calls_no_substitute_and_verify_split_never_shifts(monkeypatch):
         calls["absorb"] += 1
         return absorb(*args)
 
-    def counting_hessian_block(self, *args):
+    def counting_hessian_rows(*args):
         calls["matrix"] += 1
-        return hessian_block(self, *args)
+        return hessian_rows(*args)
 
     monkeypatch.setattr(PolynomialGerm, "substitute", counting_substitute)
-    monkeypatch.setattr(PolynomialGerm, "_hessian_block", counting_hessian_block)
+    monkeypatch.setattr(germs, "_hessian_rows", counting_hessian_rows)
     monkeypatch.setattr(germs, "_absorb", counting_absorb)
     absorbed = 0
     for germ, jet_order in [*_selfcheck_split_corpus(), *_random_split_corpus()]:

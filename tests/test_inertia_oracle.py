@@ -5,8 +5,8 @@ characteristic polynomial and counts its positive and negative roots with
 count_roots.  count_roots counts distinct roots, so it runs on each
 square-free factor (the zero root divided out) and is weighted by the
 factor's multiplicity.  Every route of the package must give that count:
-congruence_inertia (integer congruence, also behind hessian_inertia on the
-Hessian of the quadratic form), split_jet on the quadratic form (rational
+congruence_inertia (integer congruence, whose elimination hessian_inertia
+also runs, on the integer Hessian it reads off the quadratic form), split_jet on the quadratic form (rational
 congruence by Lagrange shifts) and charpoly_inertia.  The matrices include rank-deficient
 ones, ones with an all-zero diagonal, ones with repeated eigenvalues and
 ones with large numerators and denominators.  sympy is a test-only tool;
@@ -24,7 +24,7 @@ from arczeta import (
     hessian_inertia,
     split_jet,
 )
-from util import NAMED, quadratic_form, random_symmetric
+from util import NAMED, hessian_block, quadratic_form, random_symmetric
 
 sympy = pytest.importorskip("sympy")
 
@@ -116,7 +116,7 @@ def test_both_inertia_routes_match_sympy(kind, seed):
     matrix = MAKERS[kind](rng, rng.randint(1, 6))
     positive, negative, zero = _sympy_inertia(matrix)
     germ = quadratic_form(matrix)
-    assert germ._hessian_block(range(germ.nvars)) == matrix
+    assert hessian_block(germ, range(germ.nvars)) == matrix
     inertia = hessian_inertia(germ)
     assert (inertia.plus, inertia.minus, inertia.corank) == (positive, negative, zero)
     assert split_jet(germ, 3).inertia == inertia

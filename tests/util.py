@@ -94,6 +94,27 @@ def quadratic_form(matrix) -> PolynomialGerm:
     return PolynomialGerm(n, terms)
 
 
+def hessian_block(germ: PolynomialGerm, variables) -> list[list[Fraction]]:
+    """The Hessian's rows and columns of the given variables, in their order.
+
+    The tests' reference Hessian, of Fractions from terms() alone: variables
+    must hold every variable of every degree-2 term.
+    """
+    where = {v: r for r, v in enumerate(variables)}
+    n = len(where)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for exps, coeff in germ.terms_of_degree(2).items():
+        support = [where[i] for i, e in enumerate(exps) if e]
+        if len(support) == 1:
+            i = support[0]
+            matrix[i][i] = 2 * coeff
+        else:
+            i, j = support
+            matrix[i][j] = coeff
+            matrix[j][i] = coeff
+    return matrix
+
+
 def _f(*rows):
     return [[Fraction(x) for x in row] for row in rows]
 

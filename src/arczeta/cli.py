@@ -245,12 +245,23 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An argparse type for ASCII -?[0-9]+, the integers of germ text and of the
+    JSON readers: " 1", "+1", "1_0" and "٣" are usage errors."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its "invalid int value" message
+
+
 def _int_at_least(low: int, high: int | None = None):
-    """An argparse type for integers >= low, and <= high if it is given;
+    """An argparse type for _integer values >= low, and <= high if it is given;
     anything else is a usage error."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < low or high is not None and value > high:
             from argparse import ArgumentTypeError  # the usage error argparse reports
 
@@ -304,9 +315,9 @@ _COMMANDS = MappingProxyType({
     })),
     "zeta": _Command("zeta series of a diagonal quadratic germ", _cmd_zeta, (
         _JSON,
-        _Option("--dim", "dim", int, required=True),
-        _Option("--plus", "plus", int, required=True),
-        _Option("--minus", "minus", int, required=True),
+        _Option("--dim", "dim", _integer, required=True),
+        _Option("--plus", "plus", _integer, required=True),
+        _Option("--minus", "minus", _integer, required=True),
         _Option("--selector", "selector", default=arcspace.NAIVE, choices=arcspace.SELECTORS),
         _ORDER,
         _Option("--strata", "strata", default=False, help="dump the stratum reports",

@@ -83,33 +83,31 @@ class PolynomialGerm:
     """Sparse polynomial over Q with zero constant term.
 
     Terms map exponent vectors (tuples of nonnegative ints, one slot per
-    variable) to nonzero Fractions.  Instances are immutable.  The constructor
-    validates outside input; results of the class's own arithmetic, and of the
-    text and JSON readers after their own checks, go through _of.
+    variable) to nonzero coefficients, reduced int pairs (numerator,
+    denominator > 0); terms() shows them as Fractions.  Instances are
+    immutable.  The constructor validates outside input; _of wraps the
+    maps that the readers and the package's own arithmetic merged.
     """
 
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] = ()):
         _require_nvars(nvars)
-        sums: dict[tuple, Fraction] = {}
+        sums: dict[tuple, tuple[int, int]] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(exps)
             _require_exponents(exps, nvars)
-            sums[exps] = sums.get(exps, 0) + Fraction(coeff)
-        clean = PolynomialGerm._of(nvars, sums)._terms
-        constant = clean.get((0,) * nvars)
-        if constant is not None:
-            raise NotAGerm(f"nonzero constant term {constant}")
+            _add_term(sums, exps, *Fraction(coeff).as_integer_ratio())
+        _germ_of_sums(nvars, sums)  # refuses a constant term
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", sums)
 
     @classmethod
-    def _of(cls, nvars: int, sums: dict[tuple, Fraction]) -> "PolynomialGerm":
-        """Wrap a term map the class's own arithmetic built, unchecked; zero sums drop."""
+    def _of(cls, nvars: int, sums: dict[tuple, tuple[int, int]]) -> "PolynomialGerm":
+        """Wrap a term map that _add_term merged (or one kept as reduced as that), unchecked."""
         germ = object.__new__(cls)
         object.__setattr__(germ, "nvars", nvars)
-        object.__setattr__(germ, "_terms", {e: c for e, c in sums.items() if c})
+        object.__setattr__(germ, "_terms", sums)
         return germ
 
     def __setattr__(self, *_):
@@ -118,10 +116,10 @@ class PolynomialGerm:
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the validating constructor;
         # the default slot-state restore would go through __setattr__
-        return type(self), (self.nvars, self._terms)
+        return type(self), (self.nvars, self.terms())
 
     def terms(self) -> dict[tuple, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(num, den) for e, (num, den) in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -137,7 +135,7 @@ class PolynomialGerm:
         return all(sum(e) != 1 for e in self._terms)
 
     def terms_of_degree(self, degree: int) -> dict[tuple, Fraction]:
-        return {e: c for e, c in self._terms.items() if sum(e) == degree}
+        return {e: Fraction(n, d) for e, (n, d) in self._terms.items() if sum(e) == degree}
 
     # -- arithmetic: public, though no command adds germs -------------------
 
@@ -150,12 +148,12 @@ class PolynomialGerm:
             return NotImplemented
         self._same_space(other)
         sums = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            sums[exps] = sums.get(exps, 0) + coeff
+        for exps, (num, den) in other._terms.items():
+            _add_term(sums, exps, num, den)
         return PolynomialGerm._of(self.nvars, sums)
 
     def __neg__(self):
-        return PolynomialGerm._of(self.nvars, {e: -c for e, c in self._terms.items()})
+        return PolynomialGerm._of(self.nvars, {e: (-n, d) for e, (n, d) in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, PolynomialGerm) else NotImplemented
@@ -183,9 +181,9 @@ class PolynomialGerm:
         for component in change:
             self._same_space(component)
         constant = (0,) * self.nvars
-        sums: dict[tuple, Fraction] = {}
+        sums: dict[tuple, tuple[int, int]] = {}
         powers: dict[int, list] = {}  # index -> the graded change[index]**e, e = 1, 2, ...
-        for exps, coeff in self._terms.items():
+        for exps, pair in self._terms.items():
             if sum(exps) > max_degree:
                 continue
             factors = []
@@ -197,7 +195,7 @@ class PolynomialGerm:
                     factors.append(chain[e - 1])
             # the constant monomial times the factors (a germ term has at
             # least one); the last product goes straight into sums
-            piece = [(constant, 0, coeff)]
+            piece = [(constant, 0, pair)]
             for factor in factors[:-1]:
                 piece = _graded(_product(piece, factor, max_degree, {}))
             _product(piece, factors[-1], max_degree, sums)
@@ -215,22 +213,18 @@ class PolynomialGerm:
             return "0"
         parts: list[str] = []
         for exps in sorted(self._terms, key=self._term_key):
-            coeff = self._terms[exps]
+            num, den = self._terms[exps]
             factors = []
             for i, e in enumerate(exps):
                 if e:
                     factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = number_text(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([number_text(mag)] + factors)
+            if not factors or abs(num) != 1 or den != 1:
+                factors.insert(0, _pair_text(abs(num), den))
+            body = "*".join(factors)
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     __str__ = to_text
@@ -242,7 +236,7 @@ class PolynomialGerm:
         return {
             "nvars": self.nvars,
             "terms": [
-                [list(exps), number_text(self._terms[exps])]
+                [list(exps), _pair_text(*self._terms[exps])]
                 for exps in sorted(self._terms, key=self._term_key)
             ],
         }
@@ -253,6 +247,7 @@ class PolynomialGerm:
             raise ValueError("germ JSON must be an object with 'nvars' and 'terms'")
         nvars = data["nvars"]
         sums: dict[tuple, tuple[int, int]] = {}
+        seen = []  # every exponent vector, also those whose sum cancels
         for entry in data.get("terms", []):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"bad germ term {brief_repr(entry)}")
@@ -273,8 +268,9 @@ class PolynomialGerm:
                 if not den:
                     raise ZeroDivisionError(f"Fraction({num}, 0)")
             _add_term(sums, exps, num, den)
+            seen.append(exps)
         _require_nvars(nvars)
-        for exps in sums:
+        for exps in seen:
             _require_exponents(exps, nvars)
         return _germ_of_sums(nvars, sums)
 
@@ -294,7 +290,11 @@ def _require_exponents(exps: tuple, nvars: int) -> None:
 
 
 def _add_term(sums: dict[tuple, tuple[int, int]], exps: tuple, num: int, den: int) -> None:
-    """Add num/den (den > 0) to the (numerator, denominator) pair of sums[exps]."""
+    """Add the rational num/den (den > 0) into the term map sums, at exps.
+
+    Every pair in sums is reduced with a positive denominator, and a sum
+    that cancels is deleted, so sums never holds a zero.
+    """
     old = sums.get(exps)
     if old is not None:
         old_num, old_den = old
@@ -302,36 +302,39 @@ def _add_term(sums: dict[tuple, tuple[int, int]], exps: tuple, num: int, den: in
             num += old_num
         else:
             num, den = num * old_den + old_num * den, den * old_den
-            g = gcd(num, den)
-            num, den = num // g, den // g
-    sums[exps] = (num, den)
+    if not num:
+        sums.pop(exps, None)
+    elif den == 1:
+        sums[exps] = (num, 1)
+    else:
+        g = gcd(num, den)
+        sums[exps] = (num // g, den // g)
+
+
+def _pair_text(num: int, den: int, text=number_text) -> str:
+    """What text gives for the Fraction num/den of a reduced pair."""
+    return text(num) if den == 1 else f"{text(num)}/{text(den)}"
 
 
 def _germ_of_sums(nvars: int, sums: dict[tuple, tuple[int, int]]) -> PolynomialGerm:
-    """The germ of a reader's merged term map: one Fraction per term that does not cancel.
-
-    nvars and the exponent vectors are already checked; a constant term
-    that does not cancel is NotAGerm.
-    """
-    terms = {exps: Fraction(num, den) for exps, (num, den) in sums.items() if num}
-    constant = terms.get((0,) * nvars)
+    """The germ of a checked term map merged by _add_term; a constant term is NotAGerm."""
+    constant = sums.get((0,) * nvars)
     if constant is not None:
-        raise NotAGerm(f"nonzero constant term {constant}")
-    return PolynomialGerm._of(nvars, terms)
+        raise NotAGerm(f"nonzero constant term {_pair_text(*constant, str)}")
+    return PolynomialGerm._of(nvars, sums)
 
 
-def _graded(terms: dict[tuple, Fraction]) -> list[tuple]:
-    """The nonzero terms as (exps, degree, coeff) triples, for _product."""
-    return [(exps, sum(exps), coeff) for exps, coeff in terms.items() if coeff]
+def _graded(terms: dict[tuple, tuple[int, int]]) -> list[tuple]:
+    """The terms as (exps, degree, pair) triples, for _product."""
+    return [(exps, sum(exps), pair) for exps, pair in terms.items()]
 
 
 def _product(piece: list, factor: list, limit: int, sums: dict) -> dict:
     """Add to sums the terms of degree <= limit of piece * factor, two _graded lists."""
-    for e1, d1, c1 in piece:
-        for e2, d2, c2 in factor:
+    for e1, d1, (n1, q1) in piece:
+        for e2, d2, (n2, q2) in factor:
             if d1 + d2 <= limit:
-                key = tuple(map(add, e1, e2))
-                sums[key] = sums.get(key, 0) + c1 * c2
+                _add_term(sums, tuple(map(add, e1, e2)), n1 * n2, q1 * q2)
     return sums
 
 
@@ -602,8 +605,8 @@ def _require_singular(germ: PolynomialGerm):
         raise NotSingularAtOrigin("the linear part does not vanish at the origin")
 
 
-def _hessian_rows(quadratic: dict[tuple, Fraction]) -> list[list[int]]:
-    """A positive multiple of the Hessian of a germ's degree-2 terms, as int rows.
+def _hessian_rows(terms: dict[tuple, tuple[int, int]]) -> list[list[int]]:
+    """A positive multiple of the Hessian of a term map's degree-2 terms, as int rows.
 
     The rows and columns are those of the variables in the terms, in
     variable order.  A term c*x_i^2 gives the entry 2c at (i, i) and a term
@@ -611,13 +614,12 @@ def _hessian_rows(quadratic: dict[tuple, Fraction]) -> list[list[int]]:
     the lcm of the terms' denominators, so no Fraction is built.
     """
     entries = []  # (variable, variable, numerator, denominator) of each entry
-    for exps, c in quadratic.items():
-        if 2 in exps:
-            i = j = exps.index(2)
-            entries.append((i, j, 2 * c.numerator, c.denominator))
-        else:
-            i = exps.index(1)
-            entries.append((i, exps.index(1, i + 1), c.numerator, c.denominator))
+    for exps, (num, den) in terms.items():
+        if sum(exps) != 2:
+            continue
+        i = exps.index(2) if 2 in exps else exps.index(1)
+        j = i if exps[i] == 2 else exps.index(1, i + 1)
+        entries.append((i, j, exps[i] * num, den))  # 2c on the diagonal
     used = sorted({v for i, j, _, _ in entries for v in (i, j)})
     where = {v: r for r, v in enumerate(used)}
     scale = lcm(*(den for *_, den in entries))
@@ -639,7 +641,7 @@ def hessian_inertia(germ: PolynomialGerm) -> Inertia:
     in the corank.
     """
     _require_singular(germ)
-    plus, minus = _congruence(_hessian_rows(germ.terms_of_degree(2)))
+    plus, minus = _congruence(_hessian_rows(germ._terms))
     return Inertia(plus=plus, minus=minus, corank=germ.nvars - plus - minus)
 
 
@@ -734,7 +736,8 @@ class SplitResult(Record):
 
 
 def _square_root_part(value: int) -> int:
-    """The largest r with r*r dividing value (small primes, then a square test)."""
+    """An r with r*r dividing value: its square part over the primes up to 47, times the
+    root of what is left if that is a square.  Not always the largest: 2 * 53**2 gives 1."""
     root = 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         while value % (p * p) == 0:
@@ -762,10 +765,9 @@ def _absorb(
     deg e + j*(deg m - 1).  m is never u_pivot: a degree-1 m (Stage 1's)
     keeps every degree, and with deg m >= 2 (Stage 2's, where m may hold
     x_pivot) the sum stops at the first j past the jet.  Only the terms
-    holding x_pivot are read, from a list taken before any is changed.
-    Each added term costs int products and one gcd, and a sum that cancels
-    is deleted.  A term above the jet is neither expanded nor dropped:
-    split_jet's maps have none.
+    holding x_pivot are read, from a list taken before any is changed, and
+    each added term is merged by _add_term.  A term above the jet is
+    neither expanded nor dropped: split_jet's maps have none.
     """
     moved = [(exps, pair) for exps, pair in terms.items() if exps[pivot]]
     step = sum(m) - 1
@@ -783,19 +785,7 @@ def _absorb(
             weight = weights.get((k, j))
             if weight is None:
                 weight = weights[k, j] = (comb(k, j) * rn**j, rd**j)
-            num, den = weight[0] * cn, weight[1] * cd
-            old = terms.get(key)
-            if old is not None:
-                sn, sd = old
-                if sd == den:
-                    num += sn
-                else:
-                    num, den = num * sd + sn * den, den * sd
-                if not num:
-                    del terms[key]
-                    continue
-            g = gcd(num, den)
-            terms[key] = (num // g, den // g)
+            _add_term(terms, key, weight[0] * cn, weight[1] * cd)
 
 
 def _shift(maps: list[dict], pivot: int, m: tuple, ratio: tuple[int, int], jet_order: int):
@@ -869,8 +859,7 @@ def _relabelled(terms: dict, slots: list[int], scales: list[tuple]) -> dict:
         for c, (sn, sd) in scales:
             if key[c]:
                 num, den = num * sn ** key[c], den * sd ** key[c]
-        g = gcd(num, den)
-        result[key] = (num // g, den // g)
+        _add_term(result, key, num, den)
     return result
 
 
@@ -886,7 +875,7 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     squares, negative squares, kernel) and strips rational square factors.
     Stage 2 walks the degrees 3..jet_order and absorbs each term
     c * x_i * m with x_i a rank variable by x_i -> x_i - c/(2 l_i) * m, l_i
-    the diagonal coefficient.  The maps become germs once, at the end, and
+    the diagonal coefficient.  The maps are wrapped as germs at the end, and
     the result must pass _split_defect, the shape check verify_split also
     runs; verify_split then re-expands the result through substitute and
     checks the change by a rank pass, which share no code with _absorb.
@@ -898,9 +887,7 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
     if nv > MAX_SPLIT_VARIABLES:
         raise ResultTooLarge(f"split takes at most {MAX_SPLIT_VARIABLES} variables, got {nv}")
 
-    terms = {
-        e: (c.numerator, c.denominator) for e, c in germ._terms.items() if sum(e) <= jet_order
-    }
+    terms = {e: pair for e, pair in germ._terms.items() if sum(e) <= jet_order}
     units = [tuple(int(s == i) for s in range(nv)) for i in range(nv)]
     maps = [terms] + [{unit: (1, 1)} for unit in units]
     diagonal = _diagonalize(maps, units, jet_order)
@@ -943,13 +930,11 @@ def split_jet(germ: PolynomialGerm, jet_order: int) -> SplitResult:
             m = tuple(e - (i == pivot) for i, e in enumerate(exps))
             _shift(maps, pivot, m, _ratio(pair, diagonal_coeff[pivot]), jet_order)
 
-    def germ_of(pairs):
-        return PolynomialGerm._of(nv, {e: Fraction(n, d) for e, (n, d) in pairs.items()})
-
+    germ_of = PolynomialGerm._of
     result = SplitResult(
-        change=tuple(germ_of(pairs) for pairs in maps[1:]),
-        quadratic_part=germ_of({e: pair for e, pair in terms.items() if sum(e) == 2}),
-        remainder=germ_of({e: pair for e, pair in terms.items() if sum(e) != 2}),
+        change=tuple(germ_of(nv, pairs) for pairs in maps[1:]),
+        quadratic_part=germ_of(nv, {e: pair for e, pair in terms.items() if sum(e) == 2}),
+        remainder=germ_of(nv, {e: pair for e, pair in terms.items() if sum(e) != 2}),
         inertia=Inertia(plus=plus, minus=rank - plus, corank=nv - rank),
         jet_order=jet_order,
     )
@@ -978,10 +963,10 @@ def _split_defect(nvars: int, result: SplitResult) -> str | None:
         return f"split inertia {brief_repr(inertia)} is not three counts"
     if corank != nvars - (rank := plus + minus):
         return f"split inertia {inertia} does not count {nvars} variables"
-    for exps, coeff in quadratic._terms.items():
+    for exps, (num, _) in quadratic._terms.items():
         if sum(exps) != 2 or 2 not in exps or (i := exps.index(2)) >= rank:
             return f"split quadratic term {exps} is not a rank square"
-        if (coeff > 0) != (i < plus):
+        if (num > 0) != (i < plus):
             return f"split quadratic term {exps} has the wrong sign"
     if len(quadratic._terms) != rank:  # the keys differ, so a square is missing
         return f"split quadratic part lacks a square of the {rank} rank variables"
@@ -1003,7 +988,7 @@ def _linear_rank(change: Sequence[PolynomialGerm]) -> int:
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for component in change:
-        row = {exps.index(1): c for exps, c in component._terms.items() if sum(exps) == 1}
+        row = {e.index(1): Fraction(*c) for e, c in component._terms.items() if sum(e) == 1}
         while row:
             column = min(row)
             pivot = pivots.get(column)
@@ -1207,7 +1192,7 @@ def discriminate(f: PolynomialGerm, g: PolynomialGerm, order: int = 6) -> Discri
         raise DimensionMismatch(f"germs live in {f.nvars} and {g.nvars} variables")
     inertia_f = hessian_inertia(f)
     inertia_g = hessian_inertia(g)
-    conditional = any(sum(exps) >= 3 for germ in (f, g) for exps in germ.terms())
+    conditional = any(sum(exps) >= 3 for germ in (f, g) for exps in germ._terms)
 
     # The first differing coefficient, if any, is at T^2, so no series is
     # built: T^1 vanishes for every germ; equal inertias give equal series

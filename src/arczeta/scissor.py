@@ -377,7 +377,9 @@ def beta_level(plus: int, minus: int, level: int) -> LaurentPolynomial:
 
 
 def _check_counts(plus, minus):
-    if not isinstance(plus, int) or not isinstance(minus, int) or plus < 0 or minus < 0:
+    # a bool is no count, as for QuadricAffine and QuadraticGerm
+    counts = (plus, minus)
+    if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts):
         raise ValueError(f"signature counts must be nonnegative ints: ({plus!r}, {minus!r})")
 
 

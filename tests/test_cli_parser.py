@@ -40,6 +40,7 @@ from arczeta.cli import (
     _cmd_split,
     _cmd_zeta,
     _int_at_least,
+    _integer,
 )
 from test_cli import PARSER_ARGVS, _outcome
 
@@ -104,9 +105,9 @@ def _expr_options(parser) -> None:
 
 def _zeta_options(parser) -> None:
     _json_option(parser)
-    parser.add_argument("--dim", type=int, required=True)
-    parser.add_argument("--plus", type=int, required=True)
-    parser.add_argument("--minus", type=int, required=True)
+    parser.add_argument("--dim", type=_integer, required=True)
+    parser.add_argument("--plus", type=_integer, required=True)
+    parser.add_argument("--minus", type=_integer, required=True)
     parser.add_argument(
         "--selector", choices=list(arcspace.SELECTORS), default=arcspace.NAIVE
     )
@@ -346,6 +347,34 @@ def test_the_canonical_parser_declines_or_agrees_with_argparse(case):
         assert (strict is not None) == canonical, argv
     if strict is not None:
         assert vars(strict) == vars(_argparse_namespace(list(argv))), argv
+
+
+# ---------------------------------------------------------------------------
+# integer options
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("words, flag, value", [
+    (["zeta", "--plus", "1", "--minus", "0"], "--dim", "\u0663"),  # Arabic-Indic 3
+    (["zeta", "--dim", "3", "--plus", "1", "--minus", "0"], "--order", "+2"),
+    (["zeta", "--plus", "1", "--minus", "0"], "--dim", "1_0"),
+    (["selfcheck"], "--max", "\uff12"),  # fullwidth 2
+])
+def test_integer_options_read_only_ascii_digits(capsys, words, flag, value):
+    # what int() reads but germ text and the JSON readers refuse
+    assert int(value) > 0
+    for argv in (words + [flag, value], words + [f"{flag}={value}"]):
+        assert cli._parse_canonical(argv) is None, argv
+        code, out, err = _outcome(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: argument {flag}: invalid int value: '{value}'\n"), argv
+
+
+def test_a_negative_zeta_count_still_reaches_the_germ_check(capsys):
+    argv = ["zeta", "--dim=-1", "--plus", "1", "--minus", "0", "--json"]
+    assert cli._parse_canonical(argv).dim == -1
+    code, out, err = _outcome(capsys, argv)
+    assert (code, json.loads(out)["error"], err) == (1, "InvalidGerm", "")
 
 
 # ---------------------------------------------------------------------------

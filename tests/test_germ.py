@@ -191,6 +191,9 @@ def test_germ_json_round_trip():
         ('{"nvars": 2, "terms": [[[true, 1], "1"]]}', "bad exponent vector (True, 1)"),
         ('{"nvars": 2, "terms": [[[2, false], "1"]]}', "bad exponent vector (2, False)"),
         ('{"nvars": true, "terms": [[[2], "1"]]}', "nvars must be a positive integer, got True"),
+        # a boolean vector equal to an earlier one is still refused, not merged into it
+        ('{"nvars": 2, "terms": [[[1, 1], "1"], [[true, 1], "1"]]}', "(True, 1)"),
+        ('{"nvars": 1, "terms": [[[2], 1], [[0], 1], [[false], -1]]}', "(False,)"),
     ],
 )
 def test_germ_json_refuses_booleans_as_integers(text, detail):
@@ -1094,6 +1097,63 @@ def test_shift_drops_the_sums_that_cancel():
     kernel = _pairs(parse_germ("x2^3 + x2^7", nvars=2))
     _absorb(kernel, 0, (1, 1), (-1, 2), 4)
     assert kernel == {(0, 3): (1, 1), (0, 7): (1, 1)}
+
+
+def _assert_reduced(terms):
+    for num, den in terms.values():
+        assert type(num) is type(den) is int and num and den > 0 and gcd(num, den) == 1, terms
+
+
+def test_add_term_keeps_the_fraction_sums_as_reduced_pairs():
+    rng = random.Random(3700)
+    keys = [(1, 0), (0, 2), (1, 1)]
+    seen = dict.fromkeys(["equal denominators", "unequal denominators", "cancels", "zero first"], 0)
+    for _ in range(400):
+        sums, expected = {}, {}
+        for _ in range(rng.randint(1, 10)):
+            exps = rng.choice(keys)
+            scale = rng.randint(1, 3)  # the rational comes unreduced as often as not
+            if exps in expected and rng.random() < 0.3:  # the sum will cancel
+                value = -expected[exps]
+            else:
+                value = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6]))
+            num, den = value.numerator * scale, value.denominator * scale
+            old = sums.get(exps)
+            seen["equal denominators"] += old is not None and old[1] == den
+            seen["unequal denominators"] += old is not None and old[1] != den
+            seen["zero first"] += old is None and not num
+            germs._add_term(sums, exps, num, den)
+            expected[exps] = expected.get(exps, 0) + value
+            seen["cancels"] += old is not None and not expected[exps]
+            _assert_reduced(sums)
+            assert {e: Fraction(*pair) for e, pair in sums.items()} == {
+                e: v for e, v in expected.items() if v
+            }
+    assert min(seen.values()) >= 20, seen
+
+
+def test_every_route_keeps_reduced_pairs_and_shows_fractions():
+    f = parse_germ("2/4*x1^2 - 6/3*x1*x2 + 3/9*x2^3 + x2^2 - x2^2")
+    assert f._terms == {(2, 0): (1, 2), (1, 1): (-2, 1), (0, 3): (1, 3)}
+    g = parse_germ('{"nvars": 2, "terms": [[[2, 0], "2/4"], [[1, 1], -2], [[0, 3], "-3/9"]]}')
+    built = PolynomialGerm(2, {(2, 0): 0.5, (0, 3): Fraction(-2, 6), (1, 1): -2})
+    assert built == g and hash(built) == hash(g)
+    change = [parse_germ("x1 + 1/2*x2^2"), parse_germ("-3/4*x2", nvars=2)]
+    results = [f, g, built, f + g, f - f, -f, f.substitute(change, 6)]
+    results += [part for germ in (f, g) for part in _split_parts(split_jet(germ, 5))]
+    for germ in results:
+        _assert_reduced(germ._terms)
+        assert all(type(c) is Fraction for c in germ.terms().values())
+        assert all(type(c) is Fraction for c in germ.terms_of_degree(2).values())
+        for copied in (copy.copy(germ), copy.deepcopy(germ), pickle.loads(pickle.dumps(germ))):
+            assert copied == germ and hash(copied) == hash(germ)
+            assert copied._terms == germ._terms
+    assert (f + g).terms() == {(2, 0): 1, (1, 1): -4}
+    assert (f - f).is_zero()
+
+
+def _split_parts(result):
+    return (*result.change, result.quadratic_part, result.remainder)
 
 
 def test_split_calls_no_substitute_and_verify_split_never_shifts(monkeypatch):

@@ -36,8 +36,10 @@ from arczeta import (
     quadric_reduce,
     stratify_series,
 )
+from arczeta.arcspace import PLUS, naive_t2_coefficient, signed_t2_coefficient
 from arczeta.errors import (
     EmptyProjectiveQuadric,
+    InvalidGerm,
     MalformedExpression,
     NotReducible,
 )
@@ -382,6 +384,29 @@ def test_nodes_validate_on_construction():
     for build in constructions:
         with pytest.raises(MalformedExpression):
             build()
+
+
+@pytest.mark.parametrize("plus, minus", [
+    (True, True), (True, 1), (1, False), (-1, 1), (1, -2), (1.0, 2), ("1", 1), (None, 0),
+])
+def test_signature_counts_are_nonnegative_ints_not_booleans(plus, minus):
+    closed_forms = [
+        beta_cone,
+        beta_projective_quadric,
+        lambda s, t: beta_level(s, t, 1),
+        lambda s, t: beta_level(s, t, -1),
+    ]
+    if isinstance(plus, int) and isinstance(minus, int) and plus + minus >= 1:
+        # the T^2 coefficients check the rank first, then read these closed forms
+        closed_forms += [naive_t2_coefficient, lambda s, t: signed_t2_coefficient(s, t, PLUS)]
+    for closed_form in closed_forms:
+        with pytest.raises(ValueError, match="^signature counts must be nonnegative ints: "):
+            closed_form(plus, minus)
+    # the engine's route to the same identities refuses the same counts
+    with pytest.raises(MalformedExpression):
+        QuadricAffine(0, plus, minus)
+    with pytest.raises(InvalidGerm):
+        QuadraticGerm(dim=2, plus=plus, minus=minus)
 
 
 def test_projective_space_cap_is_exact():

@@ -30,6 +30,7 @@ _PROTOCOL = "a protocol method: Python calls it when a value is hashed, shown or
 _FROZEN = "keeps a value immutable: assignment and deletion raise"
 _PICKLE = "lets copy, deepcopy and pickle rebuild the value through its constructor"
 _PUBLIC = "public API: germ arithmetic for library callers; no command adds germs"
+_FRACTIONS = "public API: the Fraction view of a germ's terms"
 
 ALLOWED = {
     "__init__.__getattr__": (
@@ -49,6 +50,8 @@ ALLOWED = {
     "germ.PolynomialGerm.__add__": _PUBLIC,
     "germ.PolynomialGerm.__neg__": _PUBLIC,
     "germ.PolynomialGerm.__sub__": _PUBLIC,
+    "germ.PolynomialGerm.terms": _FRACTIONS,
+    "germ.PolynomialGerm.terms_of_degree": _FRACTIONS,
     "germ.PolynomialGerm.__eq__": _PROTOCOL,
     "germ.PolynomialGerm.__hash__": _PROTOCOL,
     "germ.PolynomialGerm.__repr__": _PROTOCOL,

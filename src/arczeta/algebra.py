@@ -228,6 +228,8 @@ class LaurentPolynomial:
     def json_text(self) -> str:
         """The text json.dumps(self.to_json()) gives, written without the list."""
         terms = self._terms
+        if not terms:
+            return "[]"
         try:
             return "[" + ", ".join([f'[{exp}, "{terms[exp]}"]' for exp in sorted(terms)]) + "]"
         except ValueError:
@@ -296,6 +298,15 @@ class TruncatedSeries:
                 clean[n] = poly
         self._order = order
         self._coeffs = clean
+
+    @classmethod
+    def _of(cls, order: int, coefficients: dict[int, LaurentPolynomial]) -> "TruncatedSeries":
+        """Wrap a map of nonzero polynomials at indices 1..order, making no pass
+        over it: series_from_reports builds its map from the engine's reports."""
+        result = object.__new__(cls)
+        result._order = order
+        result._coeffs = coefficients
+        return result
 
     @property
     def order(self) -> int:

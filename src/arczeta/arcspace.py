@@ -86,6 +86,7 @@ from .scissor import (
     Point,
     Product,
     QuadricAffine,
+    _trusted,
     beta_cone,
     beta_eval,
     beta_level,
@@ -174,27 +175,29 @@ def stratify_series(germ: QuadraticGerm, selector: str, order: int) -> list[ArcS
     level factor of e = n/2 and one AffineSpace(k) atom per k) are made
     once here, and every stratum is evaluated under one memo of this call,
     which a factor enters when the first stratum using it is evaluated.
-    Each product is laid out here as its runs of one repeated child.
+    Each product is laid out here as its runs of one repeated child.  Every
+    node is built by the trusted scissor._trusted: its fields are read off
+    the checked germ, so none is checked again.
     """
     _check_arguments(germ, selector, order, "truncation order")
-    rank = germ.rank
+    plus, minus, rank = germ.plus, germ.minus, germ.rank
     affine = {}
 
     def affine_space(k: int) -> AffineSpace:
         node = affine.get(k)
         if node is None:
-            node = affine[k] = AffineSpace(k)
+            node = affine[k] = _trusted(AffineSpace, (k,))
         return node
 
-    cone = QuadricAffine(0, germ.plus, germ.minus)
-    punctured_cone = Difference(cone, Point())
+    cone = _trusted(QuadricAffine, (0, plus, minus))
+    punctured_cone = _trusted(Difference, (cone, _trusted(Point, ())), 2)
     hyperplane = affine_space(rank - 1)
     if selector == NAIVE:
-        last = Difference(affine_space(rank), hyperplane)
-        level = Difference(affine_space(rank), cone)
+        last = _trusted(Difference, (affine_space(rank), hyperplane), 2)
+        level = _trusted(Difference, (affine_space(rank), cone), 2)
     else:
         last = hyperplane
-        level = QuadricAffine(1 if selector == PLUS else -1, germ.plus, germ.minus)
+        level = _trusted(QuadricAffine, (1 if selector == PLUS else -1, plus, minus))
     # the depths of the strata, whose other children are atoms
     cone_depth = 1 + max(punctured_cone.depth, getattr(last, "depth", 1))
     level_depth = 1 + getattr(level, "depth", 1)
@@ -245,9 +248,7 @@ def stratify_series(germ: QuadraticGerm, selector: str, order: int) -> list[ArcS
                     f"{'cone complement' if selector == NAIVE else selector + ' level set'}, "
                     f"{e} free w vector(s)"
                 )
-            # every child was checked when it was made, so the product needs none
-            product = Product._of(runs, depth)
-            strata.append((description, product))
+            strata.append((description, _trusted(Product, runs, depth)))
         report_betas = []
         # summed into one term map: a coefficient that cancels is deleted here,
         # so the map has no zero coefficient and is wrapped as it stands
@@ -274,33 +275,28 @@ def zeta_series(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeri
 
 
 def series_from_reports(germ: QuadraticGerm, reports) -> TruncatedSeries:
-    """The zeta series to order len(reports), from the reports of n = 1, 2, ... in turn."""
-    coefficients = {
-        report.n: report.total_beta * LaurentPolynomial.monomial(-report.n * germ.dim)
-        for report in reports
-    }
-    return TruncatedSeries(len(reports), coefficients)
+    """The zeta series to order len(reports), from the reports of n = 1, 2, ... in turn.
+
+    Each nonzero total_beta is shifted by u^(-n*dim) straight into a term
+    map, and the series is wrapped as it stands: its indices are the
+    reports' n and its coefficients the package's own nonzero polynomials.
+    """
+    coefficients = {}
+    for report in reports:
+        terms = report.total_beta._terms  # read in place: the package's own value type
+        if terms:
+            shift = -report.n * germ.dim
+            coefficients[report.n] = LaurentPolynomial._of(
+                {exp + shift: coeff for exp, coeff in terms.items()}
+            )
+    return TruncatedSeries._of(len(reports), coefficients)
 
 
-def _rational_form(
-    plus: int, minus: int, selector: str
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """The numerators (A, B) of Z(T) = X * (A + B * Y); see the module docstring."""
+def _level_numerator(plus: int, minus: int, selector: str) -> LaurentPolynomial:
+    """A, the numerator of X in Z(T) = X * (A + B * Y); see the module docstring."""
     if selector == NAIVE:
-        cone = beta_cone(plus, minus)
-        return LaurentPolynomial.monomial(plus + minus) - cone, (cone - ONE) * (U - ONE)
-    level = beta_level(plus, minus, 1 if selector == PLUS else -1)
-    return level, beta_cone(plus, minus) - ONE
-
-
-def _expand(rank: int, form, n: int) -> LaurentPolynomial:
-    """The T^n coefficient of X * (A + B * Y): one product by B, plus A at even n."""
-    a, b = form
-    # the T^n terms of X * Y: u^(-rank*e) T^(2e) times u^(-k) T^k, k = n - 2e >= 1
-    total = b * LaurentPolynomial((-(n - 2 * e) - rank * e, 1) for e in range(1, (n + 1) // 2))
-    if n % 2 == 0:
-        total = total + a * LaurentPolynomial.monomial(-rank * (n // 2))
-    return total
+        return LaurentPolynomial.monomial(plus + minus) - beta_cone(plus, minus)
+    return beta_level(plus, minus, 1 if selector == PLUS else -1)
 
 
 def coefficient_closed_form(germ: QuadraticGerm, n: int, selector: str) -> LaurentPolynomial:
@@ -310,21 +306,53 @@ def coefficient_closed_form(germ: QuadraticGerm, n: int, selector: str) -> Laure
     zeta_series stratum by stratum.
     """
     _check_arguments(germ, selector, n, "order n")
-    return _expand(germ.rank, _rational_form(germ.plus, germ.minus, selector), n)
+    return zeta_closed_form(germ, selector, n).coefficient(n)
 
 
 def zeta_closed_form(germ: QuadraticGerm, selector: str, order: int) -> TruncatedSeries:
-    """The zeta series expanded from the rational form, with (A, B) built once."""
+    """The zeta series expanded from the rational form by its recurrence.
+
+    With x = u^(-rank) T^2 and y = u^(-1) T, the T^n coefficients a_n of
+    X = x/(1-x) and s_n of X * Y satisfy s_n = u^(-1) (s_(n-1) + a_(n-1)),
+    so c_n = A a_n + B s_n has c_1 = 0 and
+
+        c_n = u^(-1) c_(n-1) + A u^(-rank*n/2)                for even n,
+        c_n = u^(-1) c_(n-1) + (B - A) u^(-rank*(n-1)/2 - 1)  for odd n >= 3.
+
+    Each step shifts c_(n-1) and merges one of A and B - A into it, so the
+    series costs about its own size.
+    """
     _check_arguments(germ, selector, order, "truncation order")
-    form = _rational_form(germ.plus, germ.minus, selector)
-    return TruncatedSeries(order, {n: _expand(germ.rank, form, n) for n in range(1, order + 1)})
+    rank = germ.rank
+    a = _level_numerator(germ.plus, germ.minus, selector)
+    b = beta_cone(germ.plus, germ.minus) - ONE
+    if selector == NAIVE:
+        b = b * (U - ONE)
+    # the package's own value types, read in place
+    even_step, odd_step = a._terms, (b - a)._terms
+    coefficients, terms = {}, {}
+    for n in range(2, order + 1):
+        if n % 2:
+            step, shift = odd_step, -rank * (n // 2) - 1
+        else:
+            step, shift = even_step, -rank * (n // 2)
+        terms = {exp - 1: coeff for exp, coeff in terms.items()}
+        for exp, coeff in step.items():
+            exp += shift
+            coeff += terms.get(exp, 0)
+            if coeff:
+                terms[exp] = coeff
+            else:
+                del terms[exp]
+        coefficients[n] = LaurentPolynomial._of(terms)
+    return TruncatedSeries(order, coefficients)
 
 
 def _t2_coefficient(plus: int, minus: int, selector: str) -> LaurentPolynomial:
     rank = plus + minus
     if rank < 1:
         raise InvalidGerm("need plus + minus >= 1")
-    return LaurentPolynomial.monomial(-rank) * _rational_form(plus, minus, selector)[0]
+    return LaurentPolynomial.monomial(-rank) * _level_numerator(plus, minus, selector)
 
 
 def signed_t2_coefficient(plus: int, minus: int, sign: str) -> LaurentPolynomial:

@@ -648,32 +648,16 @@ def hessian_inertia(germ: PolynomialGerm) -> Inertia:
 def charpoly_inertia(matrix) -> tuple[int, int]:
     """Eigenvalue sign counts from the characteristic polynomial.
 
-    Clears denominators (a positive scaling preserves signs), runs the
-    Faddeev-LeVerrier recursion over the integers, and counts positive and
-    negative roots by Descartes' rule, which is exact here because a
-    symmetric matrix has only real eigenvalues.  This is a deliberately
-    different route from the congruence routes, used to cross-check them.
+    Clears denominators (a positive scaling preserves signs), builds the
+    characteristic polynomial from power traces by Newton's identities
+    (_charpoly), and counts positive and negative roots by Descartes'
+    rule, which is exact here because a symmetric matrix has only real
+    eigenvalues.  This is a deliberately different route from the
+    congruence routes, used to cross-check them.
     """
     A = _integer_symmetric(matrix)
     n = len(A)
-
-    coeffs = [1]
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        columns = tuple(zip(*M))
-        if k < n:
-            M = [[sum(map(mul, row, column)) for column in columns] for row in A]  # A M
-            trace = sum(M[i][i] for i in range(n))
-        else:  # the last step reads only trace(A M), a sum of n row-column products
-            trace = sum(sum(map(mul, row, column)) for row, column in zip(A, columns))
-        quotient, residue = divmod(trace, k)
-        if residue:
-            raise InvariantViolation(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
-        c = -quotient
-        coeffs.append(c)
-        if k < n:  # M = A M + c I, for the next step
-            for i in range(n):
-                M[i][i] += c
+    coeffs = _charpoly(A)
 
     def sign_changes(sequence):
         signs = [1 if x > 0 else -1 for x in sequence if x]
@@ -693,6 +677,36 @@ def charpoly_inertia(matrix) -> tuple[int, int]:
             "characteristic polynomial"
         )
     return positive, negative
+
+
+def _charpoly(A: list[list[int]]) -> list[int]:
+    """[1, c_1, ..., c_n] of det(x I - A) = x^n + c_1 x^(n-1) + ... + c_n, for a
+    symmetric matrix of int rows.
+
+    Newton's identities give k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+    from the power traces p_k = tr(A^k).  Every power of a symmetric A is
+    symmetric, so tr(A^i A^j) is the sum of the entrywise products of A^i
+    and A^j, and the powers A^1 .. A^ceil(n/2) give every p_k with k <= n:
+    ceil(n/2) - 1 matrix products.  Over an integer matrix every division
+    by k is exact, so one that is not raises InvariantViolation.
+    """
+    n = len(A)
+    powers = [None, A]  # powers[i] = A^i, whose rows are also its columns
+    for _ in range(2, (n + 1) // 2 + 1):
+        last = powers[-1]
+        powers.append([[sum(map(mul, row, column)) for column in last] for row in A])
+    traces = [None, sum(A[i][i] for i in range(n))]
+    for k in range(2, n + 1):
+        left, right = powers[k - k // 2], powers[k // 2]
+        traces.append(sum(sum(map(mul, r, s)) for r, s in zip(left, right)))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        total = traces[k] + sum(map(mul, coeffs[1:], traces[k - 1 : 0 : -1]))
+        quotient, residue = divmod(total, k)
+        if residue:
+            raise InvariantViolation(f"Newton sum {total} is not divisible by {k}")
+        coeffs.append(-quotient)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -1026,17 +1040,21 @@ def verify_split(germ: PolynomialGerm, result: SplitResult) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _t2_coefficients(inertia: Inertia) -> dict[str, LaurentPolynomial]:
-    """The naive, plus and minus T^2 zeta coefficients of a quadratic part.
+def _t2_coefficients(
+    inertia: Inertia, selectors: tuple = (NAIVE, PLUS, MINUS)
+) -> dict[str, LaurentPolynomial]:
+    """The T^2 zeta coefficients of a quadratic part, for each of the selectors.
 
     The ambient dimension cancels, and at rank 0 the whole series is zero.
     """
     if inertia.rank == 0:
-        return {NAIVE: ZERO, PLUS: ZERO, MINUS: ZERO}
+        return dict.fromkeys(selectors, ZERO)
+    plus, minus = inertia.plus, inertia.minus
     return {
-        NAIVE: naive_t2_coefficient(inertia.plus, inertia.minus),
-        PLUS: signed_t2_coefficient(inertia.plus, inertia.minus, PLUS),
-        MINUS: signed_t2_coefficient(inertia.plus, inertia.minus, MINUS),
+        selector: naive_t2_coefficient(plus, minus)
+        if selector == NAIVE
+        else signed_t2_coefficient(plus, minus, selector)
+        for selector in selectors
     }
 
 
@@ -1070,7 +1088,7 @@ def recover_signature(c_plus: LaurentPolynomial, c_minus: LaurentPolynomial) -> 
     """
     plus = _count_from_signed(c_plus, "plus")
     minus = _count_from_signed(c_minus, "minus")
-    forward = _t2_coefficients(Inertia(plus=plus, minus=minus, corank=0))
+    forward = _t2_coefficients(Inertia(plus=plus, minus=minus, corank=0), (PLUS, MINUS))
     if (c_plus, c_minus) != (forward[PLUS], forward[MINUS]):
         raise NotSignatureForm(
             f"no signature quadric has these T^2 coefficients: s = {plus}, t = {minus} "

@@ -96,10 +96,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# Every node validates itself on construction, so an expression that exists
-# is well formed and nothing downstream (beta_eval, the JSON writer) checks
-# it again.  The types of all fields are checked before any range, which is
-# the order in which expression_from_json reports errors.
+# The public constructors validate every node built from outside input, and
+# the engine builds its own nodes from values it has checked through
+# _trusted, so an expression that exists is well formed and nothing
+# downstream (beta_eval, the JSON writer) checks it again.  The types of all
+# fields are checked before any range, which is the order in which
+# expression_from_json reports errors.
 
 # Deeper expressions are refused, however they are built: reading,
 # evaluating and writing all recurse.  An atom is one node deep.
@@ -229,8 +231,8 @@ class QuadricProjective(Record):
             )
 
 
-# depth, set by _compose, is a slot outside _fields: it takes no part in ==,
-# hash or repr.
+# depth, set by _compose or _trusted, is a slot outside _fields: it takes no
+# part in ==, hash or repr.
 
 
 def _runs(children: tuple) -> tuple:
@@ -257,22 +259,6 @@ class Product(Record):
     @property
     def _key(self) -> tuple:
         return (tuple(chain.from_iterable(repeat(child, count) for child, count in self.runs)),)
-
-    @classmethod
-    def _of(cls, runs: tuple, depth: int) -> "Product":
-        """The product of runs (child, count) of the given depth, making no pass
-        over its children: stratify_series lays out the runs of each stratum
-        from nodes it has checked once."""
-        result = object.__new__(cls)
-        _set_runs(result, runs)
-        _set_depth(result, depth)
-        return result
-
-
-# The slots' own setters, which write past __setattr__ as set_key does, at
-# about half the cost of set_field: Product._of makes every stratum.
-_set_depth = Product.depth.__set__
-_set_runs = Product.runs.__set__
 
 
 class DisjointUnion(Record):
@@ -310,6 +296,23 @@ SetExpression = (
 )
 
 EMPTY = DisjointUnion(())
+
+
+def _trusted(cls, key: tuple, depth: int = 0) -> SetExpression:
+    """The node of cls with the given key, and the given depth if it is a
+    composite, built with no check and no pass over its children.
+
+    The engine builds its own nodes here, from values it has checked
+    already: quadric_reduce from the atom it validated, stratify_series
+    from a QuadraticGerm.  A Product's key is its runs (child, count),
+    which the builder lays out.  Input from outside goes through the
+    public constructors, which check it.
+    """
+    node = object.__new__(cls)
+    set_key(node, key)
+    if depth:
+        set_field(node, "depth", depth)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +403,14 @@ def quadric_reduce(c: int, plus: int, minus: int) -> SetExpression:
         raise NotReducible(
             f"quadric (c={c}, s={plus}, t={minus}) is a base case"
         )
-    return DisjointUnion(
-        (
-            Product((PuncturedLine(), AffineSpace(plus + minus - 2))),
-            Product((QuadricAffine(c, plus - 1, minus - 1), AffineSpace(1))),
-        )
+    # every field below is read off the checked arguments, so no node is checked again
+    line, free = _trusted(PuncturedLine, ()), _trusted(AffineSpace, (plus + minus - 2,))
+    smaller, axis = _trusted(QuadricAffine, (c, plus - 1, minus - 1)), _trusted(AffineSpace, (1,))
+    pieces = (
+        _trusted(Product, ((line, 1), (free, 1)), 2),
+        _trusted(Product, ((smaller, 1), (axis, 1)), 2),
     )
+    return _trusted(DisjointUnion, (pieces,), 3)
 
 
 def quadric_base_case(c: int, plus: int, minus: int) -> SetExpression:
@@ -592,11 +597,12 @@ def _render(expression, memo: dict) -> str:
         tag, runs = node.tag, _runs(_children(node, expression))
     parts = []
     for child, count in runs:
-        part = _json_text(child, memo)
-        if count > 1:
-            # a run of one repeated child object is written once per length
-            run_key = (id(child), count)
-            part = memo.get(run_key) or memo.setdefault(run_key, ", ".join([part] * count))
+        # a run of one child object is written once per length, 1 included
+        run_key = (id(child), count)
+        part = memo.get(run_key)
+        if part is None:
+            part = _json_text(child, memo)
+            part = memo[run_key] = part if count == 1 else ", ".join([part] * count)
         parts.append(part)
     return '{"children": [' + ", ".join(parts) + '], "op": "' + tag + '"}'
 

@@ -43,7 +43,13 @@ from arczeta import (
     zeta_series,
 )
 from arczeta.cli import run
-from util import quadratic_form, random_singular_germ, random_symmetric, signature_pairs
+from util import (
+    expand_rational_form,
+    quadratic_form,
+    random_singular_germ,
+    random_symmetric,
+    signature_pairs,
+)
 
 U = LaurentPolynomial.monomial(1)
 
@@ -365,3 +371,28 @@ def test_criterion_17_inertia_of_a_dense_60_variable_germ():
             code = run(["inertia", "--json", "--poly", text])
     assert code == 0
     assert json.loads(out.getvalue()) == {"s": 39, "t": 21, "rank": 60, "corank": 0, "index": 21}
+
+
+def test_criterion_18_plain_zeta_at_order_5000():
+    # the rational form expanded by its recurrence, which costs each
+    # coefficient its own terms: about 30 ms and 60 ms in process on a 2-vCPU
+    # VM, where the term-by-term expansion took 2.4 s on the first request
+    requests = {
+        (5, 1, 0): ["zeta", "--dim", "5", "--plus", "1", "--minus", "0", "--order", "5000"],
+        (3, 1, 1): ["zeta", "--dim", "3", "--plus", "1", "--minus", "1", "--order", "5000"],
+    }
+    outputs = {}
+    with _Timer("criterion 18: plain zeta --order 5000, twice", 0.5):
+        for key, argv in requests.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run([*argv, "--json"]) == 0
+            outputs[key] = json.loads(out.getvalue())
+    for (dim, plus, minus), payload in outputs.items():
+        assert payload["order"] == 5000
+        terms = dict(payload["terms"])
+        cone = beta_cone(plus, minus)
+        a, b = mono(plus + minus) - cone, (cone - ONE) * (U - ONE)
+        for n in (1, 2, 3, 4, 4999, 5000):
+            expected = expand_rational_form(plus + minus, a, b, n)
+            assert LaurentPolynomial.from_json(terms.get(n, [])) == expected, (dim, n)

@@ -24,7 +24,7 @@ from arczeta import (
     zeta_series,
 )
 from arczeta.errors import InvalidGerm
-from util import signature_pairs
+from util import assert_public_twin, expand_rational_form, signature_pairs
 
 
 def mono(exp, coeff=1):
@@ -124,6 +124,18 @@ def test_a_factor_is_evaluated_only_when_a_stratum_uses_it(selector):
     assert scissor._beta_quadric.cache_info().currsize == 0
 
 
+def test_strata_equal_their_twins_built_by_the_public_constructors():
+    # every stratum and shared factor is built trusted, from the checked germ
+    for dim in range(1, 7):
+        for plus, minus in signature_pairs(dim):
+            germ = QuadraticGerm(dim=dim, plus=plus, minus=minus)
+            for selector in SELECTORS:
+                twins = {}  # one per call, so each shared factor is rebuilt once
+                for report in stratify_series(germ, selector, 12):
+                    for _, stratum in report.strata:
+                        assert_public_twin(stratum, twins)
+
+
 def test_stratify_rejects_bad_input():
     germ = QuadraticGerm(dim=2, plus=1, minus=1)
     with pytest.raises(ValueError):
@@ -193,6 +205,23 @@ def test_stratified_coefficients_match_closed_form():
             for selector in SELECTORS:
                 series = zeta_closed_form(germ, selector, 30)
                 assert zeta_series(germ, selector, 30) == series, (dim, plus, minus, selector)
+
+
+def test_closed_form_recurrence_equals_the_term_by_term_expansion():
+    for dim in range(1, 7):
+        for plus, minus in signature_pairs(dim):
+            germ = QuadraticGerm(dim=dim, plus=plus, minus=minus)
+            for selector in SELECTORS:
+                if selector == NAIVE:
+                    cone = scissor.beta_cone(plus, minus)
+                    a, b = mono(plus + minus) - cone, (cone - ONE) * (mono(1) - ONE)
+                else:
+                    level = scissor.beta_level(plus, minus, 1 if selector == PLUS else -1)
+                    a, b = level, scissor.beta_cone(plus, minus) - ONE
+                series = zeta_closed_form(germ, selector, 40)
+                for n in range(1, 41):
+                    expected = expand_rational_form(germ.rank, a, b, n)
+                    assert series.coefficient(n) == expected, (dim, plus, minus, selector, n)
 
 
 def test_stabilization_under_extra_coordinates():

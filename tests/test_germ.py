@@ -41,6 +41,8 @@ from arczeta.errors import (
 from arczeta.germ import (
     SplitResult,
     _absorb,
+    _charpoly,
+    _integer_symmetric,
     _linear_rank,
     _require_singular,
     _square_root_part,
@@ -51,6 +53,7 @@ from util import (
     composed_degree,
     congruence_diagonalize,
     coordinates,
+    faddeev_leverrier,
     hessian_block,
     linear_change,
     linear_rank,
@@ -400,6 +403,33 @@ def test_congruence_matches_charpoly_oracle():
         inertia = split_jet(quadratic_form(matrix), 3).inertia
         counted = (inertia.plus, inertia.minus)
         assert counted == charpoly_inertia(matrix) == congruence_inertia(matrix)
+
+
+def test_newton_charpoly_equals_the_faddeev_leverrier_reference():
+    # the 300 matrices of selfcheck's inertia grid, drawn as the grid draws them
+    rng = random.Random(20260809)
+    matrices = [random_symmetric(rng, rng.randint(1, 8)) for _ in range(300)]
+    # int matrices up to size 16, and sums of at most size - 1 signed squares
+    # of linear forms, whose rank is below their size
+    rng = random.Random(3808)
+    deficient = []
+    for size in range(1, 17):
+        for _ in range(3):
+            upper = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            matrices.append(
+                [[upper[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+            )
+            forms = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(rng.randrange(size))]
+            signs = [rng.choice((-1, 1)) for _ in forms]
+            deficient.append([
+                [sum(d * f[i] * f[j] for d, f in zip(signs, forms)) for j in range(size)]
+                for i in range(size)
+            ])
+    for matrix in matrices + deficient:
+        A = _integer_symmetric(matrix)
+        assert _charpoly(A) == faddeev_leverrier(A), matrix
+    for matrix in deficient:
+        assert _charpoly(matrix)[-1] == 0  # a singular matrix has a root at 0
 
 
 @pytest.mark.parametrize("route", [congruence_inertia, charpoly_inertia])

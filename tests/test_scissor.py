@@ -43,7 +43,7 @@ from arczeta.errors import (
     MalformedExpression,
     NotReducible,
 )
-from util import assert_dataclass_semantics
+from util import assert_dataclass_semantics, assert_public_twin
 
 U = LaurentPolynomial.monomial(1)
 
@@ -139,6 +139,22 @@ def test_quadric_reduce_shapes():
         quadric_reduce(1, 2, 0)
     with pytest.raises(NotReducible):
         quadric_reduce(0, 0, 4)
+
+
+def test_quadric_reduce_builds_what_the_public_constructors_build():
+    # its nodes are built trusted, from the arguments it checked once
+    for c in (-1, 0, 1):
+        for s in range(1, 13):
+            for t in range(1, 13):
+                built = quadric_reduce(c, s, t)
+                twin = assert_public_twin(built, {})
+                assert twin == DisjointUnion(
+                    (
+                        Product((PuncturedLine(), AffineSpace(s + t - 2))),
+                        Product((QuadricAffine(c, s - 1, t - 1), AffineSpace(1))),
+                    )
+                )
+                assert built.depth == 3
 
 
 def test_quadric_reduce_preserves_beta():
@@ -275,7 +291,7 @@ def test_trusted_product_equals_the_validating_one():
     # equal children that are distinct objects: three runs when built, one trusted
     cases.append(((AffineSpace(3), AffineSpace(3), AffineSpace(3)), 2, ((hyperplane, 3),)))
     for children, depth, runs in cases:
-        built, trusted = Product(children), Product._of(runs, depth)
+        built, trusted = Product(children), scissor._trusted(Product, runs, depth)
         assert trusted == built and built == trusted
         assert hash(trusted) == hash(built)
         assert repr(trusted) == repr(built)
@@ -295,7 +311,7 @@ def test_a_product_holds_two_slots_like_any_composite():
     # the runs live in the _key slot a record has, beside depth
     size = sys.getsizeof(DisjointUnion(()))
     assert sys.getsizeof(Product((AffineSpace(1),))) == size
-    assert sys.getsizeof(Product._of(((AffineSpace(1), 2),), 2)) == size
+    assert sys.getsizeof(scissor._trusted(Product, ((AffineSpace(1), 2),), 2)) == size
 
 
 def _split_runs(children):

@@ -12,7 +12,13 @@ from operator import add
 
 import pytest
 
-from arczeta import LaurentPolynomial, PolynomialGerm
+from arczeta import (
+    Difference,
+    DisjointUnion,
+    LaurentPolynomial,
+    PolynomialGerm,
+    Product,
+)
 from arczeta.selfcheck import (  # noqa: F401  (the grids' generators, shared with the tests)
     random_singular_germ,
     random_symmetric,
@@ -113,6 +119,25 @@ def hessian_block(germ: PolynomialGerm, variables) -> list[list[Fraction]]:
             matrix[i][j] = coeff
             matrix[j][i] = coeff
     return matrix
+
+
+def faddeev_leverrier(A: list[list[int]]) -> list[int]:
+    """[1, c_1, ..., c_n] of det(x I - A) for a square matrix of int rows.
+
+    The reference of charpoly_inertia's Newton sums: M_1 = I and
+    c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I, one full matrix product
+    per step, with no use of symmetry.
+    """
+    n = len(A)
+    coeffs = [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AM = [[sum(A[i][m] * M[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+        quotient, residue = divmod(sum(AM[i][i] for i in range(n)), k)
+        assert residue == 0
+        coeffs.append(-quotient)
+        M = [[AM[i][j] + (i == j) * -quotient for j in range(n)] for i in range(n)]
+    return coeffs
 
 
 def _f(*rows):
@@ -289,3 +314,50 @@ def assert_dataclass_semantics(records, twins):
     for a, b in itertools.product(records, repeat=2):
         assert (a == b) == (twin_of(a) == twin_of(b))
         assert (a != b) == (twin_of(a) != twin_of(b))
+
+
+# ---------------------------------------------------------------------------
+# Set expressions and series rebuilt the long way
+# ---------------------------------------------------------------------------
+
+
+def assert_public_twin(node, twins: dict):
+    """Rebuild node through the public constructors and return the rebuilt twin.
+
+    Every node below node, node included, must equal its twin both ways,
+    with an equal hash and depth; a Product must also hold its twin's runs.
+    twins maps id(node) -> twin, so a node shared below several others is
+    rebuilt once and its twin is shared the same way.
+    """
+    twin = twins.get(id(node))
+    if twin is not None:
+        return twin
+    cls = type(node)
+    if cls in (Product, DisjointUnion):
+        twin = cls(tuple(assert_public_twin(child, twins) for child in node.children))
+    elif cls is Difference:
+        twin = cls(
+            assert_public_twin(node.ambient, twins), assert_public_twin(node.closed_subset, twins)
+        )
+    else:
+        twin = cls(*(getattr(node, name) for name in cls._fields))
+    assert twin == node and node == twin and hash(twin) == hash(node)
+    if cls in (Product, DisjointUnion, Difference):
+        assert node.depth == twin.depth
+    if cls is Product:
+        assert [(twins[id(child)], count) for child, count in node.runs] == list(twin.runs)
+    twins[id(node)] = twin
+    return twin
+
+
+def expand_rational_form(rank: int, a: LaurentPolynomial, b: LaurentPolynomial, n: int):
+    """The T^n coefficient of X * (A + B * Y), term by term; see the arcspace docstring.
+
+    The oracle of zeta_closed_form's recurrence: one product of B by the
+    geometric sum of the T^n terms of X * Y, plus A u^(-rank*n/2) at even n.
+    """
+    # the T^n terms of X * Y: u^(-rank*e) T^(2e) times u^(-k) T^k, k = n - 2e >= 1
+    total = b * LaurentPolynomial((-(n - 2 * e) - rank * e, 1) for e in range(1, (n + 1) // 2))
+    if n % 2 == 0:
+        total = total + a * LaurentPolynomial.monomial(-rank * (n // 2))
+    return total
